@@ -11,6 +11,11 @@ Every function takes a :class:`CavityContext` bundling the effective wire
 permittivity, the relevant refractive indices, and the vacuum wavelength.
 Signs follow the package convention: Im(eps_w) <= 0 and Im(n_m) <= 0, so the
 leading terms -4*Im(eps_w)*... are positive.
+
+The absorptance families, :func:`detuning_from_thickness` and
+:func:`combine_dsc_detunings` are element-wise: a numpy array of thicknesses
+or detunings gives an array back, a float gives a float. A validity check
+fires once per call when any element strains the approximation.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "CavityContext",
@@ -54,6 +61,8 @@ class ValidityWarning(UserWarning):
 _WIRE_FRACTION = 1.0 / 50.0
 # Quarter-wave detuning (rad) beyond which the linearised spacer matrix drifts.
 _DETUNING_LIMIT = 0.5
+
+FloatOrArray = float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -116,27 +125,30 @@ class QwtResult:
     d_w_implied_nm: float
 
 
-def _warn_wire(d_w: float, wavelength_nm: float) -> None:
-    if d_w > wavelength_nm * _WIRE_FRACTION:
+def _warn_wire(d_w: FloatOrArray, wavelength_nm: float) -> None:
+    limit = wavelength_nm * _WIRE_FRACTION
+    if np.any(d_w > limit):
         warnings.warn(
-            f"wire thickness {d_w:.3g} nm exceeds {wavelength_nm * _WIRE_FRACTION:.3g} nm; "
+            f"wire thickness {np.nanmax(d_w):.3g} nm exceeds {limit:.3g} nm; "
             "the thin-wire expansion is strained",
             ValidityWarning,
             stacklevel=3,
         )
 
 
-def _warn_detuning(dphi: float) -> None:
-    if abs(dphi) > _DETUNING_LIMIT:
+def _warn_detuning(dphi: FloatOrArray) -> None:
+    magnitude = np.abs(dphi)
+    if np.any(magnitude > _DETUNING_LIMIT):
+        worst = np.ravel(dphi)[np.nanargmax(magnitude)]
         warnings.warn(
-            f"detuning {dphi:.3g} rad exceeds {_DETUNING_LIMIT} rad; "
+            f"detuning {worst:.3g} rad exceeds {_DETUNING_LIMIT} rad; "
             "the linearised spacer matrix is strained",
             ValidityWarning,
             stacklevel=3,
         )
 
 
-def detuning_from_thickness(d_nm: float, n: float, wavelength_nm: float) -> float:
+def detuning_from_thickness(d_nm: FloatOrArray, n: float, wavelength_nm: float) -> FloatOrArray:
     """Phase detuning of a layer from exact quarter-wave: k0*n*d - pi/2."""
     return 2.0 * math.pi / wavelength_nm * n * d_nm - 0.5 * math.pi
 
@@ -146,7 +158,9 @@ def thickness_from_detuning(dphi: float, n: float, wavelength_nm: float) -> floa
     return (0.5 * math.pi + dphi) * wavelength_nm / (2.0 * math.pi * n)
 
 
-def combine_dsc_detunings(dphi_c1: float, dphi_c2: float, ctx: CavityContext) -> float:
+def combine_dsc_detunings(
+    dphi_c1: FloatOrArray, dphi_c2: FloatOrArray, ctx: CavityContext
+) -> FloatOrArray:
     """Single detuning that the double-side cavity responds to:
     dphi_c1 + (n_c2/n_c1)*dphi_c2. Trades preserving it leave A unchanged."""
     _need(ctx, "n_c1", "n_c2")
@@ -182,7 +196,7 @@ def max_absorptance_detuned(eps_w: complex) -> float:
     return -4.0 * eps_w.imag / (mag * (1.0 - ratio) ** 2)
 
 
-def absorptance_ssc(d_w: float, ctx: CavityContext) -> float:
+def absorptance_ssc(d_w: FloatOrArray, ctx: CavityContext) -> FloatOrArray:
     """Absorptance of the single-side cavity vs wire thickness (ideal mirror,
     quarter-wave spacer). Depends only on n_i, eps_w, and d_w."""
     _warn_wire(d_w, ctx.wavelength_nm)
@@ -210,7 +224,7 @@ def wire_optimum_ssc(ctx: CavityContext) -> OptimumPoint:
 wire_optimum_mlc = wire_optimum_ssc
 
 
-def absorptance_ssc_dielectric(dphi_c: float, ctx: CavityContext) -> float:
+def absorptance_ssc_dielectric(dphi_c: FloatOrArray, ctx: CavityContext) -> FloatOrArray:
     """Single-side absorptance vs spacer detuning, wire fixed at its optimum.
 
     The mirror enters through Im(n_m)/|n_m|**2; passing n_m = None takes the
@@ -254,7 +268,7 @@ def dielectric_optimum_ssc(ctx: CavityContext) -> OptimumPoint:
     return OptimumPoint(d_opt, max_absorptance_detuned(e), dphi)
 
 
-def absorptance_dsc(d_w: float, ctx: CavityContext) -> float:
+def absorptance_dsc(d_w: FloatOrArray, ctx: CavityContext) -> FloatOrArray:
     """Absorptance of the double-side cavity vs wire thickness (ideal mirror,
     quarter-wave dielectrics). The lower dielectric rescales the optimum."""
     _need(ctx, "n_c1")
@@ -275,7 +289,7 @@ def wire_optimum_dsc(ctx: CavityContext) -> OptimumPoint:
     return OptimumPoint(d_opt, max_absorptance(ctx.eps_w))
 
 
-def absorptance_dsc_dielectric(dphi_dsc: float, ctx: CavityContext) -> float:
+def absorptance_dsc_dielectric(dphi_dsc: FloatOrArray, ctx: CavityContext) -> FloatOrArray:
     """Double-side absorptance vs the combined detuning of both dielectrics,
     wire fixed at its optimum. See :func:`combine_dsc_detunings`."""
     _need(ctx, "n_c1", "n_c2")

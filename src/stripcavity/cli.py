@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__, tmm
 from .design import (
-    CurvePoint,
     CurveSet,
     DesignReport,
     DesignSpec,
@@ -29,6 +28,7 @@ from .design import (
     reproduce_table2,
     run_design_flow,
     sweep_curves,
+    sweep_grid,
 )
 from .materials import MaterialRegistry, load_registry
 from .stack import load_stack_config
@@ -36,6 +36,10 @@ from .stack import load_stack_config
 __all__ = ["main"]
 
 _SWEEP_HEADER = ("x_nm", "A_analytic", "A_tmm", "eta_ratio")
+# One template per row; for floats "%.12g" gives the bytes of format(v, ".12g").
+_SWEEP_ROW = ",".join(["%.12g"] * len(_SWEEP_HEADER))
+# (lo, hi, step) in nm per swept variable.
+_SWEEP_DEFAULTS = {"wire": (1.0, 30.0, 0.1), "dielectric": (150.0, 300.0, 0.5)}
 
 
 class CliError(Exception):
@@ -146,13 +150,31 @@ def _cmd_design(args) -> int:
     return 2 if report.warnings else 0
 
 
-def _curve_rows(curves: CurveSet):
-    return [(p.x_nm, p.A_analytic, p.A_tmm, p.eta_ratio) for p in curves.points]
+def _emit_curves(args, curves: CurveSet) -> None:
+    columns = [
+        column.tolist()
+        for column in (curves.x_nm, curves.A_analytic, curves.A_tmm, curves.eta_ratio)
+    ]
+    if args.format == "structured-report":
+        rows = [dict(zip(_SWEEP_HEADER, row)) for row in zip(*columns)]
+        _write_text(args.out, json.dumps(rows, indent=2) + "\n")
+    else:
+        body = "\n".join(map(_SWEEP_ROW.__mod__, zip(*columns)))
+        _write_text(args.out, ",".join(_SWEEP_HEADER) + "\n" + body + "\n")
 
 
-def _sweep_common(args, registry, variable: str, lo: float, hi: float, step: float) -> CurveSet:
+def _grid_from(args, variable: str) -> tuple[float, float, float]:
+    lo, hi, step = _SWEEP_DEFAULTS[variable]
+    if args.range:
+        lo, hi = _parse_range(args.range)
+    if args.step is not None:
+        step = args.step
+    return lo, hi, step
+
+
+def _sweep_common(args, registry, variable: str) -> CurveSet:
     try:
-        return sweep_curves(_spec_from(args), variable, lo, hi, step, registry)
+        return sweep_curves(_spec_from(args), variable, *_grid_from(args, variable), registry)
     except (KeyError, ValueError) as exc:
         raise CliError(str(exc)) from exc
 
@@ -167,20 +189,16 @@ def _custom_sweep(args, registry) -> CurveSet:
         index = config.wire_layer_index if args.variable == "wire" else config.dielectric_layer_index
     if index is None:
         raise CliError("custom stacks need --layer to pick the swept layer")
-    lo, hi = _parse_range(args.range) if args.range else (1.0, 30.0)
-    if lo > hi or args.step <= 0:
-        raise CliError(f"bad sweep range [{lo}, {hi}] step {args.step}")
-    xs = np.arange(lo, hi + 0.5 * args.step, args.step)
-    if len(xs) == 0:
-        xs = np.array([lo])
+    # Custom stacks default to the wire range whichever layer is swept.
+    try:
+        xs = sweep_grid(*_grid_from(args, "wire"))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     result = tmm.sweep(config.stack, index, xs, config.wavelength_nm)
     n_i = config.stack.input.material.optical_constant.n_re
-    ratios = np.abs(result.eta_in) * n_i
-    points = tuple(
-        CurvePoint(float(x), float("nan"), float(a), float(rho))
-        for x, a, rho in zip(xs, result.A, ratios)
+    return CurveSet(
+        "custom", "nm", xs, np.full(len(xs), np.nan), result.A, np.abs(result.eta_in) * n_i
     )
-    return CurveSet("custom", "nm", points)
 
 
 def _cmd_sweep(args) -> int:
@@ -188,33 +206,14 @@ def _cmd_sweep(args) -> int:
     if args.stack is not None:
         curves = _custom_sweep(args, registry)
     else:
-        defaults = {"wire": (1.0, 30.0, 0.1), "dielectric": (150.0, 300.0, 0.5)}
-        lo, hi, step = defaults[args.variable]
-        if args.range:
-            lo, hi = _parse_range(args.range)
-        if args.step is not None:
-            step = args.step
-        curves = _sweep_common(args, registry, args.variable, lo, hi, step)
-    rows = _curve_rows(curves)
-    _emit(
-        args,
-        _csv_text(_SWEEP_HEADER, rows),
-        [dict(zip(_SWEEP_HEADER, row)) for row in rows],
-    )
+        curves = _sweep_common(args, registry, args.variable)
+    _emit_curves(args, curves)
     return 0
 
 
 def _cmd_impedance(args) -> int:
     registry = _registry_from(args)
-    lo, hi = _parse_range(args.range) if args.range else (1.0, 30.0)
-    step = args.step if args.step is not None else 0.1
-    curves = _sweep_common(args, registry, "wire", lo, hi, step)
-    rows = _curve_rows(curves)
-    _emit(
-        args,
-        _csv_text(_SWEEP_HEADER, rows),
-        [dict(zip(_SWEEP_HEADER, row)) for row in rows],
-    )
+    _emit_curves(args, _sweep_common(args, registry, "wire"))
     return 0
 
 

@@ -14,6 +14,7 @@ the final design use the actual metal mirror.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,7 +44,6 @@ from .stack import (
 __all__ = [
     "DesignSpec",
     "DesignReport",
-    "CurvePoint",
     "CurveSet",
     "Table2Cell",
     "Table2Report",
@@ -51,6 +51,7 @@ __all__ = [
     "ConvergenceReport",
     "run_design_flow",
     "sweep_curves",
+    "sweep_grid",
     "reproduce_table2",
     "mlc_convergence",
     "WIRE_TARGETS_NM",
@@ -86,6 +87,7 @@ DIELECTRIC_DISPLAY_TOL_NM = 1.0
 WIRE_AGREEMENT_REL = 0.02
 DIELECTRIC_AGREEMENT_REL = 0.06
 _CONVERGENCE_TOL = 1e-4
+MAX_SWEEP_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -158,21 +160,17 @@ class DesignReport:
         }
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    x_nm: float
-    A_analytic: float
-    A_tmm: float
-    eta_ratio: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy columns have no single truth value for ==
 class CurveSet:
-    """Rows of (x, analytic A, exact A, |eta_in|/eta_i) over one swept variable."""
+    """Columns of x, analytic A, exact A and |eta_in|/eta_i over one swept
+    variable; row i of the curve is element i of each column."""
 
     variable: str
     unit: str
-    points: tuple[CurvePoint, ...]
+    x_nm: np.ndarray
+    A_analytic: np.ndarray
+    A_tmm: np.ndarray
+    eta_ratio: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -411,13 +409,17 @@ def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) 
     )
 
 
-def _analytic_wire_absorptance(spec: DesignSpec, ctx: CavityContext, d_w: float) -> float:
+def _analytic_wire_absorptance(
+    spec: DesignSpec, ctx: CavityContext, d_w: np.ndarray
+) -> np.ndarray:
     if spec.cavity == "dsc":
         return analytic.absorptance_dsc(d_w, ctx)
     return analytic.absorptance_ssc(d_w, ctx)
 
 
-def _analytic_dielectric_absorptance(spec: DesignSpec, ctx: CavityContext, d_c: float) -> float:
+def _analytic_dielectric_absorptance(
+    spec: DesignSpec, ctx: CavityContext, d_c: np.ndarray
+) -> np.ndarray:
     if spec.cavity == "ssc":
         dphi = analytic.detuning_from_thickness(d_c, ctx.n_c, ctx.wavelength_nm)
         return analytic.absorptance_ssc_dielectric(dphi, ctx)
@@ -425,6 +427,34 @@ def _analytic_dielectric_absorptance(spec: DesignSpec, ctx: CavityContext, d_c: 
     dphi_c2 = analytic.detuning_from_thickness(d_c, ctx.n_c2, ctx.wavelength_nm)
     dphi_dsc = analytic.combine_dsc_detunings(0.0, dphi_c2, ctx)
     return analytic.absorptance_dsc_dielectric(dphi_dsc, ctx)
+
+
+def sweep_grid(lo_nm: float, hi_nm: float, step_nm: float) -> np.ndarray:
+    """Thicknesses lo, lo + step, ... up to hi (within half a step).
+
+    A zero-length range gives the single point lo. Non-finite bounds or step,
+    and grids beyond MAX_SWEEP_POINTS, are rejected before anything is
+    allocated.
+    """
+    if not all(math.isfinite(v) for v in (lo_nm, hi_nm, step_nm)):
+        raise ValueError(
+            f"sweep bounds and step must be finite, got [{lo_nm}, {hi_nm}] step {step_nm}"
+        )
+    if lo_nm > hi_nm:
+        raise ValueError(f"need lo <= hi, got [{lo_nm}, {hi_nm}]")
+    if step_nm <= 0:
+        raise ValueError(f"step must be > 0 nm, got {step_nm}")
+    stop = hi_nm + 0.5 * step_nm
+    # numpy sizes the grid as ceil((stop - lo)/step); a span that overflows
+    # to inf fails this test too.
+    if not (stop - lo_nm) / step_nm <= MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"sweep of [{lo_nm}, {hi_nm}] step {step_nm} exceeds {MAX_SWEEP_POINTS} points"
+        )
+    xs = np.arange(lo_nm, stop, step_nm)
+    if len(xs) == 0:
+        xs = np.array([lo_nm])
+    return xs
 
 
 def sweep_curves(
@@ -439,8 +469,8 @@ def sweep_curves(
 
     ``variable`` is 'wire' or 'dielectric'. Wire sweeps run on the
     ideal-mirror layout the wire formulas assume; dielectric sweeps hold the
-    wire at its closed-form optimum on the actual mirror. A zero-length range
-    produces a single row. Validity warnings are suppressed: probing beyond
+    wire at its closed-form optimum on the actual mirror. The thicknesses come
+    from :func:`sweep_grid`. Validity warnings are suppressed: probing beyond
     the formulas' comfort zone is exactly what a sweep is for.
     """
     registry = _registry(registry)
@@ -448,14 +478,7 @@ def sweep_curves(
         raise ValueError(f"variable must be 'wire' or 'dielectric', got {variable!r}")
     if spec.cavity == "mlc" and variable == "dielectric":
         raise ValueError("the multi-layer cavity has no free dielectric thickness")
-    if lo_nm > hi_nm:
-        raise ValueError(f"need lo <= hi, got [{lo_nm}, {hi_nm}]")
-    if step_nm <= 0:
-        raise ValueError(f"step must be > 0 nm, got {step_nm}")
-
-    xs = np.arange(lo_nm, hi_nm + 0.5 * step_nm, step_nm)
-    if len(xs) == 0:
-        xs = np.array([lo_nm])
+    xs = sweep_grid(lo_nm, hi_nm, step_nm)
 
     ctx = build_context(spec, registry)
     with warnings.catch_warnings():
@@ -465,18 +488,13 @@ def sweep_curves(
         )
         if variable == "wire":
             stack, idx, _ = _wire_oracle_stack(spec, registry, wire_opt.d_opt_nm)
-            analytic_A = [_analytic_wire_absorptance(spec, ctx, float(x)) for x in xs]
+            analytic_A = _analytic_wire_absorptance(spec, ctx, xs)
         else:
             stack, _, idx = _build_stack(spec, registry, wire_opt.d_opt_nm)
-            analytic_A = [_analytic_dielectric_absorptance(spec, ctx, float(x)) for x in xs]
+            analytic_A = _analytic_dielectric_absorptance(spec, ctx, xs)
 
     result = tmm.sweep(stack, idx, xs, spec.wavelength_nm)
-    ratios = np.abs(result.eta_in) * ctx.n_i
-    points = tuple(
-        CurvePoint(float(x), float(a), float(t), float(rho))
-        for x, a, t, rho in zip(xs, analytic_A, result.A, ratios)
-    )
-    return CurveSet(variable, "nm", points)
+    return CurveSet(variable, "nm", xs, analytic_A, result.A, np.abs(result.eta_in) * ctx.n_i)
 
 
 def _table2_specs(slit_nm: float) -> dict[str, DesignSpec]:

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from stripcavity.analytic import (
@@ -319,6 +321,83 @@ class TestValidityWarnings:
             warnings.simplefilter("error", ValidityWarning)
             absorptance_ssc(11.6, ctx_ssc())
             absorptance_ssc_dielectric(-0.24, ctx_ssc())
+
+
+# name -> (closed form of one swept argument, in-range grid, an out-of-range
+# value or None when the form has no validity check)
+ELEMENTWISE = {
+    "absorptance_ssc": (
+        lambda x: absorptance_ssc(x, ctx_ssc()), np.linspace(0.5, 30.0, 60), 32.0,
+    ),
+    "absorptance_mlc": (
+        lambda x: absorptance_mlc(x, ctx_mlc()), np.linspace(0.5, 30.0, 60), 45.0,
+    ),
+    "absorptance_dsc": (
+        lambda x: absorptance_dsc(x, ctx_dsc()), np.linspace(0.5, 30.0, 60), 40.25,
+    ),
+    "absorptance_ssc_dielectric": (
+        lambda x: absorptance_ssc_dielectric(x, ctx_ssc()), np.linspace(-0.5, 0.5, 41), 0.6,
+    ),
+    "absorptance_dsc_dielectric": (
+        lambda x: absorptance_dsc_dielectric(x, ctx_dsc()), np.linspace(-0.5, 0.5, 41), -0.75,
+    ),
+    "detuning_from_thickness": (
+        lambda x: detuning_from_thickness(x, 1.551, LAMBDA), np.linspace(150.0, 300.0, 61), None,
+    ),
+    "combine_dsc_detunings/c2": (
+        lambda x: combine_dsc_detunings(0.1, x, ctx_dsc()), np.linspace(-0.5, 0.5, 41), None,
+    ),
+    "combine_dsc_detunings/c1": (
+        lambda x: combine_dsc_detunings(x, -0.2, ctx_dsc()), np.linspace(-0.5, 0.5, 41), None,
+    ),
+}
+
+
+class TestElementwise:
+    @pytest.mark.parametrize("name", ELEMENTWISE)
+    def test_array_matches_scalar_calls(self, name):
+        fn, grid, _ = ELEMENTWISE[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ValidityWarning)
+            column = fn(grid)
+            reference = np.array([fn(float(x)) for x in grid])
+        assert isinstance(column, np.ndarray) and column.shape == grid.shape
+        np.testing.assert_allclose(column, reference, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("name", ELEMENTWISE)
+    def test_scalar_returns_float(self, name):
+        fn, grid, _ = ELEMENTWISE[name]
+        assert type(fn(float(grid[3]))) is float
+
+    @pytest.mark.parametrize("name", [n for n, (_, _, bad) in ELEMENTWISE.items() if bad is not None])
+    def test_one_bad_element_warns_once(self, name):
+        fn, grid, bad = ELEMENTWISE[name]
+        values = grid.copy()
+        values[len(values) // 2] = bad
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fn(values)
+        assert [w.category for w in caught] == [ValidityWarning]
+        assert f"{bad:.3g}" in str(caught[0].message)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: absorptance_ssc(32.0, ctx_ssc()),
+             "wire thickness 32 nm exceeds 31 nm; the thin-wire expansion is strained"),
+            (lambda: absorptance_dsc(40.25, ctx_dsc()),
+             "wire thickness 40.2 nm exceeds 31 nm; the thin-wire expansion is strained"),
+            (lambda: absorptance_ssc_dielectric(0.6, ctx_ssc()),
+             "detuning 0.6 rad exceeds 0.5 rad; the linearised spacer matrix is strained"),
+            (lambda: absorptance_dsc_dielectric(-0.75, ctx_dsc()),
+             "detuning -0.75 rad exceeds 0.5 rad; the linearised spacer matrix is strained"),
+        ],
+    )
+    def test_scalar_warning_text(self, call, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [str(w.message) for w in caught] == [message]
 
 
 class TestContextValidation:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,18 @@ SWEEP_HEADER = ["x_nm", "A_analytic", "A_tmm", "eta_ratio"]
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def write_custom_stack(directory):
+    config = directory / "stack.yaml"
+    config.write_text(
+        "cavity: custom\n"
+        "layers:\n"
+        "  - {material: NbN, thickness_nm: 6}\n"
+        "  - {material: SiO, thickness_nm: 250}\n"
+        "output: short\n"
+    )
+    return config
 
 
 def kv_report(path):
@@ -112,14 +125,7 @@ class TestSweep:
         assert 214.0 <= float(peak[0]) <= 220.0
 
     def test_custom_stack(self, tmp_path):
-        config = tmp_path / "stack.yaml"
-        config.write_text(
-            "cavity: custom\n"
-            "layers:\n"
-            "  - {material: NbN, thickness_nm: 6}\n"
-            "  - {material: SiO, thickness_nm: 250}\n"
-            "output: short\n"
-        )
+        config = write_custom_stack(tmp_path)
         out = tmp_path / "sweep.csv"
         assert main([
             "sweep", "--cavity", "ssc", "--stack", str(config), "--layer", "0",
@@ -137,6 +143,70 @@ class TestSweep:
     def test_bad_range_format(self, capsys):
         assert main(["sweep", "--cavity", "ssc", "--range", "1-30"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--step", "1e-9"],
+            ["--range", "1:1e12"],
+            ["--range", "nan:30"],
+            ["--range", "1:nan"],
+            ["--range", "1:inf"],
+            ["--range", "-inf:30"],
+            ["--step", "nan"],
+            ["--step", "inf"],
+            ["--range", "1:1e308", "--step", "1e-308"],
+        ],
+    )
+    @pytest.mark.parametrize("custom", [False, True], ids=["builtin", "stack"])
+    def test_unbounded_or_non_finite_grid(self, tmp_path, capsys, grid, custom):
+        # every grid here is refused before numpy allocates a point
+        argv = ["sweep", "--cavity", "ssc", *grid, "--out", str(tmp_path / "sweep.csv")]
+        if custom:
+            argv += ["--stack", str(write_custom_stack(tmp_path)), "--layer", "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+
+# sha256 of CSVs written by the code before sweeps became column arrays
+# (per-row objects, one format() per cell), recorded on x86-64 Linux with the
+# numpy kernels. The column path must reproduce them byte for byte; a
+# mismatch is a last-ulp change in some value, not a reason to re-record.
+GOLDEN_SHA256 = {
+    "sweep-ssc": (
+        ["sweep", "--cavity", "ssc"],
+        "7389981aa9c37f55c38a2db117fe17485d10164f0147602d258c5477dd6f6c69",
+    ),
+    "sweep-dsc-dielectric": (
+        ["sweep", "--cavity", "dsc", "--variable", "dielectric"],
+        "8ae111833f87051afb080f349e52ef125123582d72645d8b5b758b2663c17c74",
+    ),
+    "impedance-mlc": (
+        ["impedance", "--cavity", "mlc"],
+        "8f3b37e4fe5a8277c8fc17b37f359c168301ca5c3121508b2f326517e3170618",
+    ),
+    "sweep-custom-stack": (
+        ["sweep", "--cavity", "ssc", "--stack", "{stack}", "--layer", "0",
+         "--range", "2:10", "--step", "1"],
+        "3c9dd2f48a24b1bb22ce3b43f5884307d898060a7206c93ba8411e11006f8b17",
+    ),
+    "table2": (
+        ["table2"],
+        "007188fe28458bd583f8fb2f503fdf599cee1e546ccc5cda9759ee3fd9d641be",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SHA256)
+def test_golden_csv(tmp_path, name):
+    argv, digest = GOLDEN_SHA256[name]
+    stack = write_custom_stack(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main([arg.format(stack=stack) for arg in argv] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestImpedance:

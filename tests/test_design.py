@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,9 +80,7 @@ class TestRunDesignFlow:
 class TestSweepCurves:
     def test_wire_sweep_peaks(self):
         curves = sweep_curves(DesignSpec(cavity="ssc"), "wire", 1.0, 30.0, 0.25)
-        xs = np.array([p.x_nm for p in curves.points])
-        analytic_col = np.array([p.A_analytic for p in curves.points])
-        oracle_col = np.array([p.A_tmm for p in curves.points])
+        xs, analytic_col, oracle_col = curves.x_nm, curves.A_analytic, curves.A_tmm
         assert np.all(np.diff(xs) > 0)
         assert xs[int(np.argmax(analytic_col))] == pytest.approx(11.6, abs=0.4)
         assert xs[int(np.argmax(oracle_col))] == pytest.approx(11.6, abs=0.4)
@@ -92,9 +92,7 @@ class TestSweepCurves:
 
     def test_dielectric_sweep_peaks(self):
         curves = sweep_curves(DesignSpec(cavity="ssc"), "dielectric", 150.0, 300.0, 0.5)
-        xs = np.array([p.x_nm for p in curves.points])
-        analytic_col = np.array([p.A_analytic for p in curves.points])
-        oracle_col = np.array([p.A_tmm for p in curves.points])
+        xs, analytic_col, oracle_col = curves.x_nm, curves.A_analytic, curves.A_tmm
         peak_analytic = xs[int(np.argmax(analytic_col))]
         peak_oracle = xs[int(np.argmax(oracle_col))]
         assert peak_analytic == pytest.approx(211.5, abs=1.0)
@@ -103,13 +101,13 @@ class TestSweepCurves:
 
     def test_impedance_ratio_column(self):
         curves = sweep_curves(DesignSpec(cavity="ssc"), "wire", 11.5, 11.7, 0.1)
-        for p in curves.points:
-            assert 0.97 <= p.eta_ratio <= 1.03
+        for eta_ratio in curves.eta_ratio:
+            assert 0.97 <= eta_ratio <= 1.03
 
     def test_zero_length_range(self):
         curves = sweep_curves(DesignSpec(cavity="ssc"), "wire", 11.6, 11.6, 0.5)
-        assert len(curves.points) == 1
-        assert curves.points[0].x_nm == 11.6
+        assert len(curves.x_nm) == 1
+        assert curves.x_nm[0] == 11.6
 
     def test_guards(self):
         spec = DesignSpec(cavity="ssc")
@@ -121,6 +119,51 @@ class TestSweepCurves:
             sweep_curves(spec, "porosity", 1.0, 30.0, 0.5)
         with pytest.raises(ValueError):
             sweep_curves(DesignSpec(cavity="mlc"), "dielectric", 150.0, 300.0, 0.5)
+
+
+    def test_grid_bounds(self):
+        spec = DesignSpec(cavity="ssc")
+        for lo, hi, step in (
+            (math.nan, 30.0, 0.1),
+            (1.0, math.inf, 0.1),
+            (1.0, 30.0, math.nan),
+            (1.0, 30.0, 1e-9),  # 2.9e10 points
+        ):
+            with pytest.raises(ValueError):
+                sweep_curves(spec, "wire", lo, hi, step)
+
+    @pytest.mark.parametrize(
+        "cavity, variable, lo, hi, step",
+        [
+            ("ssc", "wire", 1.0, 40.0, 0.5),
+            ("dsc", "wire", 1.0, 40.0, 0.5),
+            ("mlc", "wire", 1.0, 40.0, 0.5),
+            ("ssc", "dielectric", 150.0, 300.0, 2.5),
+            ("dsc", "dielectric", 150.0, 300.0, 2.5),
+        ],
+    )
+    def test_analytic_column_matches_scalar_calls(self, cavity, variable, lo, hi, step):
+        spec = DesignSpec(cavity=cavity)
+        curves = sweep_curves(spec, variable, lo, hi, step)
+        ctx = build_context(spec)
+        wl = spec.wavelength_nm
+
+        def one_point(x):
+            if variable == "wire":
+                family = analytic.absorptance_dsc if cavity == "dsc" else analytic.absorptance_ssc
+                return family(x, ctx)
+            if cavity == "ssc":
+                dphi = analytic.detuning_from_thickness(x, ctx.n_c, wl)
+                return analytic.absorptance_ssc_dielectric(dphi, ctx)
+            dphi_c2 = analytic.detuning_from_thickness(x, ctx.n_c2, wl)
+            dphi = analytic.combine_dsc_detunings(0.0, dphi_c2, ctx)
+            return analytic.absorptance_dsc_dielectric(dphi, ctx)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", analytic.ValidityWarning)
+            reference = [one_point(float(x)) for x in curves.x_nm]
+        assert len(curves.A_tmm) == len(curves.eta_ratio) == len(reference)
+        np.testing.assert_allclose(curves.A_analytic, reference, rtol=1e-15, atol=0.0)
 
 
 class TestReproduceTable2:

@@ -65,7 +65,10 @@ def test_empty_chain_is_identity():
 
 
 def test_env_flag_disables_numba():
-    env = dict(os.environ, STRIPCAVITY_DISABLE_NUMBA="1")
+    # the child imports the package from wherever this process found it
+    src = os.path.dirname(os.path.dirname(_kernels.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, STRIPCAVITY_DISABLE_NUMBA="1", PYTHONPATH=path)
     code = (
         "from stripcavity import _kernels; "
         "assert not _kernels.NUMBA_ENABLED; "
