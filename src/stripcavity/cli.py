@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -250,7 +251,7 @@ def _cmd_mlc_convergence(args) -> int:
         raise CliError("mlc-convergence requires --cavity mlc")
     try:
         report = mlc_convergence(spec, args.max_periods, args.wire_nm, registry)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     header = ("periods", "A_tmm", "T_tmm")
     rows = [(r.periods, r.A, r.T) for r in report.rows]
@@ -285,6 +286,7 @@ def _add_common(parser: argparse.ArgumentParser, cavity_required: bool = True) -
     parser.add_argument("--format", choices=("csv", "structured-report"), default="csv")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stripcavity",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -587,18 +587,18 @@ def mlc_convergence(
             d_w_nm = analytic.wire_optimum_mlc(ctx).d_opt_nm
         analytic_A = analytic.absorptance_mlc(d_w_nm, ctx)
 
-    rows = []
-    for periods in range(1, n_max + 1):
-        sub = DesignSpec(
-            cavity="mlc", wavelength_nm=spec.wavelength_nm, line_nm=spec.line_nm,
-            slit_nm=spec.slit_nm, wire_material=spec.wire_material,
-            slit_material=spec.slit_material, low_index=spec.low_index,
-            high_index=spec.high_index, periods=periods,
-            input_medium=spec.input_medium, output_medium=spec.output_medium,
-        )
-        stack, _, _ = _build_stack(sub, registry, d_w_nm)
-        res = tmm.scatter(stack, spec.wavelength_nm)
-        rows.append(ConvergenceRow(periods, res.A, res.T))
+    # Layers are wire | (c1, c2) * n_max: p periods are the first 1 + 2p.
+    stack, _, _ = _build_stack(replace(spec, periods=n_max), registry, d_w_nm)
+    results = tmm.scatter_truncations(
+        stack, [1 + 2 * p for p in range(1, n_max + 1)], spec.wavelength_nm
+    )
+    rows = [ConvergenceRow(p, res.A, res.T) for p, res in enumerate(results, start=1)]
+    for row in rows:
+        if not (math.isfinite(row.A) and math.isfinite(row.T)):
+            raise ValueError(
+                f"absorptance or transmission is not finite at {row.periods} periods; "
+                "the reflector chain overflows"
+            )
 
     converged = None
     for i in range(len(rows) - 1):

@@ -39,8 +39,10 @@ __all__ = [
     "layer_fmatrix",
     "chain",
     "scatter",
+    "scatter_truncations",
     "input_impedance",
     "sweep",
+    "absorptance_of_layer",
     "argmax_absorptance",
 ]
 
@@ -182,9 +184,30 @@ def scatter(stack: Stack, wavelength_nm: float) -> ScatterResult:
     eta_i, eta_o, short = _media_impedances(stack)
     ns, ds = _stack_arrays(stack)
     k0 = 2.0 * math.pi / wavelength_nm
-    f11, f12, f21, f22 = _kernels.chain_product(ns, ds, k0)
-    r, t = _coefficients(f11, f12, f21, f22, eta_i, eta_o, short)
+    r, t = _coefficients(*_kernels.chain_product(ns, ds, k0), eta_i, eta_o, short)
     return ScatterResult.from_coefficients(complex(r), complex(t))
+
+
+def scatter_truncations(stack: Stack, layer_counts, wavelength_nm: float) -> list[ScatterResult]:
+    """`scatter` of the stack cut after each of ``layer_counts`` layers.
+
+    Every truncation keeps the input and output media. One running product
+    over the layers serves them all, and each result is bit-identical to
+    `scatter` of the truncated stack.
+    """
+    if wavelength_nm <= 0:
+        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
+    eta_i, eta_o, short = _media_impedances(stack)
+    ns, ds = _stack_arrays(stack)
+    results = []
+    # A deep chain can overflow; its results are then inf or NaN for the
+    # caller to reject, without a warning per layer.
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefixes = _kernels.chain_prefixes(ns, ds, 2.0 * math.pi / wavelength_nm)
+        for count in layer_counts:
+            r, t = _coefficients(*prefixes[count], eta_i, eta_o, short)
+            results.append(ScatterResult.from_coefficients(complex(r), complex(t)))
+    return results
 
 
 def input_impedance(stack: Stack, wavelength_nm: float) -> complex:
@@ -252,6 +275,34 @@ def _golden_max(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
+    """Absorptance as a function of one layer's thickness, float or array.
+
+    The layers before and after the swept one are multiplied once, here;
+    each call then costs one layer matrix per thickness. The result agrees
+    with `sweep` to rounding (the product is grouped differently).
+    """
+    if wavelength_nm <= 0:
+        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
+    if not 0 <= layer_index < len(stack.layers):
+        raise IndexError(f"layer index {layer_index} outside stack of {len(stack.layers)} layers")
+    eta_i, eta_o, short = _media_impedances(stack)
+    ns, ds = _stack_arrays(stack)
+    k0 = 2.0 * math.pi / wavelength_nm
+    i = layer_index
+    # Python complex entries keep the scalar calls of a golden-section search cheap.
+    n = complex(ns[i])
+    before = tuple(map(complex, _kernels.chain_product(ns[:i], ds[:i], k0)))
+    after = tuple(map(complex, _kernels.chain_product(ns[i + 1:], ds[i + 1:], k0)))
+
+    def absorptance(thickness_nm):
+        f = _kernels.chain_through(before, n, after, thickness_nm, k0)
+        r, t = _coefficients(*f, eta_i, eta_o, short)
+        return 1.0 - (np.conjugate(r) * r).real - (np.conjugate(t) * t).real
+
+    return absorptance
+
+
 def argmax_absorptance(
     stack: Stack,
     layer_index: int,
@@ -264,23 +315,31 @@ def argmax_absorptance(
     A coarse grid scan brackets the peak and golden-section refinement pins it
     to 0.01 nm. Candidates within 1e-12 in absorptance count as tied and the
     lowest thickness wins, so a flat (degenerate) family returns ``lo_nm``.
+    Every point goes through one `absorptance_of_layer`. Raises ValueError
+    when the grid absorptance is not finite (a chain that overflows).
     """
     if not lo_nm < hi_nm:
         raise ValueError(f"need lo < hi, got [{lo_nm}, {hi_nm}]")
     grid = np.linspace(lo_nm, hi_nm, _GRID_POINTS)
-    result = sweep(stack, layer_index, grid, wavelength_nm)
-    best = int(np.argmax(result.A))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        absorptance = absorptance_of_layer(stack, layer_index, wavelength_nm)
+        grid_A = absorptance(grid)
+    if not np.all(np.isfinite(grid_A)):
+        raise ValueError(
+            f"absorptance is not finite over [{lo_nm}, {hi_nm}] nm of layer {layer_index}; "
+            "the chain overflows"
+        )
+    best = int(np.argmax(grid_A))
 
-    def absorptance(thickness: float) -> float:
-        point = sweep(stack, layer_index, np.array([thickness]), wavelength_nm)
-        return float(point.A[0])
+    def refine(thickness: float) -> float:
+        return float(absorptance(thickness))
 
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
-    refined = _golden_max(absorptance, float(a), float(b), _REFINE_TOL_NM)
+    refined = _golden_max(refine, float(a), float(b), _REFINE_TOL_NM)
 
-    candidates = list(zip(grid.tolist(), result.A.tolist()))
-    candidates.append((refined, absorptance(refined)))
+    candidates = list(zip(grid.tolist(), grid_A.tolist()))
+    candidates.append((refined, refine(refined)))
     a_max = max(value for _, value in candidates)
     d_best = min(d for d, value in candidates if value >= a_max - _TIE_EPS)
-    return d_best, absorptance(d_best)
+    return d_best, refine(d_best)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stripcavity import cli
 from stripcavity.cli import main
 
 SWEEP_HEADER = ["x_nm", "A_analytic", "A_tmm", "eta_ratio"]
@@ -171,10 +172,13 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
 
-# sha256 of CSVs written by the code before sweeps became column arrays
-# (per-row objects, one format() per cell), recorded on x86-64 Linux with the
-# numpy kernels. The column path must reproduce them byte for byte; a
-# mismatch is a last-ulp change in some value, not a reason to re-record.
+# sha256 of CSVs recorded on x86-64 Linux with the numpy kernels: the sweep,
+# impedance, custom-stack and table2 entries by the code before sweeps became
+# column arrays (per-row objects, one format() per cell); the design and
+# mlc-convergence entries by the code before the argmax search factored the
+# swept layer out of the chain and the period study used one running
+# product. The code must reproduce them byte for byte; a mismatch is a
+# last-ulp change in some value, not a reason to re-record.
 GOLDEN_SHA256 = {
     "sweep-ssc": (
         ["sweep", "--cavity", "ssc"],
@@ -197,6 +201,31 @@ GOLDEN_SHA256 = {
         ["table2"],
         "007188fe28458bd583f8fb2f503fdf599cee1e546ccc5cda9759ee3fd9d641be",
     ),
+    "mlc-convergence": (
+        ["mlc-convergence", "--cavity", "mlc"],
+        "1114bfd2013d533bf15d883ce2100c981da250f56d91dbb64af88ebacd2725d5",
+    ),
+    "mlc-convergence-sio2-sio-120": (
+        ["mlc-convergence", "--cavity", "mlc", "--c1", "SiO2", "--c2", "SiO",
+         "--max-periods", "120"],
+        "04fe08cc0f880f08c415f87ef3611dbc0b93132e88373026e195ed5ba0c2177c",
+    ),
+    "design-ssc": (
+        ["design", "--cavity", "ssc"],
+        "f5c21975ade7c22d3d98bf3c0f7a1d3f60bf8296fd2643c3a1cd9d05af5f6081",
+    ),
+    "design-dsc": (
+        ["design", "--cavity", "dsc"],
+        "83806a2a32ca37983e3ff2bbe4cf02eb75f06d8765e4e6bb09822ef648c99047",
+    ),
+    "design-mlc": (
+        ["design", "--cavity", "mlc"],
+        "e70343456bb3f4ea9c29f159c481b4e0b1ab767e37d981d290aeb08a79867af9",
+    ),
+    "design-mlc-sio2-sio-80": (
+        ["design", "--cavity", "mlc", "--c1", "SiO2", "--c2", "SiO", "--periods", "80"],
+        "1e73221ad41d29510f9f3217474b0307d7b60ee9f276fb4430dce7f9b53970f6",
+    ),
 }
 
 
@@ -207,6 +236,34 @@ def test_golden_csv(tmp_path, name):
     out = tmp_path / "out.csv"
     assert main([arg.format(stack=stack) for arg in argv] + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_back_to_back_calls_share_no_state(tmp_path):
+    # the parser is built once per process; each call still starts from its defaults
+    assert cli._build_parser() is cli._build_parser()
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["design", "--cavity", "ssc", "--f", "0.4", "--out", str(first)]) == 0
+    assert main(["design", "--cavity", "ssc", "--out", str(second)]) == 0
+    assert float(kv_report(first)["filling_factor"]) == pytest.approx(0.4)
+    assert float(kv_report(second)["filling_factor"]) == 0.5
+    assert hashlib.sha256(second.read_bytes()).hexdigest() == GOLDEN_SHA256["design-ssc"][1]
+
+
+# a stray numpy warning would print more lines on a real stderr
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["design", "--cavity", "mlc", "--periods", "3000"], "not finite"),
+    (["mlc-convergence", "--cavity", "mlc", "--max-periods", "3000"], "not finite at"),
+    (["mlc-convergence", "--cavity", "mlc", "--mirror", "bogus"], "unknown material 'bogus'"),
+    (["mlc-convergence", "--cavity", "mlc", "--c1", "bogus"], "unknown material 'bogus'"),
+])
+def test_engine_failures_are_one_error_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 class TestImpedance:

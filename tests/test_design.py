@@ -15,7 +15,9 @@ from stripcavity.design import (
     run_design_flow,
     sweep_curves,
 )
-from stripcavity.materials import load_registry
+from stripcavity.materials import builtin_registry, load_registry
+from stripcavity.stack import WireGeometry, build_mlc
+from stripcavity.tmm import scatter
 from stripcavity import analytic
 
 
@@ -222,3 +224,21 @@ class TestMlcConvergence:
             mlc_convergence(DesignSpec(cavity="mlc"), 1)
         with pytest.raises(ValueError):
             mlc_convergence(DesignSpec(cavity="ssc"), 8)
+
+    @pytest.mark.parametrize("c1, c2, n_max", [("SiO2", "Ta2O5", 14), ("SiO2", "SiO", 60)])
+    def test_rows_equal_scatter_of_each_period_count(self, c1, c2, n_max):
+        registry = builtin_registry()
+        spec = DesignSpec(cavity="mlc", low_index=c1, high_index=c2)
+        report = mlc_convergence(spec, n_max)
+        wire = WireGeometry(
+            spec.line_nm, spec.slit_nm, registry.get("NbN"), registry.get("Vacuum"), report.d_w_nm
+        )
+        assert [row.periods for row in report.rows] == list(range(1, n_max + 1))
+        for row in report.rows:
+            stack = build_mlc(wire, registry.get(c1), registry.get(c2), row.periods)
+            result = scatter(stack, spec.wavelength_nm)
+            assert (row.A, row.T) == (result.A, result.T)
+
+    def test_overflowing_reflector_names_the_period_count(self):
+        with pytest.raises(ValueError, match=r"not finite at \d+ periods"):
+            mlc_convergence(DesignSpec(cavity="mlc"), 3000)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stripcavity.materials import Material, OpticalConstant, builtin_registry
+from stripcavity.materials import METAL, Material, OpticalConstant, builtin_registry
 from stripcavity.stack import (
     EXACT_SHORT,
     Layer,
@@ -16,6 +16,7 @@ from stripcavity.stack import (
 from stripcavity.tmm import (
     OPEN_CIRCUIT,
     FMatrix,
+    absorptance_of_layer,
     argmax_absorptance,
     chain,
     input_impedance,
@@ -35,6 +36,21 @@ def make_wire(slit_nm=80.0, thickness_nm=11.6, slit_material="Vacuum"):
 
 def lossless_layer(n_re, d):
     return Layer(Material(f"n{n_re}", OpticalConstant(n_re)), d)
+
+
+def make_wire_layer():
+    return build_ssc(make_wire()).layers[0]
+
+
+def random_lossy_stack(rng, n_layers, output):
+    layers = tuple(
+        Layer(
+            Material(f"m{j}", OpticalConstant(rng.uniform(1.0, 4.0), rng.uniform(0.0, 3.0)), METAL),
+            rng.uniform(1.0, 100.0),
+        )
+        for j in range(n_layers)
+    )
+    return Stack(VACUUM, layers, output)
 
 
 def rel_det_error(m: FMatrix) -> float:
@@ -262,9 +278,46 @@ class TestArgmax:
         with pytest.raises(ValueError):
             argmax_absorptance(build_ssc(make_wire()), 0, 30.0, 1.0, LAMBDA)
 
+    def test_overflowing_chain_rejected(self):
+        reflector = [lossless_layer(n, LAMBDA / (4 * n)) for n in (1.45, 2.1) * 3000]
+        stack = Stack(VACUUM, (make_wire_layer(),) + tuple(reflector), VACUUM)
+        with pytest.raises(ValueError, match="not finite"):
+            argmax_absorptance(stack, 0, 1.0, 30.0, LAMBDA)
+
     def test_resolution(self):
         # two runs over shifted ranges land on the same optimum within 0.02 nm
         stack = build_ssc(make_wire())
         d1, _ = argmax_absorptance(stack, 0, 1.0, 30.0, LAMBDA)
         d2, _ = argmax_absorptance(stack, 0, 2.0, 28.0, LAMBDA)
         assert abs(d1 - d2) < 0.02
+
+
+class TestAbsorptanceOfLayer:
+    """The factored evaluator against the left-to-right sweep."""
+
+    @pytest.mark.parametrize("output", [VACUUM, EXACT_SHORT], ids=["vacuum", "pec-short"])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_matches_sweep(self, output, position):
+        rng = np.random.default_rng(11)
+        values = np.linspace(1.0, 60.0, 101)
+        for _ in range(10):
+            stack = random_lossy_stack(rng, 7, output)
+            idx = {"first": 0, "middle": 3, "last": 6}[position]
+            expected = sweep(stack, idx, values, LAMBDA).A
+            absorptance = absorptance_of_layer(stack, idx, LAMBDA)
+            np.testing.assert_allclose(absorptance(values), expected, rtol=1e-13, atol=0)
+            for value, a in zip(values[::10].tolist(), expected[::10]):
+                assert float(absorptance(value)) == pytest.approx(a, rel=1e-13, abs=0)
+
+    def test_single_layer_stack(self):
+        stack = Stack(VACUUM, (make_wire_layer(),), EXACT_SHORT)
+        values = np.linspace(1.0, 30.0, 11)
+        np.testing.assert_allclose(
+            absorptance_of_layer(stack, 0, LAMBDA)(values),
+            sweep(stack, 0, values, LAMBDA).A,
+            rtol=1e-13, atol=0,
+        )
+
+    def test_bad_layer_index(self):
+        with pytest.raises(IndexError):
+            absorptance_of_layer(build_ssc(make_wire()), 5, LAMBDA)
