@@ -85,12 +85,13 @@ class CavityContext:
     wavelength_nm: float = 1550.0
 
     def __post_init__(self) -> None:
-        if self.n_i <= 0:
+        # "not x > 0" also rejects NaN
+        if not self.n_i > 0:
             raise ValueError(f"input index must be > 0, got {self.n_i}")
-        if self.wavelength_nm <= 0:
+        if not self.wavelength_nm > 0:
             raise ValueError(f"wavelength must be > 0 nm, got {self.wavelength_nm}")
         for label, value in (("n_c", self.n_c), ("n_c1", self.n_c1), ("n_c2", self.n_c2)):
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise ValueError(f"{label} must be > 0, got {value}")
         if self.eps_w.imag > 0:
             raise ValueError("Im(eps_w) must be <= 0 under the package sign convention")

@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, tmm
+from ._text import encode_rows
 from .design import (
     CurveSet,
     DesignReport,
@@ -37,8 +38,6 @@ from .stack import load_stack_config
 __all__ = ["main"]
 
 _SWEEP_HEADER = ("x_nm", "A_analytic", "A_tmm", "eta_ratio")
-# One template per row; for floats "%.12g" gives the bytes of format(v, ".12g").
-_SWEEP_ROW = ",".join(["%.12g"] * len(_SWEEP_HEADER))
 # (lo, hi, step) in nm per swept variable.
 _SWEEP_DEFAULTS = {"wire": (1.0, 30.0, 0.1), "dielectric": (150.0, 300.0, 0.5)}
 
@@ -52,6 +51,11 @@ class _Parser(argparse.ArgumentParser):
     # errors must not use argparse's default SystemExit(2)
     def error(self, message):
         raise CliError(message)
+
+
+def _message(exc: KeyError | ValueError) -> str:
+    # str() of a KeyError is the repr of its argument, quotes included
+    return str(exc.args[0]) if isinstance(exc, KeyError) else str(exc)
 
 
 def _fmt(value) -> str:
@@ -146,22 +150,20 @@ def _cmd_design(args) -> int:
     try:
         report = run_design_flow(_spec_from(args), registry)
     except (KeyError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(_message(exc)) from exc
     _emit(args, _csv_text(("key", "value"), _report_rows(report)), report.as_dict())
     return 2 if report.warnings else 0
 
 
 def _emit_curves(args, curves: CurveSet) -> None:
-    columns = [
-        column.tolist()
-        for column in (curves.x_nm, curves.A_analytic, curves.A_tmm, curves.eta_ratio)
-    ]
+    columns = (curves.x_nm, curves.A_analytic, curves.A_tmm, curves.eta_ratio)
     if args.format == "structured-report":
-        rows = [dict(zip(_SWEEP_HEADER, row)) for row in zip(*columns)]
+        rows = [
+            dict(zip(_SWEEP_HEADER, row)) for row in zip(*(column.tolist() for column in columns))
+        ]
         _write_text(args.out, json.dumps(rows, indent=2) + "\n")
     else:
-        body = "\n".join(map(_SWEEP_ROW.__mod__, zip(*columns)))
-        _write_text(args.out, ",".join(_SWEEP_HEADER) + "\n" + body + "\n")
+        _write_text(args.out, ",".join(_SWEEP_HEADER) + "\n" + encode_rows(columns))
 
 
 def _grid_from(args, variable: str) -> tuple[float, float, float]:
@@ -177,7 +179,7 @@ def _sweep_common(args, registry, variable: str) -> CurveSet:
     try:
         return sweep_curves(_spec_from(args), variable, *_grid_from(args, variable), registry)
     except (KeyError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(_message(exc)) from exc
 
 
 def _custom_sweep(args, registry) -> CurveSet:
@@ -252,7 +254,7 @@ def _cmd_mlc_convergence(args) -> int:
     try:
         report = mlc_convergence(spec, args.max_periods, args.wire_nm, registry)
     except (KeyError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(_message(exc)) from exc
     header = ("periods", "A_tmm", "T_tmm")
     rows = [(r.periods, r.A, r.T) for r in report.rows]
     _emit(args, _csv_text(header, rows), {

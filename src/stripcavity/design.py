@@ -116,6 +116,13 @@ class DesignSpec:
             raise ValueError(f"cavity must be one of {CAVITIES}, got {self.cavity!r}")
         if self.periods < 1:
             raise ValueError(f"period count must be >= 1, got {self.periods}")
+        for label, value in (
+            ("wavelength", self.wavelength_nm),
+            ("line width", self.line_nm),
+            ("slit width", self.slit_nm),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{label} must be a finite number of nm, got {value}")
 
     @property
     def f(self) -> float:

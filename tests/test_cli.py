@@ -65,7 +65,7 @@ class TestDesign:
     def test_unknown_material_error(self, capsys):
         code = main(["design", "--cavity", "ssc", "--wire-material", "Unobtanium"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith("error: unknown material 'Unobtanium'")
 
     def test_structured_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -177,8 +177,10 @@ class TestSweep:
 # column arrays (per-row objects, one format() per cell); the design and
 # mlc-convergence entries by the code before the argmax search factored the
 # swept layer out of the chain and the period study used one running
-# product. The code must reproduce them byte for byte; a mismatch is a
-# last-ulp change in some value, not a reason to re-record.
+# product; the fine-grid (14.5k-15k row) and 80-period impedance entries by
+# the code before a vectorised encoder wrote the sweep CSV body (one "%.12g"
+# row template per row). The code must reproduce them byte for byte; a
+# mismatch is a last-ulp change in some value, not a reason to re-record.
 GOLDEN_SHA256 = {
     "sweep-ssc": (
         ["sweep", "--cavity", "ssc"],
@@ -226,6 +228,24 @@ GOLDEN_SHA256 = {
         ["design", "--cavity", "mlc", "--c1", "SiO2", "--c2", "SiO", "--periods", "80"],
         "1e73221ad41d29510f9f3217474b0307d7b60ee9f276fb4430dce7f9b53970f6",
     ),
+    "sweep-ssc-wire-fine": (
+        ["sweep", "--cavity", "ssc", "--variable", "wire", "--range", "1:30", "--step", "0.002"],
+        "dbdd7aed93dd089c0aba73449b458e46b807a6f619c2883a3e8ddbba4fd8b0e5",
+    ),
+    "sweep-dsc-dielectric-fine": (
+        ["sweep", "--cavity", "dsc", "--variable", "dielectric", "--range", "150:300",
+         "--step", "0.01"],
+        "8ffffd69829dc53762b17e1d8cc744d2ec18eebb819add23104f387f0c77295c",
+    ),
+    "impedance-mlc-fine": (
+        ["impedance", "--cavity", "mlc", "--range", "1:30", "--step", "0.002"],
+        "addcfae394ded7db4871fdf696f2e633e42741df6b9ccf19acdc5cd739ac2a45",
+    ),
+    "impedance-mlc-sio2-sio-80": (
+        ["impedance", "--cavity", "mlc", "--c1", "SiO2", "--c2", "SiO", "--periods", "80",
+         "--range", "1:30", "--step", "0.02"],
+        "622b8d77385666ee2f98cc0a3f263f9168adb98d84c09b1765629f7e01739d5b",
+    ),
 }
 
 
@@ -264,6 +284,25 @@ def test_engine_failures_are_one_error_line(capsys, argv, message):
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert message in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--cavity", "ssc", "--wavelength-nm", "nan"],
+    ["impedance", "--cavity", "mlc", "--wavelength-nm", "inf"],
+    ["design", "--cavity", "ssc", "--wavelength-nm", "inf"],
+    ["design", "--cavity", "dsc", "--line-nm", "nan"],
+    ["design", "--cavity", "ssc", "--slit-nm", "inf"],
+    ["design", "--cavity", "ssc", "--slit-nm", "nan"],
+    ["design", "--cavity", "ssc", "--f", "nan"],
+    ["mlc-convergence", "--cavity", "mlc", "--wavelength-nm", "nan"],
+])
+def test_non_finite_inputs_are_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
 
 
 class TestImpedance:
