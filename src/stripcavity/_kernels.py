@@ -43,8 +43,14 @@ def chain_prefixes(n, d, k0) -> list[tuple[complex, complex, complex, complex]]:
     out = [_IDENTITY]
     for j in range(n.shape[0]):
         gd = 1j * k0 * n[j] * d[j]
-        c = cmath.cosh(gd)
-        s = cmath.sinh(gd)
+        try:
+            c = cmath.cosh(gd)
+            s = cmath.sinh(gd)
+        except OverflowError:
+            raise ValueError(
+                f"a {d[j]:.6g} nm layer of index {complex(n[j]):.6g} overflows the "
+                "transfer matrix at this wavelength"
+            ) from None
         b = s / n[j]   # eta * sinh
         g = s * n[j]   # sinh / eta
         f11, f12, f21, f22 = (

@@ -197,7 +197,10 @@ def _custom_sweep(args, registry) -> CurveSet:
         xs = sweep_grid(*_grid_from(args, "wire"))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    result = tmm.sweep(config.stack, index, xs, config.wavelength_nm)
+    try:
+        result = tmm.sweep(config.stack, index, xs, config.wavelength_nm)
+    except (IndexError, ValueError) as exc:
+        raise CliError(str(exc)) from exc
     n_i = config.stack.input.material.optical_constant.n_re
     return CurveSet(
         "custom", "nm", xs, np.full(len(xs), np.nan), result.A, np.abs(result.eta_in) * n_i
@@ -288,20 +291,12 @@ def _add_common(parser: argparse.ArgumentParser, cavity_required: bool = True) -
     parser.add_argument("--format", choices=("csv", "structured-report"), default="csv")
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="stripcavity",
-        description="Design and analyse optical cavities for superconducting strip single-photon detectors.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("design", help="closed-form design with oracle refinement")
+def _design_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("sweep", help="absorptance and impedance curves over a thickness")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--variable", choices=("wire", "dielectric"), default="wire")
     p.add_argument("--range", default=None, help="LO:HI in nm")
@@ -310,27 +305,59 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, default=None, help="swept layer index for custom stacks")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("impedance", help="wire-thickness impedance-match curves")
+
+def _impedance_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--range", default=None, help="LO:HI in nm (default 1:30)")
     p.add_argument("--step", type=float, default=None, help="step in nm (default 0.1)")
     p.set_defaults(func=_cmd_impedance)
 
-    p = sub.add_parser("table2", help="reference-table regression with pass/fail flags")
+
+def _table2_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, cavity_required=False)
     p.set_defaults(func=_cmd_table2)
 
-    p = sub.add_parser("mlc-convergence", help="reflector period-count study")
+
+def _mlc_convergence_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--max-periods", type=int, default=12)
     p.add_argument("--wire-nm", type=float, default=None,
                    help="wire thickness (default: closed-form optimum)")
     p.set_defaults(func=_cmd_mlc_convergence)
+
+
+# name -> (help line, adder of the subcommand's flags), in help order
+_COMMANDS = {
+    "design": ("closed-form design with oracle refinement", _design_args),
+    "sweep": ("absorptance and impedance curves over a thickness", _sweep_args),
+    "impedance": ("wire-thickness impedance-match curves", _impedance_args),
+    "table2": ("reference-table regression with pass/fail flags", _table2_args),
+    "mlc-convergence": ("reflector period-count study", _mlc_convergence_args),
+}
+
+
+@functools.cache  # built once per process and command; parse_args leaves it unchanged
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full command tree, or only ``command``'s subparser under the same
+    top-level parser: a run pays for the flags of the command it runs."""
+    parser = _Parser(
+        prog="stripcavity",
+        description="Design and analyse optical cavities for superconducting strip single-photon detectors.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in _COMMANDS.items():
+        if command is None or name == command:
+            add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # --help, --version, no command and an unknown command see the full tree
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _build_parser(command)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

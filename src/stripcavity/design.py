@@ -30,6 +30,7 @@ from .materials import (
     permittivity,
 )
 from .stack import (
+    MAX_PERIODS,
     Medium,
     Stack,
     WireGeometry,
@@ -56,6 +57,7 @@ __all__ = [
     "mlc_convergence",
     "WIRE_TARGETS_NM",
     "DIELECTRIC_TARGETS_NM",
+    "MAX_PERIODS",
 ]
 
 CAVITIES = ("ssc", "dsc", "mlc")
@@ -116,6 +118,8 @@ class DesignSpec:
             raise ValueError(f"cavity must be one of {CAVITIES}, got {self.cavity!r}")
         if self.periods < 1:
             raise ValueError(f"period count must be >= 1, got {self.periods}")
+        if self.periods > MAX_PERIODS:
+            raise ValueError(f"period count must be <= {MAX_PERIODS}, got {self.periods}")
         for label, value in (
             ("wavelength", self.wavelength_nm),
             ("line width", self.line_nm),
@@ -586,6 +590,8 @@ def mlc_convergence(
         raise ValueError("convergence in period count only applies to the multi-layer cavity")
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
+    if n_max > MAX_PERIODS:
+        raise ValueError(f"need n_max <= {MAX_PERIODS}, got {n_max}")
     registry = _registry(registry)
     ctx = build_context(spec, registry)
     with warnings.catch_warnings():

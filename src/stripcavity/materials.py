@@ -15,11 +15,10 @@ config file can add or (with an explicit override flag) replace entries.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
-
-import yaml
 
 __all__ = [
     "DIELECTRIC",
@@ -218,6 +217,9 @@ def _parse_entry(entry: object, index: int) -> tuple[Material, bool]:
     n_im = entry.get("n_im", 0.0)
     if not isinstance(n_im, (int, float)) or isinstance(n_im, bool):
         raise MaterialConfigError(f"{label} has a non-numeric 'n_im'")
+    for key, value in (("n_re", n_re), ("n_im", n_im)):
+        if not math.isfinite(value):
+            raise MaterialConfigError(f"{label} has a non-finite '{key}': {value}")
     if n_im < 0:
         raise MaterialConfigError(f"{label} has negative 'n_im'")
 
@@ -233,6 +235,22 @@ def _parse_entry(entry: object, index: int) -> tuple[Material, bool]:
     except ValueError as exc:
         raise MaterialConfigError(f"{label}: {exc}") from exc
     return mat, override
+
+
+def _read_yaml(path: str | Path, what: str, error: type[ValueError]) -> object:
+    """Parse a YAML (or JSON) file. A syntax error becomes ``error`` with a
+    one-line message naming the problem and where it is."""
+    import yaml  # only a file pays for the parser, not every CLI start
+
+    text = Path(path).read_text()
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # str(exc) quotes the offending source lines; keep the problem and its position
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark is not None else ""
+        problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
+        raise error(f"cannot parse {what}: {problem}{where}") from exc
 
 
 def load_registry(source: str | Path | Mapping | None = None) -> MaterialRegistry:
@@ -252,11 +270,7 @@ def load_registry(source: str | Path | Mapping | None = None) -> MaterialRegistr
         return registry
 
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-        try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise MaterialConfigError(f"cannot parse material config: {exc}") from exc
+        doc = _read_yaml(source, "material config", MaterialConfigError)
         if doc is None:
             return registry
     else:

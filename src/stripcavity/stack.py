@@ -9,11 +9,10 @@ permittivity mixes wire and slit material by the filling factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
-
-import yaml
 
 from .materials import (
     DIELECTRIC,
@@ -21,6 +20,7 @@ from .materials import (
     PEC_TERMINAL,
     Material,
     MaterialRegistry,
+    _read_yaml,
     builtin_registry,
     effective_wire_permittivity,
     permittivity,
@@ -43,7 +43,15 @@ __all__ = [
     "build_mlc",
     "load_stack_config",
     "StackConfig",
+    "MAX_PERIODS",
 ]
+
+
+# Reflector period counts above this are refused before any layer is built.
+# Each period is two Layer objects. The chain product overflows near 1781
+# SiO2/Ta2O5 or 9900 SiO2/SiO periods, so every built-in pair stays usable up
+# to its overflow.
+MAX_PERIODS = 10_000
 
 
 class StackConfigError(ValueError):
@@ -58,7 +66,7 @@ class Layer:
     thickness_nm: float
 
     def __post_init__(self) -> None:
-        if self.thickness_nm <= 0:
+        if not self.thickness_nm > 0:
             raise ValueError(f"layer thickness must be > 0 nm, got {self.thickness_nm}")
         if self.material.kind == PEC_TERMINAL:
             raise ValueError(
@@ -136,7 +144,7 @@ class WireGeometry:
 
     def __post_init__(self) -> None:
         filling_factor(self.line_nm, self.slit_nm)
-        if self.thickness_nm <= 0:
+        if not self.thickness_nm > 0:
             raise ValueError(f"wire thickness must be > 0 nm, got {self.thickness_nm}")
 
     @property
@@ -302,6 +310,8 @@ def build_mlc(
         )
     if periods < 1:
         raise ValueError(f"period count must be >= 1, got {periods}")
+    if periods > MAX_PERIODS:
+        raise ValueError(f"period count must be <= {MAX_PERIODS}, got {periods}")
     layers = [Layer(effective_wire_material(wire), wire.thickness_nm)]
     d1 = quarter_wave_thickness(c1, wavelength_nm)
     d2 = quarter_wave_thickness(c2, wavelength_nm)
@@ -343,6 +353,8 @@ def _get_number(doc: Mapping, key: str, label: str, default: float | None = None
     value = doc[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise StackConfigError(f"{label}: '{key}' must be a number")
+    if not math.isfinite(value):
+        raise StackConfigError(f"{label}: '{key}' must be finite, got {value}")
     return float(value)
 
 
@@ -400,10 +412,7 @@ def load_stack_config(
     """
     registry = _registry_default(registry)
     if isinstance(source, (str, Path)):
-        try:
-            doc = yaml.safe_load(Path(source).read_text())
-        except yaml.YAMLError as exc:
-            raise StackConfigError(f"cannot parse stack config: {exc}") from exc
+        doc = _read_yaml(source, "stack config", StackConfigError)
     else:
         doc = source
     if not isinstance(doc, Mapping):

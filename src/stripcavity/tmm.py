@@ -230,7 +230,11 @@ def input_impedance(stack: Stack, wavelength_nm: float) -> complex:
 
 
 def sweep(stack: Stack, layer_index: int, thicknesses_nm, wavelength_nm: float) -> SweepResult:
-    """Scattering and input impedance with one layer's thickness swept."""
+    """Scattering and input impedance with one layer's thickness swept.
+
+    Raises ValueError when the absorptance is not finite at some thickness (a
+    chain that overflows), naming the first such thickness.
+    """
     if wavelength_nm <= 0:
         raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
     if not 0 <= layer_index < len(stack.layers):
@@ -239,10 +243,11 @@ def sweep(stack: Stack, layer_index: int, thicknesses_nm, wavelength_nm: float) 
     eta_i, eta_o, short = _media_impedances(stack)
     ns, ds = _stack_arrays(stack)
     k0 = 2.0 * math.pi / wavelength_nm
-    f11, f12, f21, f22 = _kernels.chain_sweep(ns, ds, layer_index, values, k0)
-    r, t = _coefficients(f11, f12, f21, f22, eta_i, eta_o, short)
-    R = (np.conjugate(r) * r).real
-    T = (np.conjugate(t) * t).real
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        f11, f12, f21, f22 = _kernels.chain_sweep(ns, ds, layer_index, values, k0)
+        r, t = _coefficients(f11, f12, f21, f22, eta_i, eta_o, short)
+        R = (np.conjugate(r) * r).real
+        T = (np.conjugate(t) * t).real
     num = f11 * eta_o + f12
     den = f21 * eta_o + f22
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -251,7 +256,16 @@ def sweep(stack: Stack, layer_index: int, thicknesses_nm, wavelength_nm: float) 
             OPEN_CIRCUIT,
             num / np.where(den == 0, 1.0, den),
         )
-    return SweepResult(values, r, np.asarray(t), R, T, 1.0 - R - T, eta_in)
+    result = SweepResult(values, r, np.asarray(t), R, T, 1.0 - R - T, eta_in)
+    # checked last: a column held across the eta_in temporaries measurably
+    # slows a 15k-point sweep
+    finite = np.isfinite(result.A)
+    if not finite.all():
+        raise ValueError(
+            f"absorptance is not finite at {values[np.argmin(finite)]:.6g} nm of layer "
+            f"{layer_index}; the chain overflows"
+        )
+    return result
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> float:

@@ -1,11 +1,17 @@
+import contextlib
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from stripcavity import cli
 from stripcavity.cli import main
+from stripcavity.design import MAX_PERIODS
 
 SWEEP_HEADER = ["x_nm", "A_analytic", "A_tmm", "eta_ratio"]
 
@@ -31,6 +37,15 @@ def kv_report(path):
     rows = read_csv(path)
     assert rows[0] == ["key", "value"]
     return {key: value for key, value in rows[1:]}
+
+
+def one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    return captured.err
 
 
 class TestDesign:
@@ -276,14 +291,19 @@ def test_back_to_back_calls_share_no_state(tmp_path):
     (["mlc-convergence", "--cavity", "mlc", "--max-periods", "3000"], "not finite at"),
     (["mlc-convergence", "--cavity", "mlc", "--mirror", "bogus"], "unknown material 'bogus'"),
     (["mlc-convergence", "--cavity", "mlc", "--c1", "bogus"], "unknown material 'bogus'"),
+    # the 130 nm -1000i surrogate mirror film overflows below about 1150 nm
+    (["design", "--cavity", "ssc", "--wavelength-nm", "400"], "overflows the transfer matrix"),
+    (["sweep", "--cavity", "ssc", "--wavelength-nm", "1000"], "not finite at 1 nm of layer 0"),
+    (["sweep", "--cavity", "dsc", "--variable", "dielectric", "--mirror", "pec-surrogate",
+      "--wavelength-nm", "1000"], "not finite at 150 nm of layer 2"),
+    (["impedance", "--cavity", "mlc", "--periods", "3000", "--range", "2:4", "--step", "1"],
+     "not finite at 2 nm of layer 0"),
+    (["sweep", "--cavity", "ssc", "--stack", "{stack}", "--layer", "2"], "layer index 2 outside"),
+    (["sweep", "--cavity", "ssc", "--stack", "{stack}", "--layer", "-1"], "layer index -1 outside"),
 ])
-def test_engine_failures_are_one_error_line(capsys, argv, message):
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert captured.err.count("\n") == 1
-    assert message in captured.err
+def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
+    stack = write_custom_stack(tmp_path)
+    assert message in one_error_line(capsys, [arg.format(stack=stack) for arg in argv])
 
 
 @pytest.mark.filterwarnings("error")
@@ -298,11 +318,7 @@ def test_engine_failures_are_one_error_line(capsys, argv, message):
     ["mlc-convergence", "--cavity", "mlc", "--wavelength-nm", "nan"],
 ])
 def test_non_finite_inputs_are_one_error_line(capsys, argv):
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert captured.err.count("\n") == 1
+    one_error_line(capsys, argv)
 
 
 class TestImpedance:
@@ -370,3 +386,139 @@ class TestMlcConvergence:
     def test_requires_mlc(self, capsys):
         assert main(["mlc-convergence", "--cavity", "ssc"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestInputBounds:
+    # MAX_PERIODS + 1 is refused before a layer is built, so these are quick
+    @pytest.mark.parametrize("argv", [
+        ["design", "--cavity", "mlc", "--periods", str(MAX_PERIODS + 1)],
+        ["sweep", "--cavity", "mlc", "--periods", str(MAX_PERIODS + 1)],
+        ["mlc-convergence", "--cavity", "mlc", "--max-periods", str(MAX_PERIODS + 1)],
+    ])
+    def test_period_counts_above_the_bound(self, capsys, argv):
+        assert str(MAX_PERIODS) in one_error_line(capsys, argv)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_thickness_in_stack_file(self, tmp_path, capsys):
+        config = tmp_path / "stack.yaml"
+        config.write_text(
+            "cavity: custom\n"
+            "layers:\n"
+            "  - {material: NbN, thickness_nm: 6}\n"
+            "  - {material: SiO, thickness_nm: .nan}\n"
+            "output: short\n"
+        )
+        out = tmp_path / "sweep.csv"
+        err = one_error_line(capsys, [
+            "sweep", "--cavity", "ssc", "--stack", str(config), "--layer", "0", "--out", str(out),
+        ])
+        assert "'thickness_nm' must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_index_in_materials_file(self, tmp_path, capsys):
+        materials = tmp_path / "materials.yaml"
+        materials.write_text("materials:\n  - {name: Foo, n_re: .nan}\n")
+        err = one_error_line(capsys, [
+            "design", "--cavity", "ssc", "--slit-material", "Foo", "--materials", str(materials),
+        ])
+        assert err == "error: material 'Foo' has a non-finite 'n_re': nan\n"
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--stack", "cavity: [custom\n"),
+        ("--stack", "layers: {material: SiO\n"),
+        ("--materials", "materials:\n  - {name: Foo, n_re: 1.5\n"),
+        ("--materials", "materials: [\n\t- x\n"),
+    ])
+    def test_malformed_yaml_file(self, tmp_path, capsys, flag, text):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        argv = ["sweep", "--cavity", "ssc", flag, str(path)]
+        if flag == "--stack":
+            argv += ["--layer", "0"]
+        assert "cannot parse" in one_error_line(capsys, argv)
+
+
+def test_import_leaves_yaml_unloaded():
+    # a fresh interpreter: only --materials and --stack parse YAML
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import stripcavity.cli, sys; print('yaml' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "False\n"
+
+
+# Each command's argv, parsed by its own parser and by the full tree. The
+# defaults, every flag, table2 without --cavity, and repeated flags.
+PARSER_CASES = [
+    ["design", "--cavity", "ssc"],
+    ["design", "--cavity", "mlc", "--wavelength-nm", "1310", "--line-nm", "90", "--f", "0.4",
+     "--wire-material", "NbN", "--slit-material", "SiO", "--c1", "SiO2", "--c2", "SiO",
+     "--mirror", "pec", "--periods", "9", "--materials", "m.yaml", "--out", "o.csv",
+     "--format", "structured-report"],
+    ["design", "--cavity", "dsc", "--slit-nm", "100", "--slit-nm", "120"],
+    ["sweep", "--cavity", "ssc"],
+    ["sweep", "--cavity", "dsc", "--variable", "dielectric", "--range", "150:300", "--step", "0.5",
+     "--stack", "s.yaml", "--layer", "2", "--mirror", "Ag", "--format", "csv"],
+    ["impedance", "--cavity", "mlc"],
+    ["impedance", "--cavity", "ssc", "--range", "1:30", "--step", "0.1", "--slit-nm", "60",
+     "--out", "-"],
+    ["table2"],
+    ["table2", "--cavity", "dsc", "--materials", "m.yaml", "--format", "structured-report"],
+    ["mlc-convergence", "--cavity", "mlc"],
+    ["mlc-convergence", "--cavity", "mlc", "--max-periods", "20", "--wire-nm", "11.6",
+     "--c1", "SiO2", "--c2", "SiO", "--periods", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=[" ".join(a) for a in PARSER_CASES])
+def test_command_parser_matches_full_tree(argv):
+    assert set(cli._COMMANDS) == {argv[0] for argv in PARSER_CASES}
+    full = vars(cli._build_parser().parse_args(argv))
+    own = vars(cli._build_parser(argv[0]).parse_args(argv))
+    assert own == full
+    assert own["func"] is getattr(cli, "_cmd_" + argv[0].replace("-", "_"))
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["design", "--cavity", "ssc"], "design"),
+    (["mlc-convergence", "--cavity", "mlc"], "mlc-convergence"),
+    (["table2", "--help"], "table2"),
+    (["--help"], None),
+    (["--version"], None),
+    ([], None),
+    (["bogus"], None),
+    (["--cavity", "ssc", "design"], None),
+])
+def test_main_builds_the_invoked_command_only(monkeypatch, capsys, argv, command):
+    built, uncached = [], cli._build_parser.__wrapped__
+
+    def build(name=None):
+        built.append(name)
+        return uncached(name)
+
+    monkeypatch.setattr(cli, "_build_parser", build)
+    monkeypatch.setattr(sys, "argv", ["stripcavity", *argv, "--out", os.devnull])
+    for args in (argv, None):  # None reads sys.argv[1:]
+        with contextlib.suppress(SystemExit):  # --help and --version exit
+            main(args)
+    capsys.readouterr()
+    assert built == [command, command]
+
+
+# stdout, stderr and exit code of help, usage and error cases, recorded
+# in-process at 80 columns by the code that built every subparser on each run
+CLI_TEXT = json.loads((Path(__file__).parent / "cli_text.json").read_text())
+
+
+@pytest.mark.parametrize("name", CLI_TEXT)
+def test_help_and_usage_text(monkeypatch, capsys, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    case = CLI_TEXT[name]
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["out"], case["err"])

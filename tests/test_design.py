@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from stripcavity import design
 from stripcavity.design import (
     DIELECTRIC_TARGETS_NM,
+    MAX_PERIODS,
     WIRE_TARGETS_NM,
     DesignSpec,
     build_context,
@@ -238,6 +240,19 @@ class TestMlcConvergence:
             stack = build_mlc(wire, registry.get(c1), registry.get(c2), row.periods)
             result = scatter(stack, spec.wavelength_nm)
             assert (row.A, row.T) == (result.A, result.T)
+
+    def test_period_bound_checked_before_any_stack(self, monkeypatch):
+        spec = DesignSpec(cavity="mlc")
+
+        def no_stack(*args):
+            raise AssertionError("a stack was built")
+
+        monkeypatch.setattr(design, "_build_stack", no_stack)
+        with pytest.raises(ValueError, match=f"need n_max <= {MAX_PERIODS}"):
+            mlc_convergence(spec, MAX_PERIODS + 1)
+        with pytest.raises(ValueError, match=f"period count must be <= {MAX_PERIODS}"):
+            DesignSpec(cavity="mlc", periods=MAX_PERIODS + 1)
+        assert DesignSpec(cavity="mlc", periods=MAX_PERIODS).periods == MAX_PERIODS
 
     def test_overflowing_reflector_names_the_period_count(self):
         with pytest.raises(ValueError, match=r"not finite at \d+ periods"):

@@ -41,3 +41,11 @@ def test_prefixes_are_the_products_of_each_truncation():
     for j, prefix in enumerate(prefixes):
         assert prefix == _kernels.chain_product(n[:j], d[:j], K0)
 
+
+
+def test_overflowing_layer_is_a_value_error():
+    # |Re(i k0 n d)| above ~710 overflows cosh; the message names the layer
+    n = np.array([1.5, -1000j], dtype=np.complex128)
+    d = np.array([100.0, 130.0])
+    with pytest.raises(ValueError, match="a 130 nm layer of index -?0-1000j overflows"):
+        _kernels.chain_product(n, d, 2 * np.pi / 400.0)

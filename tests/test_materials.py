@@ -186,6 +186,10 @@ class TestLoadRegistry:
             ({"name": "X", "n_re": 1.0, "n_im": -1.0}, "negative"),
             ({"name": "X", "n_re": 1.0, "colour": "blue"}, "unknown keys"),
             ({"name": "X", "n_re": 1.0, "kind": "plasma"}, "kind"),
+            ({"name": "X", "n_re": float("nan")}, "material 'X' has a non-finite 'n_re'"),
+            ({"name": "X", "n_re": float("inf")}, "material 'X' has a non-finite 'n_re'"),
+            ({"name": "X", "n_re": 4.9, "n_im": float("nan")}, "material 'X' has a non-finite 'n_im'"),
+            ({"name": "X", "n_re": 4.9, "n_im": float("inf")}, "material 'X' has a non-finite 'n_im'"),
         ],
     )
     def test_malformed_entry(self, entry, match):

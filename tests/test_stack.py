@@ -1,8 +1,10 @@
 import pytest
 
+from stripcavity import stack as stack_module
 from stripcavity.materials import METAL, builtin_registry
 from stripcavity.stack import (
     EXACT_SHORT,
+    MAX_PERIODS,
     Layer,
     Medium,
     Stack,
@@ -48,6 +50,13 @@ class TestLayerMedium:
             Layer(REG.get("SiO"), 0.0)
         with pytest.raises(ValueError, match="surrogate"):
             Layer(REG.get("PEC"), 130.0)
+
+    @pytest.mark.parametrize("thickness", [float("nan"), -0.0, float("-inf")])
+    def test_non_positive_or_nan_thickness_rejected(self, thickness):
+        with pytest.raises(ValueError, match="layer thickness"):
+            Layer(REG.get("SiO"), thickness)
+        with pytest.raises(ValueError, match="wire thickness"):
+            make_wire(thickness_nm=thickness)
 
     def test_pec_medium_normalises_to_short(self):
         assert Medium(REG.get("PEC")).is_short
@@ -142,6 +151,16 @@ class TestBuildMlc:
         with pytest.raises(ValueError, match="smaller refractive index"):
             build_mlc(make_wire(), c1=REG.get("Ta2O5"), c2=REG.get("SiO2"))
 
+    def test_period_bound_checked_before_any_layer(self, monkeypatch):
+        wire = make_wire()
+
+        def no_layers(*args):
+            raise AssertionError("a layer was built")
+
+        monkeypatch.setattr(stack_module, "Layer", no_layers)
+        with pytest.raises(ValueError, match=f"period count must be <= {MAX_PERIODS}"):
+            build_mlc(wire, periods=MAX_PERIODS + 1)
+
 
 class TestEffectiveWireMaterial:
     def test_kind_tracks_loss(self):
@@ -213,6 +232,28 @@ class TestStackConfig:
     def test_missing_wire_thickness_rejected(self):
         with pytest.raises(StackConfigError, match="thickness_nm"):
             load_stack_config({"cavity": "ssc", "wire": {"line_nm": 80}})
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"cavity": "custom", "layers": [{"material": "SiO", "thickness_nm": float("nan")}]},
+         "thickness_nm"),
+        ({"cavity": "custom", "layers": [{"material": "SiO", "thickness_nm": float("inf")}]},
+         "thickness_nm"),
+        ({"cavity": "custom", "wavelength_nm": float("nan"),
+          "layers": [{"material": "SiO", "thickness_nm": 250}]}, "wavelength_nm"),
+        ({"cavity": "ssc", "wire": {"thickness_nm": float("nan")}}, "thickness_nm"),
+        ({"cavity": "ssc", "wire": {"thickness_nm": 6, "slit_nm": float("inf")}}, "slit_nm"),
+        ({"cavity": "ssc", "wire": {"thickness_nm": 6}, "dielectric_nm": float("inf")},
+         "dielectric_nm"),
+        ({"cavity": "dsc", "wire": {"thickness_nm": 6}, "mirror_nm": float("nan")}, "mirror_nm"),
+    ])
+    def test_non_finite_number_rejected(self, doc, key):
+        with pytest.raises(StackConfigError, match=f"'{key}' must be finite"):
+            load_stack_config(doc)
+
+    def test_period_bound(self):
+        doc = {"cavity": "mlc", "wire": {"thickness_nm": 11.6}, "periods": MAX_PERIODS + 1}
+        with pytest.raises(ValueError, match=f"<= {MAX_PERIODS}"):
+            load_stack_config(doc)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "stack.yaml"

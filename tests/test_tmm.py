@@ -254,6 +254,13 @@ class TestSweep:
         with pytest.raises(IndexError):
             sweep(build_ssc(make_wire()), 5, np.array([1.0]), LAMBDA)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_chain_rejected(self):
+        reflector = [lossless_layer(n, LAMBDA / (4 * n)) for n in (1.45, 2.1) * 3000]
+        stack = Stack(VACUUM, (make_wire_layer(),) + tuple(reflector), VACUUM)
+        with pytest.raises(ValueError, match="not finite at 2 nm of layer 0"):
+            sweep(stack, 0, np.array([2.0, 11.6]), LAMBDA)
+
 
 class TestArgmax:
     def test_single_side_wire_optimum(self):
