@@ -5,7 +5,7 @@ complex layer matrices
 
     L(d) = [[cosh(g*d), eta*sinh(g*d)], [sinh(g*d)/eta, cosh(g*d)]]
 
-with g = i*k0*n and eta = 1/n per layer. Three shapes of work use it:
+with g = i*k0*n and eta = 1/n per layer. Two shapes of work use it:
 
 - ``chain_product``: one stack, one running product, left to right.
   ``chain_prefixes`` keeps every intermediate product of that same loop, so
@@ -14,9 +14,9 @@ with g = i*k0*n and eta = 1/n per layer. Three shapes of work use it:
 - ``chain_sweep``: one layer swept over an array of thicknesses, the whole
   chain multiplied left to right for every point. Curves keep this order so
   their CSV digits do not move.
-- ``chain_through``: P · L(d) · Q for fixed products P (layers before the
-  swept one) and Q (layers after it). The argmax search computes P and Q once
-  with ``chain_product`` and then pays one layer per evaluated thickness.
+
+The argmax search calls ``chain_product`` for the layers on either side of
+the swept one and does the rest in `stripcavity.tmm.absorptance_of_layer`.
 
 The chain is the coherent 2x2 product of Byrnes, "Multilayer optical
 calculations", arXiv:1603.02720.
@@ -89,33 +89,3 @@ def chain_sweep(n, d, idx, values, k0):
             f21 * b + f22 * c,
         )
     return f11, f12, f21, f22
-
-
-def chain_through(p, n, q, d, k0):
-    """P · L(d) · Q for one layer of index ``n`` between fixed products.
-
-    ``p`` and ``q`` are (f11, f12, f21, f22) tuples; ``d`` is a float (the
-    entries come back complex, through cmath) or an array (the entries come
-    back as arrays, through numpy).
-    """
-    if isinstance(d, np.ndarray):
-        cosh, sinh = np.cosh, np.sinh
-    else:
-        cosh, sinh = cmath.cosh, cmath.sinh
-    gd = 1j * k0 * n * d
-    c = cosh(gd)
-    s = sinh(gd)
-    b = s / n
-    g = s * n
-    p11, p12, p21, p22 = p
-    m11 = p11 * c + p12 * g
-    m12 = p11 * b + p12 * c
-    m21 = p21 * c + p22 * g
-    m22 = p21 * b + p22 * c
-    q11, q12, q21, q22 = q
-    return (
-        m11 * q11 + m12 * q21,
-        m11 * q12 + m12 * q22,
-        m21 * q11 + m22 * q21,
-        m21 * q12 + m22 * q22,
-    )

@@ -492,7 +492,9 @@ def sweep_curves(
     xs = sweep_grid(lo_nm, hi_nm, step_nm)
 
     ctx = build_context(spec, registry)
-    with warnings.catch_warnings():
+    # At absurd wavelengths the closed forms overflow to inf or NaN; the exact
+    # column below then refuses the sweep with one error, so no numpy warning.
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", ValidityWarning)
         wire_opt = (
             analytic.wire_optimum_dsc(ctx) if spec.cavity == "dsc" else analytic.wire_optimum_ssc(ctx)

@@ -292,9 +292,18 @@ def _golden_max(f, a: float, b: float, tol: float) -> float:
 def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
     """Absorptance as a function of one layer's thickness, float or array.
 
-    The layers before and after the swept one are multiplied once, here;
-    each call then costs one layer matrix per thickness. The result agrees
-    with `sweep` to rounding (the product is grouped differently).
+    The reflection numerator and denominator are bilinear forms of the chain
+    P · L(d) · Q, where P multiplies the layers before the swept one and Q
+    those after it:
+
+        num = (1, -conj(eta_i)) · P · L(d) · Q · (eta_o, 1)^T
+        den = (1,       eta_i)  · P · L(d) · Q · (eta_o, 1)^T
+
+    So P and the input medium fold into two row vectors, and Q and the
+    output medium into one column vector w, once, here. Each call then costs
+    one layer L(d) applied to w and two dot products: a float goes through
+    cmath, an array through numpy. The result agrees with `sweep` to
+    rounding (the product is grouped differently).
     """
     if wavelength_nm <= 0:
         raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
@@ -304,17 +313,42 @@ def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
     ns, ds = _stack_arrays(stack)
     k0 = 2.0 * math.pi / wavelength_nm
     i = layer_index
-    # Python complex entries keep the scalar calls of a golden-section search cheap.
+    # Python complex constants keep the scalar calls of a golden-section search cheap.
     n = complex(ns[i])
-    before = tuple(map(complex, _kernels.chain_product(ns[:i], ds[:i], k0)))
-    after = tuple(map(complex, _kernels.chain_product(ns[i + 1:], ds[i + 1:], k0)))
+    p11, p12, p21, p22 = map(complex, _kernels.chain_product(ns[:i], ds[:i], k0))
+    q11, q12, q21, q22 = map(complex, _kernels.chain_product(ns[i + 1:], ds[i + 1:], k0))
+    # eta_i is real: the input medium is lossless
+    xn1, xn2 = p11 - eta_i * p21, p12 - eta_i * p22
+    xd1, xd2 = p11 + eta_i * p21, p12 + eta_i * p22
+    w1, w2 = q11 * eta_o + q12, q21 * eta_o + q22
+    t_num = 0.0 if short else 2.0 * math.sqrt(eta_i * eta_o)
+    g = 1j * k0 * n
 
     def absorptance(thickness_nm):
-        f = _kernels.chain_through(before, n, after, thickness_nm, k0)
-        r, t = _coefficients(*f, eta_i, eta_o, short)
-        return 1.0 - (np.conjugate(r) * r).real - (np.conjugate(t) * t).real
+        gd = g * thickness_nm
+        if isinstance(gd, np.ndarray):
+            c, s = np.cosh(gd), np.sinh(gd)
+        else:
+            c, s = cmath.cosh(gd), cmath.sinh(gd)
+        y1 = c * w1 + (s / n) * w2
+        y2 = (s * n) * w1 + c * w2
+        den = xd1 * y1 + xd2 * y2
+        r = (xn1 * y1 + xn2 * y2) / den
+        t = t_num / den
+        # conj(r) * r, not r.real**2 + r.imag**2: near A = 0 the two differ
+        # by an ulp of 1, and this form keeps the rounding of `sweep`
+        return 1.0 - (r.conjugate() * r).real - (t.conjugate() * t).real
 
     return absorptance
+
+
+def _select_thickness(grid: np.ndarray, grid_A: np.ndarray, refined: float, refined_A: float) -> float:
+    """The lowest thickness, grid point or refined point, whose absorptance is
+    within `_TIE_EPS` of the largest one."""
+    floor = max(float(grid_A.max()), refined_A) - _TIE_EPS
+    tied = grid_A >= floor
+    lowest = float(grid[np.argmax(tied)]) if tied.any() else math.inf
+    return min(lowest, refined) if refined_A >= floor else lowest
 
 
 def argmax_absorptance(
@@ -351,9 +385,6 @@ def argmax_absorptance(
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
     refined = _golden_max(refine, float(a), float(b), _REFINE_TOL_NM)
-
-    candidates = list(zip(grid.tolist(), grid_A.tolist()))
-    candidates.append((refined, refine(refined)))
-    a_max = max(value for _, value in candidates)
-    d_best = min(d for d, value in candidates if value >= a_max - _TIE_EPS)
-    return d_best, refine(d_best)
+    refined_A = refine(refined)
+    d_best = _select_thickness(grid, grid_A, refined, refined_A)
+    return d_best, refined_A if d_best == refined else refine(d_best)

@@ -256,6 +256,14 @@ GOLDEN_SHA256 = {
         ["impedance", "--cavity", "mlc", "--range", "1:30", "--step", "0.002"],
         "addcfae394ded7db4871fdf696f2e633e42741df6b9ccf19acdc5cd739ac2a45",
     ),
+    "design-mlc-sio2-sio-120": (
+        ["design", "--cavity", "mlc", "--periods", "120", "--c1", "SiO2", "--c2", "SiO"],
+        "c4cd47e5089440fa38084822e19a1ef45b39ebb447c0854bde4400750ecbac21",
+    ),
+    "design-dsc-slit-160": (
+        ["design", "--cavity", "dsc", "--slit-nm", "160"],
+        "854f1848fae4daddd7fae20b67f6efd57f063ae6ee8778ba05a84f3a71606be2",
+    ),
     "impedance-mlc-sio2-sio-80": (
         ["impedance", "--cavity", "mlc", "--c1", "SiO2", "--c2", "SiO", "--periods", "80",
          "--range", "1:30", "--step", "0.02"],
@@ -300,6 +308,13 @@ def test_back_to_back_calls_share_no_state(tmp_path):
      "not finite at 2 nm of layer 0"),
     (["sweep", "--cavity", "ssc", "--stack", "{stack}", "--layer", "2"], "layer index 2 outside"),
     (["sweep", "--cavity", "ssc", "--stack", "{stack}", "--layer", "-1"], "layer index -1 outside"),
+    # the closed-form column overflows too, and must not warn before the error
+    (["sweep", "--cavity", "mlc", "--wavelength-nm", "1e-300"], "not finite at 1 nm of layer 0"),
+    (["impedance", "--cavity", "mlc", "--wavelength-nm", "1e-300"], "not finite at 1 nm of layer 0"),
+    (["sweep", "--cavity", "ssc", "--variable", "dielectric", "--wavelength-nm", "1e-300"],
+     "not finite at 150 nm of layer 1"),
+    (["sweep", "--cavity", "dsc", "--variable", "dielectric", "--wavelength-nm", "1e-300"],
+     "not finite at 150 nm of layer 2"),
 ])
 def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     stack = write_custom_stack(tmp_path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stripcavity import _kernels, tmm
 from stripcavity.materials import METAL, Material, OpticalConstant, builtin_registry
 from stripcavity.stack import (
     EXACT_SHORT,
@@ -328,3 +329,72 @@ class TestAbsorptanceOfLayer:
     def test_bad_layer_index(self):
         with pytest.raises(IndexError):
             absorptance_of_layer(build_ssc(make_wire()), 5, LAMBDA)
+
+    def test_evaluation_does_no_chain_work(self, monkeypatch):
+        calls = []
+        chain_product = _kernels.chain_product
+
+        def counting(*args):
+            calls.append(args)
+            return chain_product(*args)
+
+        def forbidden(*args):
+            raise AssertionError("an evaluation ran a chain sweep")
+
+        monkeypatch.setattr(_kernels, "chain_product", counting)
+        monkeypatch.setattr(_kernels, "chain_sweep", forbidden)
+        stack = build_dsc(make_wire(slit_material="SiO"), mirror=REG.get("Ag"))
+        absorptance = absorptance_of_layer(stack, 2, LAMBDA)
+        assert len(calls) == 2
+        absorptance(218.0)
+        absorptance(np.linspace(150.0, 280.0, 256))
+        assert len(calls) == 2
+
+
+def old_selection(grid, grid_A, refined, refined_A):
+    """The list-and-generator tie rule that `_select_thickness` replaces."""
+    candidates = list(zip(grid.tolist(), grid_A.tolist()))
+    candidates.append((refined, refined_A))
+    a_max = max(value for _, value in candidates)
+    return min(d for d, value in candidates if value >= a_max - 1e-12)
+
+
+SELECTION_GRID = np.linspace(3.0, 40.0, 256)
+
+
+class TestSelection:
+    """`_select_thickness` against the old rule on hand-built families.
+
+    Every family is 0.5 except the listed (index, value) grid peaks."""
+
+    @pytest.mark.parametrize("peaks, refined, refined_A, expected", [
+        ((), 20.0, 0.5, SELECTION_GRID[0]),
+        (((100, 0.9),), 26.01, 0.9 + 2e-12, 26.01),
+        (((100, 0.9),), 26.01, 0.9 + 5e-13, SELECTION_GRID[100]),
+        (((100, 0.9), (200, 0.9 + 5e-13)), 26.01, 0.8, SELECTION_GRID[100]),
+        (((100, 0.9),), 17.5, 0.9 - 5e-13, 17.5),
+    ], ids=[
+        "flat-family-returns-lo",
+        "refined-above-grid-wins",
+        "refined-tied-with-lower-grid-point-loses",
+        "lower-of-two-tied-grid-points-wins",
+        "refined-below-tied-grid-point-wins",
+    ])
+    def test_hand_built_cases(self, peaks, refined, refined_A, expected):
+        grid_A = np.full(SELECTION_GRID.shape, 0.5)
+        for index, value in peaks:
+            grid_A[index] = value
+        chosen = tmm._select_thickness(SELECTION_GRID, grid_A, refined, refined_A)
+        assert chosen == expected
+        assert chosen == old_selection(SELECTION_GRID, grid_A, refined, refined_A)
+
+    def test_random_near_ties(self):
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            # values on a 1e-13 lattice near the top make ties and near-ties common
+            grid_A = 0.9 - rng.integers(0, 40, 256) * 1e-13
+            refined = float(rng.uniform(3.0, 40.0))
+            refined_A = 0.9 + float(rng.integers(-30, 30)) * 1e-13
+            assert tmm._select_thickness(SELECTION_GRID, grid_A, refined, refined_A) == (
+                old_selection(SELECTION_GRID, grid_A, refined, refined_A)
+            )
