@@ -23,6 +23,8 @@ import numpy as np
 from . import __version__, tmm
 from ._text import encode_rows
 from .design import (
+    CAVITIES,
+    SWEEP_DEFAULTS,
     CurveSet,
     DesignReport,
     DesignSpec,
@@ -38,8 +40,6 @@ from .stack import load_stack_config
 __all__ = ["main"]
 
 _SWEEP_HEADER = ("x_nm", "A_analytic", "A_tmm", "eta_ratio")
-# (lo, hi, step) in nm per swept variable.
-_SWEEP_DEFAULTS = {"wire": (1.0, 30.0, 0.1), "dielectric": (150.0, 300.0, 0.5)}
 
 
 class CliError(Exception):
@@ -167,7 +167,7 @@ def _emit_curves(args, curves: CurveSet) -> None:
 
 
 def _grid_from(args, variable: str) -> tuple[float, float, float]:
-    lo, hi, step = _SWEEP_DEFAULTS[variable]
+    lo, hi, step = SWEEP_DEFAULTS[variable]
     if args.range:
         lo, hi = _parse_range(args.range)
     if args.step is not None:
@@ -211,6 +211,9 @@ def _cmd_sweep(args) -> int:
     registry = _registry_from(args)
     if args.stack is not None:
         curves = _custom_sweep(args, registry)
+    elif args.cavity is None:
+        # --cavity is optional only next to --stack, which it does not affect
+        raise CliError("the following arguments are required: --cavity")
     else:
         curves = _sweep_common(args, registry, args.variable)
     _emit_curves(args, curves)
@@ -252,8 +255,6 @@ def _cmd_table2(args) -> int:
 def _cmd_mlc_convergence(args) -> int:
     registry = _registry_from(args)
     spec = _spec_from(args)
-    if spec.cavity != "mlc":
-        raise CliError("mlc-convergence requires --cavity mlc")
     try:
         report = mlc_convergence(spec, args.max_periods, args.wire_nm, registry)
     except (KeyError, ValueError) as exc:
@@ -272,8 +273,7 @@ def _cmd_mlc_convergence(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, cavity_required: bool = True) -> None:
-    parser.add_argument("--cavity", choices=("ssc", "dsc", "mlc"), required=cavity_required,
-                        default=None if cavity_required else "ssc")
+    parser.add_argument("--cavity", choices=CAVITIES, required=cavity_required)
     parser.add_argument("--wavelength-nm", type=float, default=1550.0)
     parser.add_argument("--line-nm", type=float, default=80.0)
     parser.add_argument("--slit-nm", type=float, default=None)
@@ -297,7 +297,7 @@ def _design_args(p: argparse.ArgumentParser) -> None:
 
 
 def _sweep_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
+    _add_common(p, cavity_required=False)
     p.add_argument("--variable", choices=("wire", "dielectric"), default="wire")
     p.add_argument("--range", default=None, help="LO:HI in nm")
     p.add_argument("--step", type=float, default=None, help="step in nm")

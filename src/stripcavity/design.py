@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analytic, tmm
-from .analytic import CavityContext, OptimumPoint, ValidityWarning
+from .analytic import CavityContext, ValidityWarning
 from .materials import (
     Material,
     MaterialRegistry,
@@ -30,15 +31,14 @@ from .materials import (
     permittivity,
 )
 from .stack import (
+    DSC,
     MAX_PERIODS,
+    MLC,
+    SSC,
     Medium,
     Stack,
     WireGeometry,
-    build_dsc,
-    build_mlc,
-    build_ssc,
     filling_factor,
-    quarter_wave_thickness,
     resolve_mirror,
 )
 
@@ -58,9 +58,9 @@ __all__ = [
     "WIRE_TARGETS_NM",
     "DIELECTRIC_TARGETS_NM",
     "MAX_PERIODS",
+    "CAVITIES",
+    "SWEEP_DEFAULTS",
 ]
-
-CAVITIES = ("ssc", "dsc", "mlc")
 
 # Regression targets: rounded optimal thicknesses (nm) for the benchmark
 # geometries (NbN wire, 1550 nm, 80 nm line width), keyed by (cavity, slit).
@@ -90,6 +90,10 @@ WIRE_AGREEMENT_REL = 0.02
 DIELECTRIC_AGREEMENT_REL = 0.06
 _CONVERGENCE_TOL = 1e-4
 MAX_SWEEP_POINTS = 10_000_000
+# (lo, hi, step) in nm of a sweep per swept variable; the reference table
+# searches the same (lo, hi) windows.
+SWEEP_DEFAULTS = {"wire": (1.0, 30.0, 0.1), "dielectric": (150.0, 300.0, 0.5)}
+_TABLE2_WINDOWS = (SWEEP_DEFAULTS["wire"][:2], SWEEP_DEFAULTS["dielectric"][:2])
 
 
 @dataclass(frozen=True)
@@ -221,6 +225,53 @@ class ConvergenceReport:
     d_w_nm: float
 
 
+# The design facts of one cavity type on top of its stack layout. ``part_fields``
+# pairs each layout part with the DesignSpec field naming its material and the
+# CavityContext field taking its index. The families give A over wire
+# thickness (ideal mirror) and over spacer thickness (wire at its optimum);
+# ``reports_qwt`` reports the quarter-wave-transformer fields and the combined
+# detuning.
+_Cavity = namedtuple(
+    "_Cavity",
+    "layout part_fields wire_optimum wire_family spacer_optimum spacer_family reports_qwt",
+    defaults=(None, None, False),
+)
+
+
+def _ssc_spacer_family(d_c, ctx: CavityContext):
+    dphi = analytic.detuning_from_thickness(d_c, ctx.n_c, ctx.wavelength_nm)
+    return analytic.absorptance_ssc_dielectric(dphi, ctx)
+
+
+def _dsc_spacer_family(d_c, ctx: CavityContext):
+    # Lower dielectric pinned at exact quarter-wave, so only the upper detunes.
+    dphi_c2 = analytic.detuning_from_thickness(d_c, ctx.n_c2, ctx.wavelength_nm)
+    dphi_dsc = analytic.combine_dsc_detunings(0.0, dphi_c2, ctx)
+    return analytic.absorptance_dsc_dielectric(dphi_dsc, ctx)
+
+
+# Table order is the CLI's order.
+_TABLE = {
+    entry.layout.name: entry
+    for entry in (
+        _Cavity(
+            SSC, (("dielectric", "n_c"),), analytic.wire_optimum_ssc, analytic.absorptance_ssc,
+            analytic.dielectric_optimum_ssc, _ssc_spacer_family,
+        ),
+        _Cavity(
+            DSC, (("lower_dielectric", "n_c1"), ("upper_dielectric", "n_c2")),
+            analytic.wire_optimum_dsc, analytic.absorptance_dsc,
+            analytic.dielectric_optimum_dsc, _dsc_spacer_family, reports_qwt=True,
+        ),
+        _Cavity(
+            MLC, (("low_index", "n_c1"), ("high_index", "n_c2")),
+            analytic.wire_optimum_mlc, analytic.absorptance_mlc,
+        ),
+    )
+}
+CAVITIES = tuple(_TABLE)
+
+
 def _registry(registry: MaterialRegistry | None) -> MaterialRegistry:
     return registry if registry is not None else builtin_registry()
 
@@ -230,116 +281,93 @@ def _slit_material(spec: DesignSpec, registry: MaterialRegistry) -> Material:
         return registry.get(spec.slit_material)
     # Patterned layers are slit-filled by whatever surrounds them: vacuum for
     # top-side cavities, the upper dielectric when buried in a double-side one.
-    if spec.cavity == "dsc":
-        return registry.get(spec.upper_dielectric)
-    return registry.get("Vacuum")
+    cavity = _TABLE[spec.cavity]
+    fill = cavity.layout.slit_fill
+    return registry.get("Vacuum" if fill is None else getattr(spec, cavity.part_fields[fill][0]))
 
 
 def _input_material(spec: DesignSpec, registry: MaterialRegistry) -> Material:
-    if spec.input_medium is not None:
-        return registry.get(spec.input_medium)
-    return registry.get("Si" if spec.cavity == "dsc" else "Vacuum")
-
-
-def _mirror_index(spec: DesignSpec, registry: MaterialRegistry) -> complex | None:
-    """Complex mirror index for the closed forms; None in the ideal limit."""
-    mirror = resolve_mirror(spec.mirror, registry)
-    if isinstance(mirror, Medium):
-        return None
-    return mirror.optical_constant.n
+    default = _TABLE[spec.cavity].layout.input_medium
+    return registry.get(spec.input_medium if spec.input_medium is not None else default)
 
 
 def build_context(spec: DesignSpec, registry: MaterialRegistry | None = None) -> CavityContext:
     """Assemble the closed-form inputs for a design spec."""
     registry = _registry(registry)
-    wire = registry.get(spec.wire_material)
-    slit = _slit_material(spec, registry)
-    eps_w = analytic_wire_permittivity(spec, wire, slit)
+    cavity = _TABLE[spec.cavity]
+    wire = registry.get(spec.wire_material).optical_constant
+    slit = _slit_material(spec, registry).optical_constant
+    eps_w = effective_wire_permittivity(permittivity(wire), permittivity(slit), spec.f)
     n_i = _input_material(spec, registry).optical_constant.n_re
-    n_m = _mirror_index(spec, registry)
+    n_m = None  # the ideal-mirror limit of the closed forms
+    if cavity.layout.has_mirror:
+        mirror = resolve_mirror(spec.mirror, registry)
+        n_m = None if isinstance(mirror, Medium) else mirror.optical_constant.n
     out = registry.get(spec.output_medium).optical_constant.n_re
-    if spec.cavity == "ssc":
-        n_c = registry.get(spec.dielectric).optical_constant.n_re
-        return CavityContext(eps_w, n_i, n_c=n_c, n_m=n_m, n_o=out, wavelength_nm=spec.wavelength_nm)
-    if spec.cavity == "dsc":
-        n_c1 = registry.get(spec.lower_dielectric).optical_constant.n_re
-        n_c2 = registry.get(spec.upper_dielectric).optical_constant.n_re
-        return CavityContext(
-            eps_w, n_i, n_c1=n_c1, n_c2=n_c2, n_m=n_m, n_o=out, wavelength_nm=spec.wavelength_nm
-        )
-    n_c1 = registry.get(spec.low_index).optical_constant.n_re
-    n_c2 = registry.get(spec.high_index).optical_constant.n_re
-    if n_c1 >= n_c2:
+    names = [getattr(spec, field) for field, _ in cavity.part_fields]
+    n = [registry.get(name).optical_constant.n_re for name in names]
+    if not cavity.layout.has_mirror and n[0] >= n[1]:
         raise ValueError(
             "the reflector layer adjacent to the wire must have the smaller "
-            f"refractive index, got n({spec.low_index}) = {n_c1} >= n({spec.high_index}) = {n_c2}"
+            f"refractive index, got n({names[0]}) = {n[0]} >= n({names[1]}) = {n[1]}"
         )
-    return CavityContext(eps_w, n_i, n_c1=n_c1, n_c2=n_c2, n_o=out, wavelength_nm=spec.wavelength_nm)
-
-
-def analytic_wire_permittivity(spec: DesignSpec, wire: Material, slit: Material) -> complex:
-    return effective_wire_permittivity(
-        permittivity(wire.optical_constant), permittivity(slit.optical_constant), spec.f
-    )
-
-
-def _wire_geometry(spec: DesignSpec, registry: MaterialRegistry, thickness_nm: float) -> WireGeometry:
-    return WireGeometry(
-        spec.line_nm,
-        spec.slit_nm,
-        registry.get(spec.wire_material),
-        _slit_material(spec, registry),
-        thickness_nm,
+    return CavityContext(
+        eps_w, n_i, n_m=n_m, n_o=out, wavelength_nm=spec.wavelength_nm,
+        **{field: value for (_, field), value in zip(cavity.part_fields, n)},
     )
 
 
 def _build_stack(
-    spec: DesignSpec,
-    registry: MaterialRegistry,
-    d_w_nm: float,
-    dielectric_nm: float | None = None,
-    mirror_token: str | None = None,
-) -> tuple[Stack, int, int | None]:
-    """Concrete stack for a spec; returns (stack, wire index, spacer index)."""
-    wire = _wire_geometry(spec, registry, d_w_nm)
-    mirror = resolve_mirror(mirror_token if mirror_token is not None else spec.mirror, registry)
+    spec: DesignSpec, registry: MaterialRegistry, d_w_nm: float,
+    spacer_nm: float | None = None, mirror_token: str | None = None,
+) -> Stack:
+    """Concrete stack for a spec, the spacer at quarter-wave unless given. Wire
+    searches and sweeps pass the closed forms' ideal mirror, "pec-surrogate";
+    a layout without a mirror keeps its reflector."""
+    cavity = _TABLE[spec.cavity]
+    layout = cavity.layout
+    wire = WireGeometry(
+        spec.line_nm, spec.slit_nm, registry.get(spec.wire_material),
+        _slit_material(spec, registry), d_w_nm,
+    )
+    token = mirror_token if mirror_token is not None else spec.mirror
+    mirror = resolve_mirror(token, registry) if layout.has_mirror else None
     inp = _input_material(spec, registry)
     out = registry.get(spec.output_medium)
-    if spec.cavity == "ssc":
-        stack = build_ssc(
-            wire, registry.get(spec.dielectric), dielectric_nm, mirror, spec.mirror_nm,
-            inp, out, spec.wavelength_nm, registry,
-        )
-        return stack, 0, 1
-    if spec.cavity == "dsc":
-        stack = build_dsc(
-            wire, registry.get(spec.lower_dielectric), None,
-            registry.get(spec.upper_dielectric), dielectric_nm, mirror, spec.mirror_nm,
-            inp, out, spec.wavelength_nm, registry,
-        )
-        return stack, 1, 2
-    stack = build_mlc(
-        wire, registry.get(spec.low_index), registry.get(spec.high_index), spec.periods,
+    parts = [registry.get(getattr(spec, field)) for field, _ in cavity.part_fields]
+    part_nm = [None] * len(parts)
+    if spacer_nm is not None:
+        part_nm[layout.spacer] = spacer_nm
+    return layout.build(
+        wire, parts, part_nm, mirror, spec.mirror_nm, spec.periods,
         inp, out, spec.wavelength_nm, registry,
     )
-    return stack, 0, None
 
 
-def _wire_oracle_stack(spec: DesignSpec, registry: MaterialRegistry, d_w_nm: float):
-    """Stack under the closed forms' mirror assumption: surrogate film for the
-    single- and double-side types, the reflector itself for the multi-layer."""
-    token = spec.mirror if spec.cavity == "mlc" else "pec-surrogate"
-    return _build_stack(spec, registry, d_w_nm, mirror_token=token)
-
-
-def _wire_search_range(d_analytic: float) -> tuple[float, float]:
-    return 0.3 * d_analytic, 3.0 * d_analytic
-
-
-def _dielectric_search_range(spec: DesignSpec, registry: MaterialRegistry) -> tuple[float, float]:
-    name = spec.dielectric if spec.cavity == "ssc" else spec.upper_dielectric
-    qw = quarter_wave_thickness(registry.get(name), spec.wavelength_nm)
-    return 0.6 * qw, 1.2 * qw
+def _optima(spec: DesignSpec, registry: MaterialRegistry, ctx: CavityContext, windows=None):
+    """Closed-form optima and their exact-engine refinements: (wire optimum,
+    (oracle wire nm, its absorptance), spacer optimum, oracle spacer nm), the
+    spacer entries None when the layout has none. The wire is refined on the
+    ideal-mirror layout, the spacer on the actual mirror. The searches span
+    ``windows``, ((lo, hi) wire, (lo, hi) spacer) in nm, or by default
+    0.3-3x the closed-form wire and 0.6-1.2x the quarter-wave spacer."""
+    cavity = _TABLE[spec.cavity]
+    wire_opt = cavity.wire_optimum(ctx)
+    d_w = wire_opt.d_opt_nm
+    stack = _build_stack(spec, registry, d_w, mirror_token="pec-surrogate")
+    lo, hi = windows[0] if windows else (0.3 * d_w, 3.0 * d_w)
+    wire_oracle = tmm.argmax_absorptance(
+        stack, cavity.layout.wire_index, lo, hi, spec.wavelength_nm
+    )
+    if cavity.spacer_optimum is None:
+        return wire_opt, wire_oracle, None, None
+    spacer_opt = cavity.spacer_optimum(ctx)
+    designed = _build_stack(spec, registry, d_w)
+    index = cavity.layout.spacer_index
+    qw = designed.layers[index].thickness_nm
+    lo, hi = windows[1] if windows else (0.6 * qw, 1.2 * qw)
+    spacer_oracle_nm, _ = tmm.argmax_absorptance(designed, index, lo, hi, spec.wavelength_nm)
+    return wire_opt, wire_oracle, spacer_opt, spacer_oracle_nm
 
 
 def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) -> DesignReport:
@@ -351,55 +379,29 @@ def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) 
     rather than surfaced.
     """
     registry = _registry(registry)
+    cavity = _TABLE[spec.cavity]
     ctx = build_context(spec, registry)
+    wire_opt, (wire_oracle_nm, absorptance_oracle), spacer_opt, spacer_oracle_nm = _optima(
+        spec, registry, ctx
+    )
+    spacer_nm = None if spacer_opt is None else spacer_opt.d_opt_nm
 
-    collected: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ValidityWarning)
-        if spec.cavity == "ssc":
-            wire_opt = analytic.wire_optimum_ssc(ctx)
-            diel_opt: OptimumPoint | None = analytic.dielectric_optimum_ssc(ctx)
-            absorptance_analytic = analytic.absorptance_ssc(wire_opt.d_opt_nm, ctx)
-            analytic.absorptance_ssc_dielectric(diel_opt.dphi, ctx)
-        elif spec.cavity == "dsc":
-            wire_opt = analytic.wire_optimum_dsc(ctx)
-            diel_opt = analytic.dielectric_optimum_dsc(ctx)
-            absorptance_analytic = analytic.absorptance_dsc(wire_opt.d_opt_nm, ctx)
-            analytic.absorptance_dsc_dielectric(diel_opt.dphi, ctx)
-        else:
-            wire_opt = analytic.wire_optimum_mlc(ctx)
-            diel_opt = None
-            absorptance_analytic = analytic.absorptance_mlc(wire_opt.d_opt_nm, ctx)
-    collected.extend(str(w.message) for w in caught if issubclass(w.category, ValidityWarning))
-
-    # Oracle refinement of the wire thickness under the ideal-mirror layout.
-    stack, wire_idx, _ = _wire_oracle_stack(spec, registry, wire_opt.d_opt_nm)
-    lo, hi = _wire_search_range(wire_opt.d_opt_nm)
-    wire_oracle_nm, absorptance_oracle = tmm.argmax_absorptance(
-        stack, wire_idx, lo, hi, spec.wavelength_nm
-    )
-
-    # Oracle refinement of the spacer on the actual mirror.
-    diel_oracle_nm = None
-    if diel_opt is not None:
-        designed, _, diel_idx = _build_stack(spec, registry, wire_opt.d_opt_nm)
-        lo, hi = _dielectric_search_range(spec, registry)
-        diel_oracle_nm, _ = tmm.argmax_absorptance(
-            designed, diel_idx, lo, hi, spec.wavelength_nm
-        )
+        absorptance_analytic = cavity.wire_family(wire_opt.d_opt_nm, ctx)
+        if spacer_opt is not None:
+            cavity.spacer_family(spacer_nm, ctx)
+    collected = [str(w.message) for w in caught if issubclass(w.category, ValidityWarning)]
 
     # Impedance match of the designed stack at the closed-form design point.
-    designed, _, _ = _build_stack(
-        spec, registry, wire_opt.d_opt_nm,
-        dielectric_nm=None if diel_opt is None else diel_opt.d_opt_nm,
-    )
+    designed = _build_stack(spec, registry, wire_opt.d_opt_nm, spacer_nm=spacer_nm)
     eta_in = tmm.input_impedance(designed, spec.wavelength_nm)
     ratio = float(abs(eta_in) * ctx.n_i)
 
-    qwt_index = qwt_target = None
-    if spec.cavity == "dsc":
-        qwt = analytic.qwt_relations(ctx, wire_opt.d_opt_nm)
-        qwt_index = qwt.n_qwt
+    dphi = qwt_index = qwt_target = None
+    if cavity.reports_qwt:
+        dphi = spacer_opt.dphi
+        qwt_index = analytic.qwt_relations(ctx, wire_opt.d_opt_nm).n_qwt
         qwt_target = ctx.n_c1
 
     return DesignReport(
@@ -410,34 +412,14 @@ def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) 
         wire_oracle_nm=wire_oracle_nm,
         absorptance_analytic=absorptance_analytic,
         absorptance_oracle=absorptance_oracle,
-        dielectric_analytic_nm=None if diel_opt is None else diel_opt.d_opt_nm,
-        dielectric_oracle_nm=diel_oracle_nm,
-        dphi_dsc_max=diel_opt.dphi if spec.cavity == "dsc" and diel_opt else None,
+        dielectric_analytic_nm=spacer_nm,
+        dielectric_oracle_nm=spacer_oracle_nm,
+        dphi_dsc_max=dphi,
         impedance_match_ratio=ratio,
         qwt_index=qwt_index,
         qwt_index_target=qwt_target,
         warnings=tuple(collected),
     )
-
-
-def _analytic_wire_absorptance(
-    spec: DesignSpec, ctx: CavityContext, d_w: np.ndarray
-) -> np.ndarray:
-    if spec.cavity == "dsc":
-        return analytic.absorptance_dsc(d_w, ctx)
-    return analytic.absorptance_ssc(d_w, ctx)
-
-
-def _analytic_dielectric_absorptance(
-    spec: DesignSpec, ctx: CavityContext, d_c: np.ndarray
-) -> np.ndarray:
-    if spec.cavity == "ssc":
-        dphi = analytic.detuning_from_thickness(d_c, ctx.n_c, ctx.wavelength_nm)
-        return analytic.absorptance_ssc_dielectric(dphi, ctx)
-    # Lower dielectric pinned at exact quarter-wave, so only the upper detunes.
-    dphi_c2 = analytic.detuning_from_thickness(d_c, ctx.n_c2, ctx.wavelength_nm)
-    dphi_dsc = analytic.combine_dsc_detunings(0.0, dphi_c2, ctx)
-    return analytic.absorptance_dsc_dielectric(dphi_dsc, ctx)
 
 
 def sweep_grid(lo_nm: float, hi_nm: float, step_nm: float) -> np.ndarray:
@@ -485,9 +467,10 @@ def sweep_curves(
     the formulas' comfort zone is exactly what a sweep is for.
     """
     registry = _registry(registry)
+    cavity = _TABLE[spec.cavity]
     if variable not in ("wire", "dielectric"):
         raise ValueError(f"variable must be 'wire' or 'dielectric', got {variable!r}")
-    if spec.cavity == "mlc" and variable == "dielectric":
+    if variable == "dielectric" and cavity.spacer_family is None:
         raise ValueError("the multi-layer cavity has no free dielectric thickness")
     xs = sweep_grid(lo_nm, hi_nm, step_nm)
 
@@ -496,22 +479,17 @@ def sweep_curves(
     # column below then refuses the sweep with one error, so no numpy warning.
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", ValidityWarning)
-        wire_opt = (
-            analytic.wire_optimum_dsc(ctx) if spec.cavity == "dsc" else analytic.wire_optimum_ssc(ctx)
-        )
+        d_w = cavity.wire_optimum(ctx).d_opt_nm
         if variable == "wire":
-            stack, idx, _ = _wire_oracle_stack(spec, registry, wire_opt.d_opt_nm)
-            analytic_A = _analytic_wire_absorptance(spec, ctx, xs)
+            stack = _build_stack(spec, registry, d_w, mirror_token="pec-surrogate")
+            idx = cavity.layout.wire_index
+            analytic_A = cavity.wire_family(xs, ctx)
         else:
-            stack, _, idx = _build_stack(spec, registry, wire_opt.d_opt_nm)
-            analytic_A = _analytic_dielectric_absorptance(spec, ctx, xs)
+            stack, idx = _build_stack(spec, registry, d_w), cavity.layout.spacer_index
+            analytic_A = cavity.spacer_family(xs, ctx)
 
     result = tmm.sweep(stack, idx, xs, spec.wavelength_nm)
     return CurveSet(variable, "nm", xs, analytic_A, result.A, np.abs(result.eta_in) * ctx.n_i)
-
-
-def _table2_specs(slit_nm: float) -> dict[str, DesignSpec]:
-    return {cavity: DesignSpec(cavity=cavity, slit_nm=slit_nm) for cavity in CAVITIES}
 
 
 def reproduce_table2(registry: MaterialRegistry | None = None) -> Table2Report:
@@ -526,48 +504,33 @@ def reproduce_table2(registry: MaterialRegistry | None = None) -> Table2Report:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         for slit in (80.0, 120.0, 160.0):
-            for cavity, spec in _table2_specs(slit).items():
+            for name in CAVITIES:
+                spec = DesignSpec(cavity=name, slit_nm=slit)
                 ctx = build_context(spec, registry)
-                wire_opt = (
-                    analytic.wire_optimum_dsc(ctx) if cavity == "dsc" else analytic.wire_optimum_ssc(ctx)
+                wire_opt, (wire_nm, _), spacer_opt, spacer_nm = _optima(
+                    spec, registry, ctx, _TABLE2_WINDOWS
                 )
-                stack, wire_idx, _ = _wire_oracle_stack(spec, registry, wire_opt.d_opt_nm)
-                oracle_nm, _ = tmm.argmax_absorptance(stack, wire_idx, 1.0, 30.0, spec.wavelength_nm)
-                cells.append(
-                    _make_cell(
-                        cavity, "wire", slit, wire_opt.d_opt_nm, oracle_nm,
-                        WIRE_TARGETS_NM[(cavity, slit)], WIRE_DISPLAY_TOL_NM, WIRE_AGREEMENT_REL,
+                cells.append(_make_cell(name, "wire", slit, wire_opt.d_opt_nm, wire_nm))
+                if spacer_opt is not None:
+                    cells.append(
+                        _make_cell(name, "dielectric", slit, spacer_opt.d_opt_nm, spacer_nm)
                     )
-                )
-                if cavity == "mlc":
-                    continue
-                diel_opt = (
-                    analytic.dielectric_optimum_dsc(ctx) if cavity == "dsc" else analytic.dielectric_optimum_ssc(ctx)
-                )
-                designed, _, diel_idx = _build_stack(spec, registry, wire_opt.d_opt_nm)
-                oracle_nm, _ = tmm.argmax_absorptance(designed, diel_idx, 150.0, 300.0, spec.wavelength_nm)
-                cells.append(
-                    _make_cell(
-                        cavity, "dielectric", slit, diel_opt.d_opt_nm, oracle_nm,
-                        DIELECTRIC_TARGETS_NM[(cavity, slit)], DIELECTRIC_DISPLAY_TOL_NM,
-                        DIELECTRIC_AGREEMENT_REL,
-                    )
-                )
-    order = {"ssc": 0, "dsc": 1, "mlc": 2}
-    cells.sort(key=lambda c: (order[c.cavity], c.quantity, c.slit_nm))
+    cells.sort(key=lambda c: (CAVITIES.index(c.cavity), c.quantity, c.slit_nm))
     return Table2Report(tuple(cells))
 
 
+# quantity -> (regression targets, display tolerance nm, oracle agreement)
+_CELL_CHECKS = {
+    "wire": (WIRE_TARGETS_NM, WIRE_DISPLAY_TOL_NM, WIRE_AGREEMENT_REL),
+    "dielectric": (DIELECTRIC_TARGETS_NM, DIELECTRIC_DISPLAY_TOL_NM, DIELECTRIC_AGREEMENT_REL),
+}
+
+
 def _make_cell(
-    cavity: str,
-    quantity: str,
-    slit_nm: float,
-    analytic_nm: float,
-    oracle_nm: float,
-    target_nm: float,
-    display_tol_nm: float,
-    agreement_rel: float,
+    cavity: str, quantity: str, slit_nm: float, analytic_nm: float, oracle_nm: float
 ) -> Table2Cell:
+    targets, display_tol_nm, agreement_rel = _CELL_CHECKS[quantity]
+    target_nm = targets[(cavity, slit_nm)]
     rounded = round(analytic_nm / display_tol_nm) * display_tol_nm
     analytic_ok = abs(rounded - target_nm) <= display_tol_nm + 1e-9
     rel_dev = abs(oracle_nm - analytic_nm) / analytic_nm
@@ -603,7 +566,7 @@ def mlc_convergence(
         analytic_A = analytic.absorptance_mlc(d_w_nm, ctx)
 
     # Layers are wire | (c1, c2) * n_max: p periods are the first 1 + 2p.
-    stack, _, _ = _build_stack(replace(spec, periods=n_max), registry, d_w_nm)
+    stack = _build_stack(replace(spec, periods=n_max), registry, d_w_nm)
     results = tmm.scatter_truncations(
         stack, [1 + 2 * p for p in range(1, n_max + 1)], spec.wavelength_nm
     )

@@ -10,7 +10,8 @@ permittivity mixes wire and slit material by the filling factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -44,6 +45,8 @@ __all__ = [
     "load_stack_config",
     "StackConfig",
     "MAX_PERIODS",
+    "Layout",
+    "LAYOUTS",
 ]
 
 
@@ -115,12 +118,6 @@ class Stack:
                 f"input medium {self.input.material.name!r} must be lossless; "
                 "the scattering formulas discard input/output absorption"
             )
-
-    def replace_thickness(self, index: int, thickness_nm: float) -> "Stack":
-        """Copy of the stack with one layer thickness changed."""
-        layers = list(self.layers)
-        layers[index] = Layer(layers[index].material, thickness_nm)
-        return Stack(self.input, tuple(layers), self.output)
 
 
 def filling_factor(line_nm: float, slit_nm: float) -> float:
@@ -325,6 +322,49 @@ def build_mlc(
     )
 
 
+class Layout(
+    namedtuple("Layout", "name parts wire_index spacer slit_fill input_medium has_mirror build")
+):
+    """One standard cavity layout, as the design flow and stack configs see it.
+
+    ``parts`` are the dielectric layers as (stack-config key, default
+    material), filling the layers around the wire in input-side order;
+    ``spacer`` and ``slit_fill`` index into them (no filler means vacuum). A
+    layout that ``has_mirror`` takes each part's thickness as ``<key>_nm``; one
+    without is backed by ``periods`` quarter-wave part pairs. ``build(wire,
+    parts, part_nm, mirror, mirror_nm, periods, input, output, wavelength,
+    registry)`` calls the builder by its module-level name, so a wrapper on
+    this module sees every stack; a None in ``part_nm`` is quarter-wave.
+    """
+
+    __slots__ = ()
+
+    @property
+    def spacer_index(self) -> int | None:
+        """Layer index of the spacer in the built stack, or None."""
+        return None if self.spacer is None else self.spacer + (self.spacer >= self.wire_index)
+
+
+SSC = Layout(
+    "ssc", (("dielectric", "SiO"),), wire_index=0, spacer=0, slit_fill=None,
+    input_medium="Vacuum", has_mirror=True,
+    build=lambda w, p, nm, m, m_nm, n, *media: build_ssc(w, p[0], nm[0], m, m_nm, *media),
+)
+DSC = Layout(
+    "dsc", (("lower", "SiO2"), ("upper", "SiO")), wire_index=1, spacer=1, slit_fill=1,
+    input_medium="Si", has_mirror=True,
+    build=lambda w, p, nm, m, m_nm, n, *media: build_dsc(
+        w, p[0], nm[0], p[1], nm[1], m, m_nm, *media
+    ),
+)
+MLC = Layout(
+    "mlc", (("c1", "SiO2"), ("c2", "Ta2O5")), wire_index=0, spacer=None, slit_fill=None,
+    input_medium="Vacuum", has_mirror=False,
+    build=lambda w, p, nm, m, m_nm, n, *media: build_mlc(w, p[0], p[1], n, *media),
+)
+LAYOUTS = {SSC.name: SSC, DSC.name: DSC, MLC.name: MLC}
+
+
 @dataclass(frozen=True)
 class StackConfig:
     """Parsed stack config: the concrete stack plus its evaluation wavelength."""
@@ -336,7 +376,7 @@ class StackConfig:
     dielectric_layer_index: int | None = None
 
 
-_CAVITIES = ("ssc", "dsc", "mlc", "custom")
+_CONFIG_CAVITIES = (*LAYOUTS, "custom")
 
 
 def _require_keys(doc: Mapping, allowed: set[str], label: str) -> None:
@@ -419,8 +459,8 @@ def load_stack_config(
         raise StackConfigError("stack config must be a mapping at the top level")
 
     cavity = doc.get("cavity")
-    if cavity not in _CAVITIES:
-        raise StackConfigError(f"'cavity' must be one of {_CAVITIES}, got {cavity!r}")
+    if cavity not in _CONFIG_CAVITIES:
+        raise StackConfigError(f"'cavity' must be one of {_CONFIG_CAVITIES}, got {cavity!r}")
     wavelength = _get_number(doc, "wavelength_nm", "stack config", 1550.0)
 
     common = {"cavity", "wavelength_nm", "input", "output"}
@@ -430,7 +470,8 @@ def load_stack_config(
     if output_token is not None:
         output_mat = None if output_token == "short" else registry.get(output_token)
 
-    if cavity == "custom":
+    layout = LAYOUTS.get(cavity)
+    if layout is None:  # custom
         _require_keys(doc, common | {"layers"}, "stack config")
         entries = doc.get("layers")
         if not isinstance(entries, list) or not entries:
@@ -452,43 +493,30 @@ def load_stack_config(
     if output_token == "short":
         raise StackConfigError("use mirror: pec for a short-terminated standard cavity")
 
-    if cavity == "ssc":
-        _require_keys(doc, common | {"wire", "dielectric", "dielectric_nm", "mirror", "mirror_nm"}, "stack config")
-        wire = _parse_wire(doc, registry, thickness_required=True)
-        dielectric = registry.get(str(doc.get("dielectric", "SiO")))
-        d_c = _get_number(doc, "dielectric_nm", "stack config", quarter_wave_thickness(dielectric, wavelength))
-        mirror = resolve_mirror(str(doc.get("mirror", "pec-surrogate")), registry)
-        stack = build_ssc(
-            wire, dielectric, d_c, mirror, _get_number(doc, "mirror_nm", "stack config", 130.0),
-            input_mat, output_mat, wavelength, registry,
-        )
-        return StackConfig("ssc", stack, wavelength, wire_layer_index=0, dielectric_layer_index=1)
-
-    if cavity == "dsc":
-        _require_keys(
-            doc, common | {"wire", "lower", "lower_nm", "upper", "upper_nm", "mirror", "mirror_nm"}, "stack config"
-        )
-        wire = _parse_wire(doc, registry, thickness_required=True)
-        lower = registry.get(str(doc.get("lower", "SiO2")))
-        upper = registry.get(str(doc.get("upper", "SiO")))
-        if "slit_material" not in doc["wire"]:
-            wire = WireGeometry(wire.line_nm, wire.slit_nm, wire.wire_material, upper, wire.thickness_nm)
-        d_c1 = _get_number(doc, "lower_nm", "stack config", quarter_wave_thickness(lower, wavelength))
-        d_c2 = _get_number(doc, "upper_nm", "stack config", quarter_wave_thickness(upper, wavelength))
-        mirror = resolve_mirror(str(doc.get("mirror", "pec-surrogate")), registry)
-        stack = build_dsc(
-            wire, lower, d_c1, upper, d_c2, mirror,
-            _get_number(doc, "mirror_nm", "stack config", 130.0),
-            input_mat, output_mat, wavelength, registry,
-        )
-        return StackConfig("dsc", stack, wavelength, wire_layer_index=1, dielectric_layer_index=2)
-
-    _require_keys(doc, common | {"wire", "c1", "c2", "periods"}, "stack config")
+    keys = {"wire", *(key for key, _ in layout.parts)}
+    if layout.has_mirror:
+        keys |= {"mirror", "mirror_nm", *(key + "_nm" for key, _ in layout.parts)}
+    else:
+        keys.add("periods")
+    _require_keys(doc, common | keys, "stack config")
     wire = _parse_wire(doc, registry, thickness_required=True)
-    c1 = registry.get(str(doc.get("c1", "SiO2")))
-    c2 = registry.get(str(doc.get("c2", "Ta2O5")))
-    periods = doc.get("periods", 6)
-    if not isinstance(periods, int) or isinstance(periods, bool):
-        raise StackConfigError("'periods' must be an integer")
-    stack = build_mlc(wire, c1, c2, periods, input_mat, output_mat, wavelength, registry)
-    return StackConfig("mlc", stack, wavelength, wire_layer_index=0)
+    parts = [registry.get(str(doc.get(key, default))) for key, default in layout.parts]
+    if layout.slit_fill is not None and "slit_material" not in doc["wire"]:
+        wire = replace(wire, slit_material=parts[layout.slit_fill])
+    part_nm = [None] * len(parts)
+    mirror = mirror_nm = periods = None
+    if layout.has_mirror:
+        part_nm = [
+            _get_number(doc, key + "_nm", "stack config", quarter_wave_thickness(material, wavelength))
+            for (key, _), material in zip(layout.parts, parts)
+        ]
+        mirror = resolve_mirror(str(doc.get("mirror", "pec-surrogate")), registry)
+        mirror_nm = _get_number(doc, "mirror_nm", "stack config", 130.0)
+    else:
+        periods = doc.get("periods", 6)
+        if not isinstance(periods, int) or isinstance(periods, bool):
+            raise StackConfigError("'periods' must be an integer")
+    stack = layout.build(
+        wire, parts, part_nm, mirror, mirror_nm, periods, input_mat, output_mat, wavelength, registry
+    )
+    return StackConfig(layout.name, stack, wavelength, layout.wire_index, layout.spacer_index)

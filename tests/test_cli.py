@@ -1,8 +1,11 @@
+import argparse
+import ast
 import contextlib
 import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,8 @@ import pytest
 
 from stripcavity import cli
 from stripcavity.cli import main
-from stripcavity.design import MAX_PERIODS
+from stripcavity.design import MAX_PERIODS, DesignSpec
+from stripcavity.stack import StackConfigError, load_stack_config
 
 SWEEP_HEADER = ["x_nm", "A_analytic", "A_tmm", "eta_ratio"]
 
@@ -194,8 +198,10 @@ class TestSweep:
 # swept layer out of the chain and the period study used one running
 # product; the fine-grid (14.5k-15k row) and 80-period impedance entries by
 # the code before a vectorised encoder wrote the sweep CSV body (one "%.12g"
-# row template per row). The code must reproduce them byte for byte; a
-# mismatch is a last-ulp change in some value, not a reason to re-record.
+# row template per row); the ssc dielectric, dsc wire and mirror-variant
+# entries by the code that still branched on the cavity name in every design
+# function. The code must reproduce them byte for byte; a mismatch is a
+# last-ulp change in some value, not a reason to re-record.
 GOLDEN_SHA256 = {
     "sweep-ssc": (
         ["sweep", "--cavity", "ssc"],
@@ -269,6 +275,26 @@ GOLDEN_SHA256 = {
          "--range", "1:30", "--step", "0.02"],
         "622b8d77385666ee2f98cc0a3f263f9168adb98d84c09b1765629f7e01739d5b",
     ),
+    "sweep-ssc-dielectric": (
+        ["sweep", "--cavity", "ssc", "--variable", "dielectric"],
+        "31d020eb4087518a2b16b866ce9805d7676043653c144047741d7e6e1a537ce1",
+    ),
+    "sweep-dsc": (
+        ["sweep", "--cavity", "dsc"],
+        "ba875f6c2127bc831329de9507532e999d34c0ca741843a23dc2deb172d57e52",
+    ),
+    "impedance-dsc": (
+        ["impedance", "--cavity", "dsc"],
+        "ba875f6c2127bc831329de9507532e999d34c0ca741843a23dc2deb172d57e52",
+    ),
+    "design-ssc-pec": (
+        ["design", "--cavity", "ssc", "--mirror", "pec"],
+        "4f6bb760a8b5b2501f0ad677ca1b480c258ac31af28e837e0a64595e599c31af",
+    ),
+    "design-dsc-pec-surrogate": (
+        ["design", "--cavity", "dsc", "--mirror", "pec-surrogate"],
+        "aa9e89e60b341e1cd33bebfdda009bbbf06874c12249d76e29ff7e76d1afbf19",
+    ),
 }
 
 
@@ -297,7 +323,7 @@ def test_back_to_back_calls_share_no_state(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["design", "--cavity", "mlc", "--periods", "3000"], "not finite"),
     (["mlc-convergence", "--cavity", "mlc", "--max-periods", "3000"], "not finite at"),
-    (["mlc-convergence", "--cavity", "mlc", "--mirror", "bogus"], "unknown material 'bogus'"),
+    (["mlc-convergence", "--cavity", "mlc", "--wire-material", "bogus"], "unknown material 'bogus'"),
     (["mlc-convergence", "--cavity", "mlc", "--c1", "bogus"], "unknown material 'bogus'"),
     # the 130 nm -1000i surrogate mirror film overflows below about 1150 nm
     (["design", "--cavity", "ssc", "--wavelength-nm", "400"], "overflows the transfer matrix"),
@@ -319,6 +345,29 @@ def test_back_to_back_calls_share_no_state(tmp_path):
 def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     stack = write_custom_stack(tmp_path)
     assert message in one_error_line(capsys, [arg.format(stack=stack) for arg in argv])
+
+
+@pytest.mark.parametrize("command", ["design", "mlc-convergence"])
+def test_mlc_ignores_mirror(tmp_path, command):
+    # the reflector-backed cavity has no mirror, so --mirror names nothing it uses
+    plain, bogus = tmp_path / "plain.csv", tmp_path / "bogus.csv"
+    assert main([command, "--cavity", "mlc", "--out", str(plain)]) == 0
+    assert main([command, "--cavity", "mlc", "--mirror", "bogus", "--out", str(bogus)]) == 0
+    assert bogus.read_bytes() == plain.read_bytes()
+
+
+def test_custom_sweep_needs_no_cavity(tmp_path):
+    argv, digest = GOLDEN_SHA256["sweep-custom-stack"]
+    argv = [arg.format(stack=write_custom_stack(tmp_path)) for arg in argv]
+    assert argv[1:3] == ["--cavity", "ssc"]
+    out = tmp_path / "out.csv"
+    assert main(argv[:1] + argv[3:] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_builtin_sweep_needs_cavity(capsys):
+    err = one_error_line(capsys, ["sweep", "--variable", "dielectric"])
+    assert err == "error: the following arguments are required: --cavity\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -520,6 +569,31 @@ def test_main_builds_the_invoked_command_only(monkeypatch, capsys, argv, command
             main(args)
     capsys.readouterr()
     assert built == [command, command]
+
+
+def _listed_names(exc_info) -> tuple:
+    # "... must be one of ('ssc', ...), got 'bogus'"
+    return ast.literal_eval(re.search(r"one of (\(.*?\)), got", str(exc_info.value)).group(1))
+
+
+def test_cavity_names_are_one_tuple():
+    top = cli._build_parser()
+    (commands,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    choices = {
+        name: tuple(action.choices)
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        if action.dest == "cavity"
+    }
+    assert set(choices) == set(cli._COMMANDS)
+    with pytest.raises(ValueError) as spec_error:
+        DesignSpec(cavity="bogus")
+    with pytest.raises(StackConfigError) as config_error:
+        load_stack_config({"cavity": "bogus"})
+    spec_names = _listed_names(spec_error)
+    assert spec_names == ("ssc", "dsc", "mlc")
+    assert set(choices.values()) == {spec_names}
+    assert tuple(n for n in _listed_names(config_error) if n != "custom") == spec_names
 
 
 # stdout, stderr and exit code of help, usage and error cases, recorded

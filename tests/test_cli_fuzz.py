@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from stripcavity import cli
-from stripcavity.design import MAX_PERIODS, MAX_SWEEP_POINTS
+from stripcavity.design import MAX_PERIODS, MAX_SWEEP_POINTS, SWEEP_DEFAULTS
 
 MAX_ACCEPTED_POINTS = 30_000
 
@@ -79,7 +79,7 @@ def grid_points(argv):
     """Points the sweep in ``argv`` would allocate, 0 for one that is refused."""
     flags = dict(zip(argv[1::2], argv[2::2]))
     variable = "wire" if flags.get("--stack") else flags.get("--variable", "wire")
-    lo, hi, step = cli._SWEEP_DEFAULTS.get(variable, cli._SWEEP_DEFAULTS["wire"])
+    lo, hi, step = SWEEP_DEFAULTS.get(variable, SWEEP_DEFAULTS["wire"])
     try:
         if "--range" in flags:
             lo, hi = (float(part) for part in flags["--range"].split(":"))

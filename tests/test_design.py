@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stripcavity import design
+from stripcavity import stack as stack_module
 from stripcavity.design import (
     DIELECTRIC_TARGETS_NM,
     MAX_PERIODS,
@@ -244,10 +245,12 @@ class TestMlcConvergence:
     def test_period_bound_checked_before_any_stack(self, monkeypatch):
         spec = DesignSpec(cavity="mlc")
 
-        def no_stack(*args):
-            raise AssertionError("a stack was built")
+        def no_stack(*args, **kwargs):
+            raise AssertionError("a stack or layer was built")
 
+        # every design stack goes through _build_stack and every layer is a Layer
         monkeypatch.setattr(design, "_build_stack", no_stack)
+        monkeypatch.setattr(stack_module, "Layer", no_stack)
         with pytest.raises(ValueError, match=f"need n_max <= {MAX_PERIODS}"):
             mlc_convergence(spec, MAX_PERIODS + 1)
         with pytest.raises(ValueError, match=f"period count must be <= {MAX_PERIODS}"):

@@ -239,7 +239,7 @@ class TestSweep:
         values = np.linspace(2.0, 25.0, 9)
         result = sweep(stack, 0, values, LAMBDA)
         for i, value in enumerate(values):
-            res = scatter(stack.replace_thickness(0, value), LAMBDA)
+            res = scatter(build_ssc(make_wire(thickness_nm=value)), LAMBDA)
             assert result.A[i] == pytest.approx(res.A, abs=1e-13)
             assert result.r[i] == pytest.approx(res.r, abs=1e-13)
 
@@ -248,7 +248,7 @@ class TestSweep:
         values = np.array([5.0, 11.6, 20.0])
         result = sweep(stack, 0, values, LAMBDA)
         for i, value in enumerate(values):
-            eta = input_impedance(stack.replace_thickness(0, value), LAMBDA)
+            eta = input_impedance(build_ssc(make_wire(thickness_nm=value)), LAMBDA)
             assert result.eta_in[i] == pytest.approx(eta, rel=1e-12)
 
     def test_bad_layer_index(self):
