@@ -286,6 +286,10 @@ def _add_common(parser: argparse.ArgumentParser, cavity_required: bool = True) -
     parser.add_argument("--mirror", default="Ag",
                         help="pec | pec-surrogate | material name (default Ag)")
     parser.add_argument("--periods", type=int, default=6)
+    _add_io(parser)
+
+
+def _add_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--materials", default=None, help="material config file")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "structured-report"), default="csv")
@@ -314,7 +318,7 @@ def _impedance_args(p: argparse.ArgumentParser) -> None:
 
 
 def _table2_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p, cavity_required=False)
+    _add_io(p)
     p.set_defaults(func=_cmd_table2)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -157,22 +157,9 @@ class DesignReport:
     warnings: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "cavity": self.cavity,
-            "wavelength_nm": self.wavelength_nm,
-            "filling_factor": self.filling_factor,
-            "wire_analytic_nm": self.wire_analytic_nm,
-            "wire_oracle_nm": self.wire_oracle_nm,
-            "absorptance_analytic": self.absorptance_analytic,
-            "absorptance_oracle": self.absorptance_oracle,
-            "dielectric_analytic_nm": self.dielectric_analytic_nm,
-            "dielectric_oracle_nm": self.dielectric_oracle_nm,
-            "dphi_dsc_max": self.dphi_dsc_max,
-            "impedance_match_ratio": self.impedance_match_ratio,
-            "qwt_index": self.qwt_index,
-            "qwt_index_target": self.qwt_index_target,
-            "warnings": list(self.warnings),
-        }
+        data = {field.name: getattr(self, field.name) for field in fields(self)}
+        data["warnings"] = list(self.warnings)
+        return data
 
 
 @dataclass(frozen=True, eq=False)  # numpy columns have no single truth value for ==
@@ -304,17 +291,11 @@ def build_context(spec: DesignSpec, registry: MaterialRegistry | None = None) ->
         mirror = resolve_mirror(spec.mirror, registry)
         n_m = None if isinstance(mirror, Medium) else mirror.optical_constant.n
     out = registry.get(spec.output_medium).optical_constant.n_re
-    names = [getattr(spec, field) for field, _ in cavity.part_fields]
-    n = [registry.get(name).optical_constant.n_re for name in names]
-    if not cavity.layout.has_mirror and n[0] >= n[1]:
-        raise ValueError(
-            "the reflector layer adjacent to the wire must have the smaller "
-            f"refractive index, got n({names[0]}) = {n[0]} >= n({names[1]}) = {n[1]}"
-        )
-    return CavityContext(
-        eps_w, n_i, n_m=n_m, n_o=out, wavelength_nm=spec.wavelength_nm,
-        **{field: value for (_, field), value in zip(cavity.part_fields, n)},
-    )
+    n = {
+        ctx_field: registry.get(getattr(spec, spec_field)).optical_constant.n_re
+        for spec_field, ctx_field in cavity.part_fields
+    }
+    return CavityContext(eps_w, n_i, n_m=n_m, n_o=out, wavelength_nm=spec.wavelength_nm, **n)
 
 
 def _build_stack(

@@ -176,36 +176,6 @@ def _registry_default(registry: MaterialRegistry | None) -> MaterialRegistry:
     return registry if registry is not None else builtin_registry()
 
 
-def _require_lossless(material: Material, role: str) -> None:
-    if not material.optical_constant.is_lossless:
-        raise ValueError(f"{role} {material.name!r} must be a lossless dielectric")
-
-
-def _mirror_parts(
-    mirror: Material | Medium | None,
-    d_m_nm: float,
-    output: Medium,
-    registry: MaterialRegistry,
-) -> tuple[list[Layer], Medium]:
-    """Mirror realisation: exact short terminal, surrogate film, or metal film."""
-    if mirror is None:
-        mirror = registry.get("PEC")
-    if isinstance(mirror, Medium):
-        if not mirror.is_short:
-            raise ValueError("a Medium mirror must be the exact short terminal")
-        return [], EXACT_SHORT
-    if mirror.kind == PEC_TERMINAL:
-        surrogate = Material(
-            f"{mirror.name} film", mirror.optical_constant, METAL
-        )
-        return [Layer(surrogate, d_m_nm)], output
-    return [Layer(mirror, d_m_nm)], output
-
-
-def _medium(material: Material | None, registry: MaterialRegistry, default: str) -> Medium:
-    return Medium(material if material is not None else registry.get(default))
-
-
 def build_ssc(
     wire: WireGeometry,
     dielectric: Material | None = None,
@@ -223,19 +193,10 @@ def build_ssc(
     input and output, SiO spacer at quarter-wave thickness, 130 nm ideal-mirror
     surrogate film.
     """
-    registry = _registry_default(registry)
-    dielectric = dielectric if dielectric is not None else registry.get("SiO")
-    _require_lossless(dielectric, "spacer dielectric")
-    if d_c_nm is None:
-        d_c_nm = quarter_wave_thickness(dielectric, wavelength_nm)
-    output = _medium(output_medium, registry, "Vacuum")
-    mirror_layers, output = _mirror_parts(mirror, d_m_nm, output, registry)
-    layers = [
-        Layer(effective_wire_material(wire), wire.thickness_nm),
-        Layer(dielectric, d_c_nm),
-        *mirror_layers,
-    ]
-    return Stack(_medium(input_medium, registry, "Vacuum"), tuple(layers), output)
+    return _assemble(
+        SSC, wire, (dielectric,), (d_c_nm,), mirror, d_m_nm, None,
+        input_medium, output_medium, wavelength_nm, registry,
+    )
 
 
 def build_dsc(
@@ -257,24 +218,10 @@ def build_dsc(
     model backside illumination: Si input, SiO2 below, SiO above, 130 nm
     ideal-mirror surrogate film, vacuum output.
     """
-    registry = _registry_default(registry)
-    lower = lower if lower is not None else registry.get("SiO2")
-    upper = upper if upper is not None else registry.get("SiO")
-    _require_lossless(lower, "lower dielectric")
-    _require_lossless(upper, "upper dielectric")
-    if d_c1_nm is None:
-        d_c1_nm = quarter_wave_thickness(lower, wavelength_nm)
-    if d_c2_nm is None:
-        d_c2_nm = quarter_wave_thickness(upper, wavelength_nm)
-    output = _medium(output_medium, registry, "Vacuum")
-    mirror_layers, output = _mirror_parts(mirror, d_m_nm, output, registry)
-    layers = [
-        Layer(lower, d_c1_nm),
-        Layer(effective_wire_material(wire), wire.thickness_nm),
-        Layer(upper, d_c2_nm),
-        *mirror_layers,
-    ]
-    return Stack(_medium(input_medium, registry, "Si"), tuple(layers), output)
+    return _assemble(
+        DSC, wire, (lower, upper), (d_c1_nm, d_c2_nm), mirror, d_m_nm, None,
+        input_medium, output_medium, wavelength_nm, registry,
+    )
 
 
 def build_mlc(
@@ -294,32 +241,56 @@ def build_mlc(
     have the smaller refractive index. Defaults: vacuum both sides, SiO2/Ta2O5
     pairs.
     """
-    registry = _registry_default(registry)
-    c1 = c1 if c1 is not None else registry.get("SiO2")
-    c2 = c2 if c2 is not None else registry.get("Ta2O5")
-    _require_lossless(c1, "reflector dielectric c1")
-    _require_lossless(c2, "reflector dielectric c2")
-    if c1.optical_constant.n_re >= c2.optical_constant.n_re:
-        raise ValueError(
-            f"the layer adjacent to the wire must have the smaller refractive index, "
-            f"got n({c1.name}) = {c1.optical_constant.n_re} >= "
-            f"n({c2.name}) = {c2.optical_constant.n_re}"
-        )
-    if periods < 1:
-        raise ValueError(f"period count must be >= 1, got {periods}")
-    if periods > MAX_PERIODS:
-        raise ValueError(f"period count must be <= {MAX_PERIODS}, got {periods}")
-    layers = [Layer(effective_wire_material(wire), wire.thickness_nm)]
-    d1 = quarter_wave_thickness(c1, wavelength_nm)
-    d2 = quarter_wave_thickness(c2, wavelength_nm)
-    for _ in range(periods):
-        layers.append(Layer(c1, d1))
-        layers.append(Layer(c2, d2))
-    return Stack(
-        _medium(input_medium, registry, "Vacuum"),
-        tuple(layers),
-        _medium(output_medium, registry, "Vacuum"),
+    return _assemble(
+        MLC, wire, (c1, c2), (None, None), None, None, periods,
+        input_medium, output_medium, wavelength_nm, registry,
     )
+
+
+def _assemble(
+    layout, wire, parts, part_nm, mirror, d_m_nm, periods, input, output, wavelength_nm, registry
+) -> Stack:
+    """The stack of a standard layout: its parts in input-side order (a None
+    part is the layout's default material, a None thickness quarter-wave) with
+    the wire at ``wire_index``, ended by the mirror, or without one by
+    ``periods`` copies of the last two parts, the reflector pair."""
+    registry = _registry_default(registry)
+    films = []  # (material, thickness) per part
+    for part, nm, (_, default, role) in zip(parts, part_nm, layout.parts):
+        part = part or registry.get(default)
+        if not part.optical_constant.is_lossless:
+            raise ValueError(f"{role} {part.name!r} must be a lossless dielectric")
+        films.append((part, quarter_wave_thickness(part, wavelength_nm) if nm is None else nm))
+    output = Medium(output or registry.get("Vacuum"))
+    if layout.has_mirror:
+        # the exact short terminal, the ideal mirror's surrogate film, or a metal film
+        mirror = mirror or registry.get("PEC")
+        if isinstance(mirror, Medium):
+            if not mirror.is_short:
+                raise ValueError("a Medium mirror must be the exact short terminal")
+            end, output = [], EXACT_SHORT
+        else:
+            if mirror.kind == PEC_TERMINAL:
+                mirror = Material(f"{mirror.name} film", mirror.optical_constant, METAL)
+            end = [Layer(mirror, d_m_nm)]
+    else:
+        (low, _), (high, _) = films[-2:]
+        if low.optical_constant.n_re >= high.optical_constant.n_re:
+            raise ValueError(
+                "the reflector layer adjacent to the wire must have the smaller refractive "
+                f"index, got n({low.name}) = {low.optical_constant.n_re} >= "
+                f"n({high.name}) = {high.optical_constant.n_re}"
+            )
+        if periods < 1:
+            raise ValueError(f"period count must be >= 1, got {periods}")
+        if periods > MAX_PERIODS:
+            raise ValueError(f"period count must be <= {MAX_PERIODS}, got {periods}")
+        end = []
+        films[-2:] = films[-2:] * periods
+    layers = [Layer(part, nm) for part, nm in films]
+    layers.insert(layout.wire_index, Layer(effective_wire_material(wire), wire.thickness_nm))
+    input = Medium(input or registry.get(layout.input_medium))
+    return Stack(input, (*layers, *end), output)
 
 
 class Layout(
@@ -328,13 +299,15 @@ class Layout(
     """One standard cavity layout, as the design flow and stack configs see it.
 
     ``parts`` are the dielectric layers as (stack-config key, default
-    material), filling the layers around the wire in input-side order;
-    ``spacer`` and ``slit_fill`` index into them (no filler means vacuum). A
-    layout that ``has_mirror`` takes each part's thickness as ``<key>_nm``; one
-    without is backed by ``periods`` quarter-wave part pairs. ``build(wire,
-    parts, part_nm, mirror, mirror_nm, periods, input, output, wavelength,
-    registry)`` calls the builder by its module-level name, so a wrapper on
-    this module sees every stack; a None in ``part_nm`` is quarter-wave.
+    material, role in error messages), filling the layers around the wire in
+    input-side order; ``spacer`` and ``slit_fill`` index into them (no filler
+    means vacuum). A layout that ``has_mirror`` takes each part's thickness as
+    ``<key>_nm``; one without is backed by ``periods`` copies of its last two
+    parts, a quarter-wave reflector pair. ``build(wire, parts, part_nm,
+    mirror, mirror_nm, periods, input, output, wavelength, registry)`` calls
+    the builder by its module-level name, so a wrapper on this module sees
+    every stack; a None in ``parts`` is the default material, one in
+    ``part_nm`` quarter-wave.
     """
 
     __slots__ = ()
@@ -346,19 +319,21 @@ class Layout(
 
 
 SSC = Layout(
-    "ssc", (("dielectric", "SiO"),), wire_index=0, spacer=0, slit_fill=None,
+    "ssc", (("dielectric", "SiO", "spacer dielectric"),), wire_index=0, spacer=0, slit_fill=None,
     input_medium="Vacuum", has_mirror=True,
     build=lambda w, p, nm, m, m_nm, n, *media: build_ssc(w, p[0], nm[0], m, m_nm, *media),
 )
 DSC = Layout(
-    "dsc", (("lower", "SiO2"), ("upper", "SiO")), wire_index=1, spacer=1, slit_fill=1,
+    "dsc", (("lower", "SiO2", "lower dielectric"), ("upper", "SiO", "upper dielectric")),
+    wire_index=1, spacer=1, slit_fill=1,
     input_medium="Si", has_mirror=True,
     build=lambda w, p, nm, m, m_nm, n, *media: build_dsc(
         w, p[0], nm[0], p[1], nm[1], m, m_nm, *media
     ),
 )
 MLC = Layout(
-    "mlc", (("c1", "SiO2"), ("c2", "Ta2O5")), wire_index=0, spacer=None, slit_fill=None,
+    "mlc", (("c1", "SiO2", "reflector dielectric c1"), ("c2", "Ta2O5", "reflector dielectric c2")),
+    wire_index=0, spacer=None, slit_fill=None,
     input_medium="Vacuum", has_mirror=False,
     build=lambda w, p, nm, m, m_nm, n, *media: build_mlc(w, p[0], p[1], n, *media),
 )
@@ -493,23 +468,22 @@ def load_stack_config(
     if output_token == "short":
         raise StackConfigError("use mirror: pec for a short-terminated standard cavity")
 
-    keys = {"wire", *(key for key, _ in layout.parts)}
+    keys = {"wire", *(key for key, *_ in layout.parts)}
     if layout.has_mirror:
-        keys |= {"mirror", "mirror_nm", *(key + "_nm" for key, _ in layout.parts)}
+        keys |= {"mirror", "mirror_nm", *(key + "_nm" for key, *_ in layout.parts)}
     else:
         keys.add("periods")
     _require_keys(doc, common | keys, "stack config")
     wire = _parse_wire(doc, registry, thickness_required=True)
-    parts = [registry.get(str(doc.get(key, default))) for key, default in layout.parts]
+    parts = [registry.get(str(doc.get(key, default))) for key, default, _ in layout.parts]
     if layout.slit_fill is not None and "slit_material" not in doc["wire"]:
         wire = replace(wire, slit_material=parts[layout.slit_fill])
-    part_nm = [None] * len(parts)
+    part_nm = [
+        _get_number(doc, key + "_nm", "stack config") if key + "_nm" in doc else None
+        for key, *_ in layout.parts
+    ]
     mirror = mirror_nm = periods = None
     if layout.has_mirror:
-        part_nm = [
-            _get_number(doc, key + "_nm", "stack config", quarter_wave_thickness(material, wavelength))
-            for (key, _), material in zip(layout.parts, parts)
-        ]
         mirror = resolve_mirror(str(doc.get("mirror", "pec-surrogate")), registry)
         mirror_nm = _get_number(doc, "mirror_nm", "stack config", 130.0)
     else:

@@ -433,6 +433,15 @@ class TestTable2:
         wire_flags = [row[6] for row in rows[1:] if row[1] == "wire"]
         assert all(flag == "false" for flag in wire_flags)
 
+    @pytest.mark.parametrize("flags", [
+        ["--wavelength-nm", "1310", "--slit-nm", "5", "--mirror", "bogus"],
+        ["--cavity", "dsc"],
+        ["--periods", "3"],
+    ])
+    def test_spec_flags_refused(self, capsys, flags):
+        # the reference table has fixed geometries, so a spec flag would be ignored
+        assert "unrecognized arguments" in one_error_line(capsys, ["table2", *flags])
+
 
 class TestMlcConvergence:
     def test_table_and_summary(self, tmp_path, capsys):
@@ -514,7 +523,7 @@ def test_import_leaves_yaml_unloaded():
 
 
 # Each command's argv, parsed by its own parser and by the full tree. The
-# defaults, every flag, table2 without --cavity, and repeated flags.
+# defaults, every flag, and repeated flags.
 PARSER_CASES = [
     ["design", "--cavity", "ssc"],
     ["design", "--cavity", "mlc", "--wavelength-nm", "1310", "--line-nm", "90", "--f", "0.4",
@@ -529,7 +538,7 @@ PARSER_CASES = [
     ["impedance", "--cavity", "ssc", "--range", "1:30", "--step", "0.1", "--slit-nm", "60",
      "--out", "-"],
     ["table2"],
-    ["table2", "--cavity", "dsc", "--materials", "m.yaml", "--format", "structured-report"],
+    ["table2", "--materials", "m.yaml", "--format", "structured-report"],
     ["mlc-convergence", "--cavity", "mlc"],
     ["mlc-convergence", "--cavity", "mlc", "--max-periods", "20", "--wire-nm", "11.6",
      "--c1", "SiO2", "--c2", "SiO", "--periods", "3"],
@@ -585,7 +594,7 @@ def test_cavity_names_are_one_tuple():
         for action in parser._actions
         if action.dest == "cavity"
     }
-    assert set(choices) == set(cli._COMMANDS)
+    assert set(choices) == set(cli._COMMANDS) - {"table2"}
     with pytest.raises(ValueError) as spec_error:
         DesignSpec(cavity="bogus")
     with pytest.raises(StackConfigError) as config_error:

@@ -257,6 +257,21 @@ class TestMlcConvergence:
             DesignSpec(cavity="mlc", periods=MAX_PERIODS + 1)
         assert DesignSpec(cavity="mlc", periods=MAX_PERIODS).periods == MAX_PERIODS
 
+    @pytest.mark.parametrize("run", [
+        run_design_flow,
+        lambda spec: sweep_curves(spec, "wire", 1.0, 30.0, 0.1),
+        lambda spec: mlc_convergence(spec, 12),
+    ], ids=["design", "sweep", "convergence"])
+    def test_reflector_order_refused_before_exact_engine(self, monkeypatch, run):
+        def no_exact(*args, **kwargs):
+            raise AssertionError("the exact engine ran")
+
+        for name in ("argmax_absorptance", "sweep", "scatter_truncations", "input_impedance"):
+            monkeypatch.setattr(design.tmm, name, no_exact)
+        spec = DesignSpec(cavity="mlc", low_index="Ta2O5", high_index="SiO2")
+        with pytest.raises(ValueError, match=r"reflector layer adjacent .* n\(Ta2O5\) = 2.15"):
+            run(spec)
+
     def test_overflowing_reflector_names_the_period_count(self):
         with pytest.raises(ValueError, match=r"not finite at \d+ periods"):
             mlc_convergence(DesignSpec(cavity="mlc"), 3000)

@@ -1,5 +1,10 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
+from stripcavity import design
 from stripcavity import stack as stack_module
 from stripcavity.materials import METAL, builtin_registry
 from stripcavity.stack import (
@@ -161,6 +166,18 @@ class TestBuildMlc:
         with pytest.raises(ValueError, match=f"period count must be <= {MAX_PERIODS}"):
             build_mlc(wire, periods=MAX_PERIODS + 1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"periods": 0}, "period count must be >= 1"),
+        ({"c1": REG.get("Ta2O5"), "c2": REG.get("SiO2")}, "smaller refractive index"),
+    ], ids=["no-periods", "reversed-pair"])
+    def test_reflector_checked_before_any_layer(self, monkeypatch, kwargs, message):
+        def no_layers(*args):
+            raise AssertionError("a layer was built")
+
+        monkeypatch.setattr(stack_module, "Layer", no_layers)
+        with pytest.raises(ValueError, match=message):
+            build_mlc(make_wire(), **kwargs)
+
 
 class TestEffectiveWireMaterial:
     def test_kind_tracks_loss(self):
@@ -250,6 +267,12 @@ class TestStackConfig:
         with pytest.raises(StackConfigError, match=f"'{key}' must be finite"):
             load_stack_config(doc)
 
+    def test_lossy_part_refused_before_its_quarter_wave(self):
+        # the ideal-mirror marker has n_re = 0: its quarter-wave would divide by zero
+        doc = {"cavity": "ssc", "wire": {"thickness_nm": 6}, "dielectric": "PEC"}
+        with pytest.raises(ValueError, match="spacer dielectric 'PEC' must be a lossless"):
+            load_stack_config(doc)
+
     def test_period_bound(self):
         doc = {"cavity": "mlc", "wire": {"thickness_nm": 11.6}, "periods": MAX_PERIODS + 1}
         with pytest.raises(ValueError, match=f"<= {MAX_PERIODS}"):
@@ -261,3 +284,64 @@ class TestStackConfig:
             "cavity: mlc\nwire: {thickness_nm: 11.6}\nperiods: 2\n"
         )
         assert len(load_stack_config(path).stack.layers) == 5
+
+
+# Builder calls and stack configs, each with the stack it built (materials as
+# name, n_re, n_im, kind; layers with their thickness) or its exact error.
+# Material arguments are registry names; the mirror may also be "EXACT_SHORT"
+# or {"medium": name}.
+STACK_CASES = json.loads((Path(__file__).parent / "stack_cases.json").read_text())
+
+
+def _case_arg(key, value):
+    if key == "wire":
+        return make_wire(**value)
+    if value == "EXACT_SHORT":
+        return EXACT_SHORT
+    if isinstance(value, dict):
+        return Medium(REG.get(value["medium"]))
+    return REG.get(value) if isinstance(value, str) else value
+
+
+def _material_row(material):
+    oc = material.optical_constant
+    return [material.name, oc.n_re, oc.n_im, material.kind]
+
+
+def _describe(stack):
+    return {
+        "input": _material_row(stack.input.material),
+        "layers": [[*_material_row(layer.material), layer.thickness_nm] for layer in stack.layers],
+        "output": None if stack.output.is_short else _material_row(stack.output.material),
+    }
+
+
+def run_stack_case(call, args):
+    """What ``call`` (a builder or load_stack_config) gives for ``args``."""
+    try:
+        if call == "load_stack_config":
+            config = load_stack_config(args["source"])
+            return {
+                **_describe(config.stack),
+                "cavity": config.cavity,
+                "wavelength_nm": config.wavelength_nm,
+                "wire_layer_index": config.wire_layer_index,
+                "dielectric_layer_index": config.dielectric_layer_index,
+            }
+        kwargs = {key: _case_arg(key, value) for key, value in args.items()}
+        return _describe(getattr(stack_module, call)(**kwargs))
+    except (KeyError, ValueError) as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+@pytest.mark.parametrize("case", STACK_CASES, ids=[case["id"] for case in STACK_CASES])
+def test_recorded_stack_case(case):
+    assert run_stack_case(case["call"], case["args"]) == case["expect"]
+
+
+def test_spec_part_defaults_match_layouts():
+    # DesignSpec repeats each layout part's default material as a field default
+    defaults = {field.name: field.default for field in dataclasses.fields(design.DesignSpec)}
+    for cavity in design._TABLE.values():
+        for (field, _), part in zip(cavity.part_fields, cavity.layout.parts, strict=True):
+            assert defaults[field] == part[1], (cavity.layout.name, field)
