@@ -12,8 +12,9 @@ with g = i*k0*n and eta = 1/n per layer. Two shapes of work use it:
   entry j is bit-identical to ``chain_product`` of the first j layers; the
   reflector period study scatters all its truncations from one pass.
 - ``chain_sweep``: one layer swept over an array of thicknesses, the whole
-  chain multiplied left to right for every point. Curves keep this order so
-  their CSV digits do not move.
+  chain multiplied left to right for every point, the two columns of the
+  running product updated in place. Curves keep this order and these
+  per-layer scalars so their CSV digits do not move.
 
 The argmax search calls ``chain_product`` for the layers on either side of
 the swept one and does the rest in `stripcavity.tmm.absorptance_of_layer`.
@@ -69,23 +70,33 @@ def chain_product(n, d, k0):
 
 
 def chain_sweep(n, d, idx, values, k0):
-    """The chain product batched over the thicknesses ``values`` of layer ``idx``."""
+    """The chain product batched over the thicknesses ``values`` of layer ``idx``.
+
+    The running product is held as its two columns, ``a = (f11, f21)`` and
+    ``b = (f12, f22)``, two ``(2, m)`` arrays updated in place through two
+    scratch arrays: six ufunc calls per layer. Each element gets the same
+    multiplies and additions as the entry-by-entry product, the addends of
+    ``b`` in swapped order, which IEEE addition does not see. ``c``, ``s``,
+    ``s * n[j]`` and ``s / n[j]`` stay per-layer scalars (arrays only at
+    ``idx``): numpy rounds ``s * n`` over an array of layers differently
+    from the scalar product.
+    """
     m = values.shape[0]
-    f11 = np.ones(m, np.complex128)
-    f12 = np.zeros(m, np.complex128)
-    f21 = np.zeros(m, np.complex128)
-    f22 = np.ones(m, np.complex128)
+    a = np.zeros((2, m), np.complex128)
+    b = np.zeros((2, m), np.complex128)
+    a[0] = 1.0
+    b[1] = 1.0
+    t = np.empty_like(a)
+    u = np.empty_like(a)
     for j in range(n.shape[0]):
         dj = values if j == idx else d[j]
         gd = 1j * k0 * n[j] * dj
         c = np.cosh(gd)
         s = np.sinh(gd)
-        b = s / n[j]
-        g = s * n[j]
-        f11, f12, f21, f22 = (
-            f11 * c + f12 * g,
-            f11 * b + f12 * c,
-            f21 * c + f22 * g,
-            f21 * b + f22 * c,
-        )
-    return f11, f12, f21, f22
+        np.multiply(b, s * n[j], out=t)
+        np.multiply(a, s / n[j], out=u)
+        np.multiply(a, c, out=a)
+        a += t
+        np.multiply(b, c, out=b)
+        b += u
+    return a[0], b[0], a[1], b[1]

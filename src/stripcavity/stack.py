@@ -51,9 +51,10 @@ __all__ = [
 
 
 # Reflector period counts above this are refused before any layer is built.
-# Each period is two Layer objects. The chain product overflows near 1781
-# SiO2/Ta2O5 or 9900 SiO2/SiO periods, so every built-in pair stays usable up
-# to its overflow.
+# Every period repeats the same two Layer objects, yet still adds two entries
+# to the layer tuple and two layers to every chain product. The product
+# overflows near 1781 SiO2/Ta2O5 or 9900 SiO2/SiO periods, so every built-in
+# pair stays usable up to its overflow.
 MAX_PERIODS = 10_000
 
 
@@ -252,8 +253,9 @@ def _assemble(
 ) -> Stack:
     """The stack of a standard layout: its parts in input-side order (a None
     part is the layout's default material, a None thickness quarter-wave) with
-    the wire at ``wire_index``, ended by the mirror, or without one by
-    ``periods`` copies of the last two parts, the reflector pair."""
+    the wire at ``wire_index``, ended by the mirror, or without one by the
+    two layers of the last two parts, the reflector pair, repeated
+    ``periods`` times."""
     registry = _registry_default(registry)
     films = []  # (material, thickness) per part
     for part, nm, (_, default, role) in zip(parts, part_nm, layout.parts):
@@ -285,8 +287,8 @@ def _assemble(
             raise ValueError(f"period count must be >= 1, got {periods}")
         if periods > MAX_PERIODS:
             raise ValueError(f"period count must be <= {MAX_PERIODS}, got {periods}")
-        end = []
-        films[-2:] = films[-2:] * periods
+        end = [Layer(part, nm) for part, nm in films[-2:]] * periods  # frozen: one shared pair
+        del films[-2:]
     layers = [Layer(part, nm) for part, nm in films]
     layers.insert(layout.wire_index, Layer(effective_wire_material(wire), wire.thickness_nm))
     input = Medium(input or registry.get(layout.input_medium))

@@ -1,8 +1,8 @@
 """Acceptance checks: every headline tolerance of the package in one module.
 
 Each test prints a `[acceptance] <name>: PASS/FAIL` line (run with `-s` to
-see them). Timed tests measure computation only; the jitted kernels are
-warmed once by the session fixture in conftest.
+see them). Timed tests time the call they check with `time.perf_counter`;
+the engine is plain numpy, so there is nothing to compile or warm first.
 """
 
 import time

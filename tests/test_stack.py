@@ -146,6 +146,18 @@ class TestBuildMlc:
     def test_single_period(self):
         assert len(build_mlc(make_wire(), periods=1).layers) == 3
 
+    def test_periods_share_one_layer_pair(self):
+        wire = make_wire()
+        stack = build_mlc(wire, periods=120)
+        assert len(stack.layers) == 241
+        assert len({id(layer) for layer in stack.layers}) == 3
+        c1, c2 = REG.get("SiO2"), REG.get("Ta2O5")
+        one_by_one = [Layer(effective_wire_material(wire), wire.thickness_nm)]
+        for _ in range(120):
+            one_by_one.append(Layer(c1, quarter_wave_thickness(c1, 1550.0)))
+            one_by_one.append(Layer(c2, quarter_wave_thickness(c2, 1550.0)))
+        assert stack.layers == tuple(one_by_one)
+
     def test_quarter_wave_thicknesses(self):
         stack = build_mlc(make_wire())
         for layer in stack.layers[1:]:
