@@ -100,34 +100,28 @@ def _registry_from(args) -> MaterialRegistry:
         raise CliError(str(exc)) from exc
 
 
+# Spec flags by parser dest, and the DesignSpec field each sets. A flag that
+# is absent leaves the field's default; `sweep --stack` refuses one present.
+_SPEC_FIELDS = {
+    "wavelength_nm": "wavelength_nm", "line_nm": "line_nm", "slit_nm": "slit_nm",
+    "wire_material": "wire_material", "slit_material": "slit_material",
+    "c1": "low_index", "c2": "high_index", "mirror": "mirror", "periods": "periods",
+}
+
+
 def _spec_from(args) -> DesignSpec:
-    slit = args.slit_nm
-    if args.f is not None:
-        if slit is not None:
+    kwargs = {}
+    for dest, field in _SPEC_FIELDS.items():
+        if hasattr(args, dest):
+            kwargs[field] = getattr(args, dest)
+    if hasattr(args, "f"):
+        if "slit_nm" in kwargs:
             raise CliError("give either --slit-nm or --f, not both")
         if not 0 < args.f <= 1:
             raise CliError(f"--f must lie in (0, 1], got {args.f}")
-        slit = args.line_nm * (1.0 - args.f) / args.f
-    if slit is None:
-        slit = 80.0
-    kwargs = dict(
-        cavity=args.cavity,
-        wavelength_nm=args.wavelength_nm,
-        line_nm=args.line_nm,
-        slit_nm=slit,
-        mirror=args.mirror,
-        periods=args.periods,
-    )
-    if args.wire_material is not None:
-        kwargs["wire_material"] = args.wire_material
-    if args.slit_material is not None:
-        kwargs["slit_material"] = args.slit_material
-    if getattr(args, "c1", None) is not None:
-        kwargs["low_index"] = args.c1
-    if getattr(args, "c2", None) is not None:
-        kwargs["high_index"] = args.c2
+        kwargs["slit_nm"] = kwargs.get("line_nm", DesignSpec.line_nm) * (1.0 - args.f) / args.f
     try:
-        return DesignSpec(**kwargs)
+        return DesignSpec(cavity=args.cavity, **kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -183,6 +177,10 @@ def _sweep_common(args, registry, variable: str) -> CurveSet:
 
 
 def _custom_sweep(args, registry) -> CurveSet:
+    for dest in (*_SPEC_FIELDS, "f"):
+        if hasattr(args, dest):
+            flag = "--" + dest.replace("_", "-")
+            raise CliError(f"{flag} does not apply with --stack; the stack config sets it")
     try:
         config = load_stack_config(args.stack, registry)
     except (OSError, ValueError) as exc:
@@ -274,18 +272,17 @@ def _cmd_mlc_convergence(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, cavity_required: bool = True) -> None:
     parser.add_argument("--cavity", choices=CAVITIES, required=cavity_required)
-    parser.add_argument("--wavelength-nm", type=float, default=1550.0)
-    parser.add_argument("--line-nm", type=float, default=80.0)
-    parser.add_argument("--slit-nm", type=float, default=None)
-    parser.add_argument("--f", type=float, default=None,
-                        help="filling factor; alternative to --slit-nm")
-    parser.add_argument("--wire-material", default=None)
-    parser.add_argument("--slit-material", default=None)
-    parser.add_argument("--c1", default=None, help="reflector layer adjacent to the wire")
-    parser.add_argument("--c2", default=None, help="second reflector layer")
-    parser.add_argument("--mirror", default="Ag",
-                        help="pec | pec-surrogate | material name (default Ag)")
-    parser.add_argument("--periods", type=int, default=6)
+    spec = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
+    spec("--wavelength-nm", type=float)
+    spec("--line-nm", type=float)
+    spec("--slit-nm", type=float)
+    spec("--f", type=float, help="filling factor; alternative to --slit-nm")
+    spec("--wire-material")
+    spec("--slit-material")
+    spec("--c1", help="reflector layer adjacent to the wire")
+    spec("--c2", help="second reflector layer")
+    spec("--mirror", help="pec | pec-surrogate | material name (default Ag)")
+    spec("--periods", type=int)
     _add_io(parser)
 
 

@@ -544,7 +544,12 @@ def mlc_convergence(
         warnings.simplefilter("ignore", ValidityWarning)
         if d_w_nm is None:
             d_w_nm = analytic.wire_optimum_mlc(ctx).d_opt_nm
-        analytic_A = analytic.absorptance_mlc(d_w_nm, ctx)
+        try:
+            analytic_A = analytic.absorptance_mlc(d_w_nm, ctx)
+        except OverflowError:  # a float ** overflows where numpy gives inf
+            raise ValueError(
+                f"the closed-form absorptance overflows at a {d_w_nm:.6g} nm wire"
+            ) from None
 
     # Layers are wire | (c1, c2) * n_max: p periods are the first 1 + 2p.
     stack = _build_stack(replace(spec, periods=n_max), registry, d_w_nm)

@@ -141,34 +141,51 @@ def chain(matrices) -> FMatrix:
     return reduce(lambda a, b: a @ b, matrices, FMatrix.identity())
 
 
-def _stack_arrays(stack: Stack) -> tuple[np.ndarray, np.ndarray]:
-    ns = np.array([layer.material.optical_constant.n for layer in stack.layers], dtype=np.complex128)
-    ds = np.array([layer.thickness_nm for layer in stack.layers], dtype=np.float64)
-    return ns, ds
+def _prepare(stack: Stack, wavelength_nm: float, layer_index: int | None = None):
+    """(n, d, k0, eta_i, eta_o, short): the checked stack as the kernels take it.
 
-
-def _media_impedances(stack: Stack) -> tuple[float, float, bool]:
-    """(eta_i, eta_o, short). Input is lossless by Stack construction; the
-    output medium enters through the real part of its index only."""
+    The input is lossless by Stack construction, so eta_i is real; the output
+    medium enters through the real part of its index only. Each distinct
+    `Layer` object's index is read once: a reflector repeats one shared pair.
+    """
+    if wavelength_nm <= 0:
+        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
+    layers = stack.layers
+    if layer_index is not None and not 0 <= layer_index < len(layers):
+        raise IndexError(f"layer index {layer_index} outside stack of {len(layers)} layers")
     n_i = stack.input.material.optical_constant.n_re
     if n_i <= 0:
         raise ValueError("input medium must have a positive real index")
-    if stack.output.is_short:
-        return 1.0 / n_i, 0.0, True
-    n_o = stack.output.material.optical_constant.n_re
-    if n_o <= 0:
-        raise ValueError(
-            "output medium must have a positive real index; "
-            "use the short-circuit terminal for an ideal mirror"
-        )
-    return 1.0 / n_i, 1.0 / n_o, False
+    eta_o = 0.0
+    if not stack.output.is_short:
+        n_o = stack.output.material.optical_constant.n_re
+        if n_o <= 0:
+            raise ValueError(
+                "output medium must have a positive real index; "
+                "use the short-circuit terminal for an ideal mirror"
+            )
+        eta_o = 1.0 / n_o
+    index, indices = {}, []
+    for layer in layers:
+        if id(layer) not in index:
+            index[id(layer)] = layer.material.optical_constant.n
+        indices.append(index[id(layer)])
+    n = np.array(indices, dtype=np.complex128)
+    d = np.array([layer.thickness_nm for layer in layers], dtype=np.float64)
+    return n, d, 2.0 * math.pi / wavelength_nm, 1.0 / n_i, eta_o, stack.output.is_short
 
 
-def _coefficients(f11, f12, f21, f22, eta_i: float, eta_o: float, short: bool):
-    """Reflection/transmission from chain entries; works on scalars or arrays."""
-    eta_i_conj = np.conjugate(eta_i)
-    num = f11 * eta_o + f12 - f21 * eta_i_conj * eta_o - f22 * eta_i_conj
+def _coefficients(f11, f12, f21, f22, eta_i: float, eta_o: float, short: bool, empty=False):
+    """Reflection/transmission from chain entries; works on scalars or arrays.
+
+    eta_i is real, its own conjugate. The divisions are numpy's, also for the
+    scalar kernels' Python complex entries; an ``empty`` chain (the identity)
+    divides as Python does, which keeps a bare interface's bits.
+    """
+    num = f11 * eta_o + f12 - f21 * eta_i * eta_o - f22 * eta_i
     den = f11 * eta_o + f12 + f21 * eta_i * eta_o + f22 * eta_i
+    if not empty:
+        den = np.complex128(den)
     r = num / den
     if short:
         t = np.zeros_like(r) if isinstance(r, np.ndarray) else 0.0j
@@ -178,13 +195,10 @@ def _coefficients(f11, f12, f21, f22, eta_i: float, eta_o: float, short: bool):
 
 
 def scatter(stack: Stack, wavelength_nm: float) -> ScatterResult:
-    """Exact reflection, transmission, and absorptance of a stack."""
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
-    eta_i, eta_o, short = _media_impedances(stack)
-    ns, ds = _stack_arrays(stack)
-    k0 = 2.0 * math.pi / wavelength_nm
-    r, t = _coefficients(*_kernels.chain_product(ns, ds, k0), eta_i, eta_o, short)
+    """Exact reflection, transmission, and absorptance of a stack: one running
+    product over the prepared chain, a repeated layer's cosh and sinh once."""
+    n, d, k0, *media = _prepare(stack, wavelength_nm)
+    r, t = _coefficients(*_kernels.chain_product(n, d, k0), *media, empty=not stack.layers)
     return ScatterResult.from_coefficients(complex(r), complex(t))
 
 
@@ -192,20 +206,18 @@ def scatter_truncations(stack: Stack, layer_counts, wavelength_nm: float) -> lis
     """`scatter` of the stack cut after each of ``layer_counts`` layers.
 
     Every truncation keeps the input and output media. One running product
-    over the layers serves them all, and each result is bit-identical to
-    `scatter` of the truncated stack.
+    over the prepared chain serves them all, a repeated layer costing its
+    cosh and sinh once, and each result is bit-identical to `scatter` of the
+    truncated stack.
     """
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
-    eta_i, eta_o, short = _media_impedances(stack)
-    ns, ds = _stack_arrays(stack)
+    n, d, k0, *media = _prepare(stack, wavelength_nm)
     results = []
     # A deep chain can overflow; its results are then inf or NaN for the
     # caller to reject, without a warning per layer.
     with np.errstate(over="ignore", invalid="ignore"):
-        prefixes = _kernels.chain_prefixes(ns, ds, 2.0 * math.pi / wavelength_nm)
+        prefixes = _kernels.chain_prefixes(n, d, k0)
         for count in layer_counts:
-            r, t = _coefficients(*prefixes[count], eta_i, eta_o, short)
+            r, t = _coefficients(*prefixes[count], *media, empty=not count)
             results.append(ScatterResult.from_coefficients(complex(r), complex(t)))
     return results
 
@@ -213,17 +225,15 @@ def scatter_truncations(stack: Stack, layer_counts, wavelength_nm: float) -> lis
 def input_impedance(stack: Stack, wavelength_nm: float) -> complex:
     """Impedance seen looking into the finite-layer chain from the input side.
 
-    Returns :data:`OPEN_CIRCUIT` when the denominator vanishes (for example a
+    One running product over the prepared chain, as in `scatter`. Returns
+    :data:`OPEN_CIRCUIT` when the denominator vanishes (for example a
     lossless quarter-wave layer on a short terminal).
     """
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
-    _, eta_o, _ = _media_impedances(stack)
-    ns, ds = _stack_arrays(stack)
-    k0 = 2.0 * math.pi / wavelength_nm
-    f11, f12, f21, f22 = _kernels.chain_product(ns, ds, k0)
-    num = f11 * eta_o + f12
-    den = f21 * eta_o + f22
+    n, d, k0, _, eta_o, _ = _prepare(stack, wavelength_nm)
+    f11, f12, f21, f22 = _kernels.chain_product(n, d, k0)
+    # numpy values: abs() of an overflow is inf, and / rounds as numpy's
+    num = np.complex128(f11 * eta_o + f12)
+    den = np.complex128(f21 * eta_o + f22)
     if abs(den) <= _OPEN_CIRCUIT_EPS * max(1.0, abs(num)):
         return OPEN_CIRCUIT
     return num / den
@@ -232,19 +242,14 @@ def input_impedance(stack: Stack, wavelength_nm: float) -> complex:
 def sweep(stack: Stack, layer_index: int, thicknesses_nm, wavelength_nm: float) -> SweepResult:
     """Scattering and input impedance with one layer's thickness swept.
 
-    Raises ValueError when the absorptance is not finite at some thickness (a
-    chain that overflows), naming the first such thickness.
+    One batched product over the prepared chain, a repeated layer's terms
+    computed once. Raises ValueError when the absorptance is not finite at
+    some thickness (a chain that overflows), naming the first such thickness.
     """
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
-    if not 0 <= layer_index < len(stack.layers):
-        raise IndexError(f"layer index {layer_index} outside stack of {len(stack.layers)} layers")
+    n, d, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm, layer_index)
     values = np.ascontiguousarray(thicknesses_nm, dtype=np.float64)
-    eta_i, eta_o, short = _media_impedances(stack)
-    ns, ds = _stack_arrays(stack)
-    k0 = 2.0 * math.pi / wavelength_nm
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        f11, f12, f21, f22 = _kernels.chain_sweep(ns, ds, layer_index, values, k0)
+        f11, f12, f21, f22 = _kernels.chain_sweep(n, d, layer_index, values, k0)
         r, t = _coefficients(f11, f12, f21, f22, eta_i, eta_o, short)
         R = (np.conjugate(r) * r).real
         T = (np.conjugate(t) * t).real
@@ -300,23 +305,18 @@ def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
         den = (1,       eta_i)  · P · L(d) · Q · (eta_o, 1)^T
 
     So P and the input medium fold into two row vectors, and Q and the
-    output medium into one column vector w, once, here. Each call then costs
+    output medium into one column vector w, once, here, from the prepared
+    chain and two running products in Python complex. Each call then costs
     one layer L(d) applied to w and two dot products: a float goes through
     cmath, an array through numpy. The result agrees with `sweep` to
     rounding (the product is grouped differently).
     """
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
-    if not 0 <= layer_index < len(stack.layers):
-        raise IndexError(f"layer index {layer_index} outside stack of {len(stack.layers)} layers")
-    eta_i, eta_o, short = _media_impedances(stack)
-    ns, ds = _stack_arrays(stack)
-    k0 = 2.0 * math.pi / wavelength_nm
+    ns, ds, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm, layer_index)
     i = layer_index
     # Python complex constants keep the scalar calls of a golden-section search cheap.
     n = complex(ns[i])
-    p11, p12, p21, p22 = map(complex, _kernels.chain_product(ns[:i], ds[:i], k0))
-    q11, q12, q21, q22 = map(complex, _kernels.chain_product(ns[i + 1:], ds[i + 1:], k0))
+    p11, p12, p21, p22 = _kernels.chain_product(ns[:i], ds[:i], k0)
+    q11, q12, q21, q22 = _kernels.chain_product(ns[i + 1:], ds[i + 1:], k0)
     # eta_i is real: the input medium is lossless
     xn1, xn2 = p11 - eta_i * p21, p12 - eta_i * p22
     xd1, xd2 = p11 + eta_i * p21, p12 + eta_i * p22

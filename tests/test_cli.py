@@ -191,6 +191,22 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--wavelength-nm", "1310"), ("--line-nm", "90"), ("--slit-nm", "5"), ("--f", "0.5"),
+        ("--wire-material", "NbN"), ("--slit-material", "SiO"), ("--c1", "bogus"),
+        ("--c2", "SiO"), ("--mirror", "Ag"), ("--periods", "6"),
+    ])
+    def test_custom_stack_refuses_spec_flags(self, tmp_path, capsys, flag, value):
+        # refused when given at all, also at its default value: the config sets it
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--stack", str(write_custom_stack(tmp_path)), "--layer", "0",
+                flag, value, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 # sha256 of CSVs recorded on x86-64 Linux with the numpy kernels: the sweep,
 # impedance, custom-stack and table2 entries by the code before sweeps became
 # column arrays (per-row objects, one format() per cell); the design and
@@ -341,6 +357,9 @@ def test_back_to_back_calls_share_no_state(tmp_path):
      "not finite at 150 nm of layer 1"),
     (["sweep", "--cavity", "dsc", "--variable", "dielectric", "--wavelength-nm", "1e-300"],
      "not finite at 150 nm of layer 2"),
+    # a Python float ** raises OverflowError where numpy would give inf
+    (["mlc-convergence", "--cavity", "mlc", "--wire-nm", "1e308"],
+     "closed-form absorptance overflows at a 1e+308 nm wire"),
 ])
 def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     stack = write_custom_stack(tmp_path)

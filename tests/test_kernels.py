@@ -1,3 +1,6 @@
+import cmath
+import operator
+
 import numpy as np
 import pytest
 
@@ -83,9 +86,34 @@ def same_bits(x, y):
     )
 
 
+def periodic_stacks():
+    """Reflector-like chains: a first layer, then 1-300 repeats of one pair,
+    all lossless or the first layer and the pair lossy, and last a chain
+    whose product overflows. The lossless pair's indices share a real part,
+    one with an imaginary part of -0.0 (as the built-ins give) and one with
+    +0.0 (as a materials file can), at one thickness: equal under ``==``,
+    not in their bits, which a lossless chain carries to its zero parts."""
+    rng = np.random.default_rng(12)
+    for pairs in (1, 2, 5, 40, 120, 300):
+        for lossy in (False, True):
+            wire = complex(rng.uniform(1.0, 5.0), -rng.uniform(0.0, 6.0) if lossy else -0.0)
+            if lossy:
+                pair = [complex(1.45, -rng.uniform(0.0, 0.05)), complex(1.9, -0.0)]
+                thickness = list(rng.uniform(50.0, 300.0, 2))
+            else:
+                pair = [complex(1.45, -0.0), complex(1.45, 0.0)]
+                thickness = [rng.uniform(50.0, 300.0)] * 2
+            n = np.array([wire] + pair * pairs, dtype=np.complex128)
+            d = np.array([rng.uniform(2.0, 20.0)] + thickness * pairs)
+            yield n, d
+    n = np.array([1.5 - 0.4j] + [2.0 - 3.0j, 1.5 - 0.0j] * 300, dtype=np.complex128)
+    yield n, np.array([10.0] + [300.0, 200.0] * 300)
+
+
 def sweep_cases():
     """Random stacks of 1-200 layers, lossless and lossy, swept at the first,
-    middle and last layer, plus one chain that overflows partway."""
+    middle and last layer; periodic stacks swept at one occurrence of a
+    repeated layer; last one chain that overflows partway."""
     rng = np.random.default_rng(10)
     for lossy in (False, True):
         for m in (1, 2, 3, 1451, 2049):
@@ -96,6 +124,11 @@ def sweep_cases():
                 values = rng.uniform(1.0, 400.0, m)
                 for idx in sorted({0, n_layers // 2, n_layers - 1}):
                     yield n, d, idx, values
+    for n, d in periodic_stacks():
+        for m in (1, 1451):
+            values = rng.uniform(1.0, 400.0, m)
+            for idx in sorted({1, 2, len(n) // 2, len(n) - 1}):
+                yield n, d, idx, values
     n = np.array([1.5, 2.0 - 1000j, 1.4, 2.1], dtype=np.complex128)
     yield n, np.array([100.0, 300.0, 250.0, 180.0]), 2, np.linspace(1.0, 400.0, 1451)
 
@@ -110,4 +143,79 @@ def test_chain_sweep_is_bitwise_the_per_layer_loop():
                 assert same_bits(x, y), (name, len(n), idx, values.shape[0])
             checked += 1
         assert not np.isfinite(got[0]).all()  # the last chain overflows
-    assert checked > 200
+    assert checked > 250
+
+
+def numpy_scalar_prefixes(n, d, k0):
+    """The running products with every layer's terms computed at its own
+    position and the product in numpy scalars: the reference that
+    `chain_prefixes`, with its memoised terms and Python complex product,
+    must match bit for bit."""
+    f11, f12, f21, f22 = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
+    out = [(f11, f12, f21, f22)]
+    for j in range(n.shape[0]):
+        gd = 1j * k0 * n[j] * d[j]
+        c = cmath.cosh(gd)
+        s = cmath.sinh(gd)
+        b = s / n[j]
+        g = s * n[j]
+        f11, f12, f21, f22 = (
+            f11 * c + f12 * g,
+            f11 * b + f12 * c,
+            f21 * c + f22 * g,
+            f21 * b + f22 * c,
+        )
+        out.append((f11, f12, f21, f22))
+    return out
+
+
+def test_chain_prefixes_is_bitwise_the_numpy_scalar_loop():
+    rng = np.random.default_rng(14)
+    cases = [*(random_stack(rng, m) for m in (0, 1, 2, 13, 200)), *periodic_stacks()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, d in cases:
+            got = np.array(_kernels.chain_prefixes(n, d, K0), dtype=np.complex128)
+            want = np.array(numpy_scalar_prefixes(n, d, K0), dtype=np.complex128)
+            assert same_bits(got, want), (len(n), n[:3])
+    assert not np.isfinite(got[-1]).all()  # the last chain overflows
+    assert all(type(entry) is complex for entry in _kernels.chain_product(n[:5], d[:5], K0))
+
+
+def test_scalar_complex_arithmetic_contract():
+    """The kernels' Python complex products equal the numpy-scalar ones only
+    while CPython's complex ``*``, ``+`` and ``-``, also against a float,
+    round as numpy's scalar ones do; and batching the divisions of a scalar
+    path, the one batching allowed, keeps its bits only while numpy's scalar
+    and array ``/`` agree. An interpreter that changes mixed real/complex
+    arithmetic (CPython 3.14 follows C99 there) fails here, by name, before
+    any CSV digit moves."""
+    rng = np.random.default_rng(15)
+    size = 4000
+    parts = rng.normal(size=(4, size)) * 10.0 ** rng.integers(-8, 9, (4, size))
+    parts[:, ::7] = 0.0
+    parts[:, 1::7] = -0.0
+    parts[1, 2::5] = 0.0  # real-valued left operands
+    parts[3, 3::5] = -0.0  # real-valued right operands
+    # complex(re, im), not re + 1j * im, which loses the sign of a zero part
+    left = list(map(complex, parts[0].tolist(), parts[1].tolist()))
+    right = list(map(complex, parts[2].tolist(), parts[3].tolist()))
+    floats = parts[2].tolist()
+
+    def bits(values):
+        return np.array(values, dtype=np.complex128).view(np.uint64)
+
+    for name, op in (("*", operator.mul), ("+", operator.add), ("-", operator.sub)):
+        py = [op(x, y) for x, y in zip(left, right)]
+        npy = [op(np.complex128(x), np.complex128(y)) for x, y in zip(left, right)]
+        assert type(npy[0]) is np.complex128  # numpy's scalar arithmetic ran
+        assert np.array_equal(bits(py), bits(npy)), f"complex {name} complex"
+    py = [(x * y, y * x, x + y, x - y) for x, y in zip(left, floats)]
+    npy = [(np.complex128(x) * np.float64(y), np.float64(y) * np.complex128(x),
+            np.complex128(x) + np.float64(y), np.complex128(x) - np.float64(y))
+           for x, y in zip(left, floats)]
+    assert {type(z) for row in npy for z in row} == {np.complex128}
+    assert np.array_equal(bits(py), bits(npy)), "complex and float"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scalar = [np.complex128(x) / np.complex128(y) for x, y in zip(left, right)]
+        array = np.array(left) / np.array(right)
+    assert np.array_equal(bits(scalar), bits(array)), "numpy scalar and array /"

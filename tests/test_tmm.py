@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -17,14 +18,17 @@ from stripcavity.stack import (
 from stripcavity.tmm import (
     OPEN_CIRCUIT,
     FMatrix,
+    ScatterResult,
     absorptance_of_layer,
     argmax_absorptance,
     chain,
     input_impedance,
     layer_fmatrix,
     scatter,
+    scatter_truncations,
     sweep,
 )
+from test_kernels import numpy_scalar_prefixes, per_layer_loop_sweep, same_bits
 
 REG = builtin_registry()
 LAMBDA = 1550.0
@@ -349,6 +353,146 @@ class TestAbsorptanceOfLayer:
         absorptance(218.0)
         absorptance(np.linspace(150.0, 280.0, 256))
         assert len(calls) == 2
+
+
+def reference_chain(stack):
+    """The engine's inputs with every layer's index read at its own position.
+
+    These reference_* functions are the engine with numpy-scalar chain
+    entries, no memoised layer terms and ``conj(eta_i)``: the code that
+    `tmm` must match bit for bit."""
+    n = np.array([layer.material.optical_constant.n for layer in stack.layers], dtype=np.complex128)
+    d = np.array([layer.thickness_nm for layer in stack.layers], dtype=np.float64)
+    short = stack.output.is_short
+    eta_o = 0.0 if short else 1.0 / stack.output.material.optical_constant.n_re
+    return n, d, 2.0 * math.pi / LAMBDA, 1.0 / stack.input.material.optical_constant.n_re, eta_o, short
+
+
+def reference_coefficients(f11, f12, f21, f22, eta_i, eta_o, short):
+    """r and t from numpy-scalar chain entries (the identity's are Python complex)."""
+    eta_i_conj = np.conjugate(eta_i)
+    num = f11 * eta_o + f12 - f21 * eta_i_conj * eta_o - f22 * eta_i_conj
+    den = f11 * eta_o + f12 + f21 * eta_i * eta_o + f22 * eta_i
+    r = num / den
+    if short:
+        return r, (np.zeros_like(r) if isinstance(r, np.ndarray) else 0.0j)
+    return r, 2.0 * math.sqrt(eta_i * eta_o) / den
+
+
+def reference_truncations(stack, counts):
+    n, d, k0, eta_i, eta_o, short = reference_chain(stack)
+    prefixes = numpy_scalar_prefixes(n, d, k0)
+    results = []
+    for count in counts:
+        r, t = reference_coefficients(*prefixes[count], eta_i, eta_o, short)
+        results.append(ScatterResult.from_coefficients(complex(r), complex(t)))
+    return results
+
+
+def reference_input_impedance(stack):
+    n, d, k0, _, eta_o, _ = reference_chain(stack)
+    f11, f12, f21, f22 = numpy_scalar_prefixes(n, d, k0)[-1]
+    num = f11 * eta_o + f12
+    den = f21 * eta_o + f22
+    return OPEN_CIRCUIT if abs(den) <= 1e-12 * max(1.0, abs(num)) else num / den
+
+
+def reference_absorptance(stack, i):
+    n, d, k0, eta_i, eta_o, short = reference_chain(stack)
+    p11, p12, p21, p22 = map(complex, numpy_scalar_prefixes(n[:i], d[:i], k0)[-1])
+    q11, q12, q21, q22 = map(complex, numpy_scalar_prefixes(n[i + 1:], d[i + 1:], k0)[-1])
+    ni = complex(n[i])
+    xn1, xn2 = p11 - eta_i * p21, p12 - eta_i * p22
+    xd1, xd2 = p11 + eta_i * p21, p12 + eta_i * p22
+    w1, w2 = q11 * eta_o + q12, q21 * eta_o + q22
+    t_num = 0.0 if short else 2.0 * math.sqrt(eta_i * eta_o)
+
+    def absorptance(thickness_nm):
+        gd = 1j * k0 * ni * thickness_nm
+        if isinstance(gd, np.ndarray):
+            c, s = np.cosh(gd), np.sinh(gd)
+        else:
+            c, s = cmath.cosh(gd), cmath.sinh(gd)
+        y1 = c * w1 + (s / ni) * w2
+        y2 = (s * ni) * w1 + c * w2
+        den = xd1 * y1 + xd2 * y2
+        r = (xn1 * y1 + xn2 * y2) / den
+        t = t_num / den
+        return 1.0 - (r.conjugate() * r).real - (t.conjugate() * t).real
+
+    return absorptance
+
+
+def periodic_stacks():
+    """A first layer and 1-300 periods of one pair, all lossless or lossy,
+    ending in vacuum, a short or a dielectric, with the pair's `Layer`
+    objects shared as `build_mlc` builds them or made anew per period as a
+    stack config does; the lossless pair's indices differ only in the sign
+    of a zero imaginary part. Last, a chain whose product overflows."""
+    rng = np.random.default_rng(16)
+    outputs = (VACUUM, EXACT_SHORT, Medium(REG.get("SiO")))
+    for pairs in (1, 3, 40, 300):
+        for lossy in (False, True):
+            if lossy:
+                constants = [OpticalConstant(3.0, 5.2), OpticalConstant(1.45, 0.02),
+                             OpticalConstant(1.9, 0.0)]
+            else:  # n_im = 0.0 gives an index of 1.45-0j, n_im = -0.0 one of 1.45+0j
+                constants = [OpticalConstant(2.2, 0.0), OpticalConstant(1.45, 0.0),
+                             OpticalConstant(1.45, -0.0)]
+            wire, low, high = (Material(f"m{i}", oc, METAL) for i, oc in enumerate(constants))
+            d_low = rng.uniform(50.0, 300.0)
+            d_high = d_low if not lossy else rng.uniform(50.0, 300.0)
+            shared = (Layer(low, d_low), Layer(high, d_high)) * pairs
+            fresh = tuple(Layer(m, t) for _ in range(pairs) for m, t in ((low, d_low), (high, d_high)))
+            first = Layer(wire, rng.uniform(2.0, 20.0))
+            for output, reflector in zip(outputs, (shared, fresh, shared)):
+                yield Stack(VACUUM, (first,) + reflector, output)
+    lossy = Layer(Material("lossy", OpticalConstant(2.0, 3.0), METAL), 300.0)
+    yield Stack(VACUUM, (make_wire_layer(),) + (lossy, lossless_layer(1.5, 200.0)) * 300, VACUUM)
+
+
+def result_bits(results):
+    return np.array([[x.r, x.t, x.R, x.T, x.A] for x in results], dtype=np.complex128)
+
+
+class TestAgainstReferenceEngine:
+    """Bit for bit against the reference engine, on periodic stacks."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scatter_and_truncations(self):
+        for stack in periodic_stacks():
+            counts = range(len(stack.layers) + 1)
+            got = scatter_truncations(stack, counts, LAMBDA)
+            assert same_bits(result_bits(got), result_bits(reference_truncations(stack, counts)))
+            for count in counts[:: max(1, len(counts) // 40)]:
+                truncated = Stack(stack.input, stack.layers[:count], stack.output)
+                assert same_bits(result_bits([scatter(truncated, LAMBDA)]), result_bits(got[count:count + 1]))
+        assert not math.isfinite(got[-1].A)  # the last chain overflows
+
+    def test_input_impedance(self):
+        for stack in list(periodic_stacks())[:-1]:
+            got = np.array([input_impedance(stack, LAMBDA)])
+            assert same_bits(got, np.array([reference_input_impedance(stack)]))
+
+    def test_absorptance_of_layer(self):
+        values = np.linspace(1.0, 300.0, 37)
+
+        def evaluations(f):  # the array, and each value alone as a float
+            return np.array([f(values), [f(x) for x in values.tolist()]], np.complex128)
+
+        for stack in list(periodic_stacks())[:-1]:
+            for i in sorted({0, 1, 2, len(stack.layers) // 2, len(stack.layers) - 1}):
+                got = evaluations(absorptance_of_layer(stack, i, LAMBDA))
+                assert same_bits(got, evaluations(reference_absorptance(stack, i))), (stack, i)
+
+    def test_sweep(self):
+        values = np.linspace(1.0, 300.0, 51)
+        for stack in list(periodic_stacks())[:-1]:
+            n, d, k0, eta_i, eta_o, short = reference_chain(stack)
+            for i in sorted({0, 2, len(stack.layers) - 1}):
+                got = sweep(stack, i, values, LAMBDA)
+                want = reference_coefficients(*per_layer_loop_sweep(n, d, i, values, k0), eta_i, eta_o, short)
+                assert same_bits(np.array([got.r, got.t]), np.array(want))
 
 
 def old_selection(grid, grid_A, refined, refined_A):
