@@ -10,7 +10,8 @@ with g = i*k0*n and eta = 1/n per layer. Two shapes of work use it:
 - ``chain_product``: one stack, one running product, left to right.
   ``chain_prefixes`` keeps every intermediate product of that same loop, so
   entry j is bit-identical to ``chain_product`` of the first j layers; the
-  reflector period study scatters all its truncations from one pass.
+  reflector period study scatters all its truncations from one pass, as
+  columns.
 - ``chain_sweep``: one layer swept over an array of thicknesses, the whole
   chain multiplied left to right for every point, the two columns of the
   running product updated in place. Curves keep this order and these
@@ -92,9 +93,11 @@ def chain_sweep(n, d, idx, values, k0):
     scratch arrays: six ufunc calls per layer. Each element gets the same
     multiplies and additions as the entry-by-entry product, the addends of
     ``b`` in swapped order, which IEEE addition does not see. ``c``,
-    ``s * n[j]`` and ``s / n[j]`` are numpy scalars, once per distinct layer
-    (arrays at ``idx``, which skips the memo): numpy rounds ``s * n`` over
-    an array of layers differently from the scalar product.
+    ``s * n[j]`` and ``s / n[j]`` are numpy-scalar results, once per distinct
+    layer (arrays at ``idx``, which skips the memo): numpy rounds ``s * n``
+    over an array of layers differently from the scalar product. The memo
+    holds them as 0-d arrays, which a ufunc takes with less dispatch than a
+    scalar and multiplies by bit for bit the same.
     """
     m = values.shape[0]
     a = np.zeros((2, m), np.complex128)
@@ -110,7 +113,7 @@ def chain_sweep(n, d, idx, values, k0):
         if terms is None:
             gd = 1j * k0 * n[j] * (values if j == idx else d[j])
             s = np.sinh(gd)
-            terms = np.cosh(gd), s * n[j], s / n[j]
+            terms = np.asarray(np.cosh(gd)), np.asarray(s * n[j]), np.asarray(s / n[j])
             if j != idx:
                 memo[key] = terms
         c, g, h = terms

@@ -259,7 +259,9 @@ def _cmd_mlc_convergence(args) -> int:
         raise CliError(_message(exc)) from exc
     header = ("periods", "A_tmm", "T_tmm")
     rows = [(r.periods, r.A, r.T) for r in report.rows]
-    _emit(args, _csv_text(header, rows), {
+    # all numbers: csv.writer would quote no cell, and "%.12g" is _fmt's format
+    body = ("%d,%.12g,%.12g\n" * len(rows)) % tuple(v for row in rows for v in row)
+    _emit(args, ",".join(header) + "\n" + body, {
         "rows": [dict(zip(header, row)) for row in rows],
         "converged_periods": report.converged_periods,
         "analytic_A": report.analytic_A,

@@ -553,20 +553,14 @@ def mlc_convergence(
 
     # Layers are wire | (c1, c2) * n_max: p periods are the first 1 + 2p.
     stack = _build_stack(replace(spec, periods=n_max), registry, d_w_nm)
-    results = tmm.scatter_truncations(
-        stack, [1 + 2 * p for p in range(1, n_max + 1)], spec.wavelength_nm
-    )
-    rows = [ConvergenceRow(p, res.A, res.T) for p, res in enumerate(results, start=1)]
-    for row in rows:
-        if not (math.isfinite(row.A) and math.isfinite(row.T)):
-            raise ValueError(
-                f"absorptance or transmission is not finite at {row.periods} periods; "
-                "the reflector chain overflows"
-            )
-
-    converged = None
-    for i in range(len(rows) - 1):
-        if abs(rows[i + 1].A - rows[i].A) < _CONVERGENCE_TOL:
-            converged = rows[i].periods
-            break
-    return ConvergenceReport(tuple(rows), converged, analytic_A, d_w_nm)
+    result = tmm.scatter_truncations(stack, range(3, 2 * n_max + 2, 2), spec.wavelength_nm)
+    finite = np.isfinite(result.A) & np.isfinite(result.T)
+    if not finite.all():
+        raise ValueError(
+            f"absorptance or transmission is not finite at {np.argmin(finite) + 1} periods; "
+            "the reflector chain overflows"
+        )
+    steps = np.flatnonzero(np.abs(np.diff(result.A)) < _CONVERGENCE_TOL)
+    converged = int(steps[0]) + 1 if steps.size else None
+    rows = tuple(map(ConvergenceRow, range(1, n_max + 1), result.A.tolist(), result.T.tolist()))
+    return ConvergenceReport(rows, converged, analytic_A, d_w_nm)

@@ -17,6 +17,10 @@ and the input impedance looking into the chain is
 (F11*eta_o + F12) / (F21*eta_o + F22). An exact short output terminal means
 eta_o = 0 and t = 0. No thin-layer or quarter-wave approximation is used
 anywhere here; those live in :mod:`stripcavity.analytic`.
+
+`scatter` returns Python numbers. `scatter_truncations`, behind the reflector
+period study, returns the same `ScatterResult` as columns over the layer
+counts, bit for bit `scatter` of each truncated stack.
 """
 
 from __future__ import annotations
@@ -96,18 +100,27 @@ class FMatrix:
 
 @dataclass(frozen=True)
 class ScatterResult:
-    """Complex reflection/transmission coefficients and the power balance."""
+    """Complex reflection/transmission coefficients and the power balance:
+    Python numbers from `scatter`, arrays over the layer counts from
+    `scatter_truncations`."""
 
-    r: complex
-    t: complex
-    R: float
-    T: float
-    A: float
+    r: complex | np.ndarray
+    t: complex | np.ndarray
+    R: float | np.ndarray
+    T: float | np.ndarray
+    A: float | np.ndarray
 
     @classmethod
-    def from_coefficients(cls, r: complex, t: complex) -> "ScatterResult":
-        R = (r.conjugate() * r).real
-        T = (t.conjugate() * t).real
+    def from_coefficients(cls, r, t) -> "ScatterResult":
+        """The power balance of Python complex or complex128 array coefficients.
+
+        ``r.real*r.real + r.imag*r.imag`` is bit for bit CPython's
+        ``(r.conjugate() * r).real``, and over float64 arrays it rounds the
+        same, so a scalar and a column agree. numpy's array complex product
+        does not, which is why `sweep` keeps its own form.
+        """
+        R = r.real * r.real + r.imag * r.imag
+        T = t.real * t.real + t.imag * t.imag
         return cls(r, t, R, T, 1.0 - R - T)
 
 
@@ -175,17 +188,19 @@ def _prepare(stack: Stack, wavelength_nm: float, layer_index: int | None = None)
     return n, d, 2.0 * math.pi / wavelength_nm, 1.0 / n_i, eta_o, stack.output.is_short
 
 
-def _coefficients(f11, f12, f21, f22, eta_i: float, eta_o: float, short: bool, empty=False):
-    """Reflection/transmission from chain entries; works on scalars or arrays.
+def _fraction(f11, f12, f21, f22, eta_i: float, eta_o: float):
+    """The numerator and denominator of r from chain entries, scalars or arrays.
 
-    eta_i is real, its own conjugate. The divisions are numpy's, also for the
-    scalar kernels' Python complex entries; an ``empty`` chain (the identity)
-    divides as Python does, which keeps a bare interface's bits.
+    eta_i is real, its own conjugate. The denominator is also t's.
     """
     num = f11 * eta_o + f12 - f21 * eta_i * eta_o - f22 * eta_i
     den = f11 * eta_o + f12 + f21 * eta_i * eta_o + f22 * eta_i
-    if not empty:
-        den = np.complex128(den)
+    return num, den
+
+
+def _coefficients(num, den, eta_i: float, eta_o: float, short: bool):
+    """Reflection/transmission from a `_fraction`: numpy divides a numpy
+    denominator, scalar or array alike, and Python a Python complex one."""
     r = num / den
     if short:
         t = np.zeros_like(r) if isinstance(r, np.ndarray) else 0.0j
@@ -197,29 +212,39 @@ def _coefficients(f11, f12, f21, f22, eta_i: float, eta_o: float, short: bool, e
 def scatter(stack: Stack, wavelength_nm: float) -> ScatterResult:
     """Exact reflection, transmission, and absorptance of a stack: one running
     product over the prepared chain, a repeated layer's cosh and sinh once."""
-    n, d, k0, *media = _prepare(stack, wavelength_nm)
-    r, t = _coefficients(*_kernels.chain_product(n, d, k0), *media, empty=not stack.layers)
+    n, d, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm)
+    num, den = _fraction(*_kernels.chain_product(n, d, k0), eta_i, eta_o)
+    # numpy divides the scalar kernel's Python complex entries; an empty
+    # chain (the identity) divides as Python does, keeping a bare interface's bits
+    r, t = _coefficients(num, np.complex128(den) if stack.layers else den, eta_i, eta_o, short)
     return ScatterResult.from_coefficients(complex(r), complex(t))
 
 
-def scatter_truncations(stack: Stack, layer_counts, wavelength_nm: float) -> list[ScatterResult]:
-    """`scatter` of the stack cut after each of ``layer_counts`` layers.
+def scatter_truncations(stack: Stack, layer_counts, wavelength_nm: float) -> ScatterResult:
+    """`scatter` of the stack cut after each of ``layer_counts`` layers, as columns.
 
     Every truncation keeps the input and output media. One running product
     over the prepared chain serves them all, a repeated layer costing its
-    cosh and sinh once, and each result is bit-identical to `scatter` of the
-    truncated stack.
+    cosh and sinh once. Each count's numerator and denominator are formed in
+    Python complex as `scatter` forms them, and one numpy division per
+    column divides them all: numpy's array and scalar division round alike.
+    A count of 0 (the identity) divides as Python does, as in `scatter`.
+    Entry k of each field is bit-identical to `scatter` of the stack cut
+    after ``layer_counts[k]`` layers.
     """
-    n, d, k0, *media = _prepare(stack, wavelength_nm)
-    results = []
+    n, d, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm)
+    counts = list(layer_counts)
     # A deep chain can overflow; its results are then inf or NaN for the
-    # caller to reject, without a warning per layer.
+    # caller to reject, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         prefixes = _kernels.chain_prefixes(n, d, k0)
-        for count in layer_counts:
-            r, t = _coefficients(*prefixes[count], *media, empty=not count)
-            results.append(ScatterResult.from_coefficients(complex(r), complex(t)))
-    return results
+        fractions = [_fraction(*prefixes[count], eta_i, eta_o) for count in counts]
+        num, den = np.array(fractions, np.complex128).reshape(len(counts), 2).T
+        r, t = _coefficients(num, den, eta_i, eta_o, short)
+        if 0 in counts:
+            empty = np.equal(counts, 0)
+            r[empty], t[empty] = _coefficients(*fractions[counts.index(0)], eta_i, eta_o, short)
+        return ScatterResult.from_coefficients(r, t)
 
 
 def input_impedance(stack: Stack, wavelength_nm: float) -> complex:
@@ -250,7 +275,7 @@ def sweep(stack: Stack, layer_index: int, thicknesses_nm, wavelength_nm: float) 
     values = np.ascontiguousarray(thicknesses_nm, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         f11, f12, f21, f22 = _kernels.chain_sweep(n, d, layer_index, values, k0)
-        r, t = _coefficients(f11, f12, f21, f22, eta_i, eta_o, short)
+        r, t = _coefficients(*_fraction(f11, f12, f21, f22, eta_i, eta_o), eta_i, eta_o, short)
         R = (np.conjugate(r) * r).real
         T = (np.conjugate(t) * t).real
     num = f11 * eta_o + f12

@@ -273,5 +273,7 @@ class TestMlcConvergence:
             run(spec)
 
     def test_overflowing_reflector_names_the_period_count(self):
-        with pytest.raises(ValueError, match=r"not finite at \d+ periods"):
-            mlc_convergence(DesignSpec(cavity="mlc"), 3000)
+        for c2, n_max, periods in (("Ta2O5", 3000, 1784), ("SiO", 10_000, 9930)):
+            spec = DesignSpec(cavity="mlc", low_index="SiO2", high_index=c2)
+            with pytest.raises(ValueError, match=rf"not finite at {periods} periods;"):
+                mlc_convergence(spec, n_max)

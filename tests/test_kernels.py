@@ -219,3 +219,28 @@ def test_scalar_complex_arithmetic_contract():
         scalar = [np.complex128(x) / np.complex128(y) for x, y in zip(left, right)]
         array = np.array(left) / np.array(right)
     assert np.array_equal(bits(scalar), bits(array)), "numpy scalar and array /"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 1451, 14501])
+def test_zero_d_operand_multiplies_as_the_numpy_scalar(m):
+    """`chain_sweep` keeps each memoised layer term as a 0-d complex128 array,
+    which numpy dispatches faster than its scalar. That keeps the kernel's bits
+    only while ``np.multiply`` of a ``(2, m)`` array by the 0-d array rounds as
+    by the numpy scalar, into a fresh array or the kernel's ``out=``."""
+    rng = np.random.default_rng(32 + m)
+    parts = rng.normal(size=(4, 2, m)) * 10.0 ** rng.integers(-150, 150, (4, 2, m))
+    parts[:, :, ::7] = 0.0
+    parts[:, :, 1::7] = -0.0
+    columns = parts[0] + 1j * parts[1]
+    columns.imag[:, ::5] = parts[1, :, ::5]  # signed zero imaginary parts
+    operands = np.append(parts[2, 0, :8] + 1j * parts[3, 0, :8],
+                         [1.0 + 0.0j, complex(0.0, -0.0), 1e300 + 1e-300j])
+    out_scalar, out_array = np.empty_like(columns), np.empty_like(columns)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for z in operands:
+            scalar, array = np.complex128(z), np.asarray(np.complex128(z))
+            assert array.shape == () and array.dtype == np.complex128
+            assert same_bits(np.multiply(columns, array), np.multiply(columns, scalar)), z
+            np.multiply(columns, scalar, out=out_scalar)
+            np.multiply(columns, array, out=out_array)
+            assert same_bits(out_array, out_scalar), z

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -380,13 +381,16 @@ def reference_coefficients(f11, f12, f21, f22, eta_i, eta_o, short):
 
 
 def reference_truncations(stack, counts):
+    """Rows (r, t, R, T, A), one per count, each count divided on its own and
+    its power balance CPython's ``(r.conjugate() * r).real``."""
     n, d, k0, eta_i, eta_o, short = reference_chain(stack)
     prefixes = numpy_scalar_prefixes(n, d, k0)
-    results = []
+    rows = []
     for count in counts:
-        r, t = reference_coefficients(*prefixes[count], eta_i, eta_o, short)
-        results.append(ScatterResult.from_coefficients(complex(r), complex(t)))
-    return results
+        r, t = map(complex, reference_coefficients(*prefixes[count], eta_i, eta_o, short))
+        R, T = (r.conjugate() * r).real, (t.conjugate() * t).real
+        rows.append((r, t, R, T, 1.0 - R - T))
+    return np.array(rows, dtype=np.complex128).reshape(len(rows), 5)
 
 
 def reference_input_impedance(stack):
@@ -451,8 +455,46 @@ def periodic_stacks():
     yield Stack(VACUUM, (make_wire_layer(),) + (lossy, lossless_layer(1.5, 200.0)) * 300, VACUUM)
 
 
-def result_bits(results):
-    return np.array([[x.r, x.t, x.R, x.T, x.A] for x in results], dtype=np.complex128)
+def result_bits(result):
+    """Rows (r, t, R, T, A) of a `ScatterResult` of Python numbers or columns."""
+    fields = np.array([result.r, result.t, result.R, result.T, result.A], dtype=np.complex128)
+    return np.ascontiguousarray(fields.reshape(5, -1).T)
+
+
+def test_power_balance_float_form_contract():
+    """`ScatterResult.from_coefficients` forms R as ``r.real*r.real +
+    r.imag*r.imag``. That keeps `scatter` on the bits of CPython's
+    ``(r.conjugate() * r).real`` only while the two agree, and keeps the
+    columns of `scatter_truncations` on `scatter`'s bits only while numpy's
+    float64 arrays round the form alike. numpy's array complex product does
+    not agree, which is why `sweep` keeps ``(np.conjugate(r) * r).real``, the
+    form its CSV digits were recorded with."""
+    rng = np.random.default_rng(31)
+    size = 20000
+    with np.errstate(under="ignore"):
+        parts = rng.normal(size=(2, size)) * 10.0 ** rng.integers(-330, 300, (2, size))
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e155,
+                math.inf, -math.inf, math.nan]
+    pairs = np.array([(x, y) for x in specials for y in specials]).T
+    parts[:, : pairs.shape[1]] = pairs
+    parts[0, 200::13] = rng.choice(specials, parts[0, 200::13].size)
+    parts[1, 201::17] = rng.choice(specials, parts[1, 201::17].size)
+    values = list(map(complex, parts[0].tolist(), parts[1].tolist()))
+
+    def bits(column):
+        return np.array(column, dtype=np.complex128)
+
+    cpython = bits([(z.conjugate() * z).real for z in values])
+    floats = bits([z.real * z.real + z.imag * z.imag for z in values])
+    array = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        numpy_floats = bits(array.real * array.real + array.imag * array.imag)
+        numpy_complex = bits((np.conjugate(array) * array).real)
+        column = bits(ScatterResult.from_coefficients(array, array).R)
+    assert same_bits(floats, cpython), "float form against CPython's conjugate product"
+    assert same_bits(numpy_floats, cpython), "float64 arrays against CPython's conjugate product"
+    assert same_bits(column, cpython), "from_coefficients on a column"
+    assert not same_bits(numpy_complex, cpython), "numpy's array complex product now agrees"
 
 
 class TestAgainstReferenceEngine:
@@ -461,13 +503,19 @@ class TestAgainstReferenceEngine:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_scatter_and_truncations(self):
         for stack in periodic_stacks():
-            counts = range(len(stack.layers) + 1)
-            got = scatter_truncations(stack, counts, LAMBDA)
-            assert same_bits(result_bits(got), result_bits(reference_truncations(stack, counts)))
-            for count in counts[:: max(1, len(counts) // 40)]:
+            size = len(stack.layers)
+            every = list(range(size + 1))
+            # unordered and repeated, the identity in the middle, and none at all
+            mixed = [3 % (size + 1), 0, 1, 0, size, 1, size // 2, size, 0]
+            for counts in (every, mixed, []):
+                got = scatter_truncations(stack, counts, LAMBDA)
+                assert all(np.shape(field) == (len(counts),) for field in astuple(got))
+                assert same_bits(result_bits(got), reference_truncations(stack, counts))
+            got = result_bits(scatter_truncations(stack, every, LAMBDA))
+            for count in every[:: max(1, len(every) // 40)] + [size]:
                 truncated = Stack(stack.input, stack.layers[:count], stack.output)
-                assert same_bits(result_bits([scatter(truncated, LAMBDA)]), result_bits(got[count:count + 1]))
-        assert not math.isfinite(got[-1].A)  # the last chain overflows
+                assert same_bits(result_bits(scatter(truncated, LAMBDA)), got[count:count + 1])
+        assert not np.isfinite(got[-1]).all()  # the last chain overflows
 
     def test_input_impedance(self):
         for stack in list(periodic_stacks())[:-1]:
