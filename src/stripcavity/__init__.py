@@ -65,13 +65,10 @@ from .stack import (
 )
 from .tmm import (
     OPEN_CIRCUIT,
-    FMatrix,
     ScatterResult,
     SweepResult,
     argmax_absorptance,
-    chain,
     input_impedance,
-    layer_fmatrix,
     scatter,
     sweep,
 )

@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -132,11 +133,25 @@ def _report_rows(report: DesignReport):
     return [(key, _fmt(value)) for key, value in data.items()]
 
 
-def _emit(args, as_csv: str, as_json) -> None:
+def _json_safe(value):
+    """``value`` with every non-finite float made None: JSON has no NaN or
+    infinities, so a report writes them as null (the CSV keeps nan and inf)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(item) for item in value]
+    return value
+
+
+def _emit(args, csv_text, report) -> None:
+    """Write the rendering that ``--format`` selects; each of ``csv_text``
+    and ``report`` builds one when called, so only the selected one is built."""
     if args.format == "structured-report":
-        _write_text(args.out, json.dumps(as_json, indent=2) + "\n")
+        _write_text(args.out, json.dumps(_json_safe(report()), indent=2, allow_nan=False) + "\n")
     else:
-        _write_text(args.out, as_csv)
+        _write_text(args.out, csv_text())
 
 
 def _cmd_design(args) -> int:
@@ -145,19 +160,17 @@ def _cmd_design(args) -> int:
         report = run_design_flow(_spec_from(args), registry)
     except (KeyError, ValueError) as exc:
         raise CliError(_message(exc)) from exc
-    _emit(args, _csv_text(("key", "value"), _report_rows(report)), report.as_dict())
+    _emit(args, lambda: _csv_text(("key", "value"), _report_rows(report)), report.as_dict)
     return 2 if report.warnings else 0
 
 
 def _emit_curves(args, curves: CurveSet) -> None:
     columns = (curves.x_nm, curves.A_analytic, curves.A_tmm, curves.eta_ratio)
-    if args.format == "structured-report":
-        rows = [
-            dict(zip(_SWEEP_HEADER, row)) for row in zip(*(column.tolist() for column in columns))
-        ]
-        _write_text(args.out, json.dumps(rows, indent=2) + "\n")
-    else:
-        _write_text(args.out, ",".join(_SWEEP_HEADER) + "\n" + encode_rows(columns))
+    _emit(
+        args,
+        lambda: ",".join(_SWEEP_HEADER) + "\n" + encode_rows(columns),
+        lambda: [dict(zip(_SWEEP_HEADER, row)) for row in zip(*(c.tolist() for c in columns))],
+    )
 
 
 def _grid_from(args, variable: str) -> tuple[float, float, float]:
@@ -189,7 +202,9 @@ def _custom_sweep(args, registry) -> CurveSet:
     if index is None:
         index = config.wire_layer_index if args.variable == "wire" else config.dielectric_layer_index
     if index is None:
-        raise CliError("custom stacks need --layer to pick the swept layer")
+        reason = ("a custom stack names no layer to sweep" if config.cavity == "custom"
+                  else f"the {config.cavity} layout has no dielectric spacer")
+        raise CliError(f"{reason}; --layer picks the swept layer")
     # Custom stacks default to the wire range whichever layer is swept.
     try:
         xs = sweep_grid(*_grid_from(args, "wire"))
@@ -238,11 +253,7 @@ def _cmd_table2(args) -> int:
         )
         for c in report.cells
     ]
-    _emit(
-        args,
-        _csv_text(header, rows),
-        [dict(zip(header, row)) for row in rows],
-    )
+    _emit(args, lambda: _csv_text(header, rows), lambda: [dict(zip(header, row)) for row in rows])
     failed = sum(1 for c in report.cells if not (c.analytic_ok and c.oracle_ok))
     print(f"table cells: {len(report.cells)} total, {len(report.cells) - failed} pass, {failed} fail", file=sys.stderr)
     if failed:
@@ -260,8 +271,8 @@ def _cmd_mlc_convergence(args) -> int:
     header = ("periods", "A_tmm", "T_tmm")
     rows = [(r.periods, r.A, r.T) for r in report.rows]
     # all numbers: csv.writer would quote no cell, and "%.12g" is _fmt's format
-    body = ("%d,%.12g,%.12g\n" * len(rows)) % tuple(v for row in rows for v in row)
-    _emit(args, ",".join(header) + "\n" + body, {
+    template = ",".join(header) + "\n" + "%d,%.12g,%.12g\n" * len(rows)
+    _emit(args, lambda: template % tuple(v for row in rows for v in row), lambda: {
         "rows": [dict(zip(header, row)) for row in rows],
         "converged_periods": report.converged_periods,
         "analytic_A": report.analytic_A,

@@ -18,9 +18,9 @@ and the input impedance looking into the chain is
 eta_o = 0 and t = 0. No thin-layer or quarter-wave approximation is used
 anywhere here; those live in :mod:`stripcavity.analytic`.
 
-`scatter` returns Python numbers. `scatter_truncations`, behind the reflector
-period study, returns the same `ScatterResult` as columns over the layer
-counts, bit for bit `scatter` of each truncated stack.
+`scatter_truncations`, behind the reflector period study, returns a
+`ScatterResult` of columns over the layer counts. `scatter` is its one-count
+case, the whole stack, as Python numbers.
 """
 
 from __future__ import annotations
@@ -28,20 +28,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from . import _kernels
-from .stack import Layer, Stack
+from .stack import Stack
 
 __all__ = [
-    "FMatrix",
     "ScatterResult",
     "SweepResult",
     "OPEN_CIRCUIT",
-    "layer_fmatrix",
-    "chain",
     "scatter",
     "scatter_truncations",
     "input_impedance",
@@ -66,39 +62,6 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class FMatrix:
-    """2x2 complex two-port matrix of a layer or chain of layers.
-
-    F12 carries impedance units and F21 admittance units (vacuum-normalised);
-    the determinant of any passive section is exactly 1.
-    """
-
-    f11: complex
-    f12: complex
-    f21: complex
-    f22: complex
-
-    def __matmul__(self, other: "FMatrix") -> "FMatrix":
-        return FMatrix(
-            self.f11 * other.f11 + self.f12 * other.f21,
-            self.f11 * other.f12 + self.f12 * other.f22,
-            self.f21 * other.f11 + self.f22 * other.f21,
-            self.f21 * other.f12 + self.f22 * other.f22,
-        )
-
-    @property
-    def det(self) -> complex:
-        return self.f11 * self.f22 - self.f12 * self.f21
-
-    @staticmethod
-    def identity() -> "FMatrix":
-        return FMatrix(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.f11, self.f12], [self.f21, self.f22]], dtype=np.complex128)
-
-
-@dataclass(frozen=True)
 class ScatterResult:
     """Complex reflection/transmission coefficients and the power balance:
     Python numbers from `scatter`, arrays over the layer counts from
@@ -112,12 +75,11 @@ class ScatterResult:
 
     @classmethod
     def from_coefficients(cls, r, t) -> "ScatterResult":
-        """The power balance of Python complex or complex128 array coefficients.
+        """The power balance of complex128 array coefficients.
 
-        ``r.real*r.real + r.imag*r.imag`` is bit for bit CPython's
-        ``(r.conjugate() * r).real``, and over float64 arrays it rounds the
-        same, so a scalar and a column agree. numpy's array complex product
-        does not, which is why `sweep` keeps its own form.
+        ``r.real*r.real + r.imag*r.imag`` over float64 arrays rounds each
+        entry as CPython's ``(r.conjugate() * r).real`` does. numpy's array
+        complex product does not, which is why `sweep` keeps its own form.
         """
         R = r.real * r.real + r.imag * r.imag
         T = t.real * t.real + t.imag * t.imag
@@ -135,23 +97,6 @@ class SweepResult:
     T: np.ndarray
     A: np.ndarray
     eta_in: np.ndarray
-
-
-def layer_fmatrix(layer: Layer, wavelength_nm: float) -> FMatrix:
-    """Two-port matrix of a single layer at the given vacuum wavelength."""
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
-    n = layer.material.optical_constant.n
-    k0 = 2.0 * math.pi / wavelength_nm
-    gd = 1j * k0 * n * layer.thickness_nm
-    c = cmath.cosh(gd)
-    s = cmath.sinh(gd)
-    return FMatrix(c, s / n, s * n, c)
-
-
-def chain(matrices) -> FMatrix:
-    """Ordered product of two-port matrices, input side first."""
-    return reduce(lambda a, b: a @ b, matrices, FMatrix.identity())
 
 
 def _prepare(stack: Stack, wavelength_nm: float, layer_index: int | None = None):
@@ -199,38 +144,31 @@ def _fraction(f11, f12, f21, f22, eta_i: float, eta_o: float):
 
 
 def _coefficients(num, den, eta_i: float, eta_o: float, short: bool):
-    """Reflection/transmission from a `_fraction`: numpy divides a numpy
-    denominator, scalar or array alike, and Python a Python complex one."""
+    """Reflection/transmission from a `_fraction`: numpy divides an array
+    denominator, and Python a Python complex one."""
     r = num / den
-    if short:
-        t = np.zeros_like(r) if isinstance(r, np.ndarray) else 0.0j
-    else:
-        t = 2.0 * math.sqrt(eta_i * eta_o) / den
-    return r, t
+    return r, np.zeros_like(r) if short else 2.0 * math.sqrt(eta_i * eta_o) / den
 
 
 def scatter(stack: Stack, wavelength_nm: float) -> ScatterResult:
-    """Exact reflection, transmission, and absorptance of a stack: one running
-    product over the prepared chain, a repeated layer's cosh and sinh once."""
-    n, d, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm)
-    num, den = _fraction(*_kernels.chain_product(n, d, k0), eta_i, eta_o)
-    # numpy divides the scalar kernel's Python complex entries; an empty
-    # chain (the identity) divides as Python does, keeping a bare interface's bits
-    r, t = _coefficients(num, np.complex128(den) if stack.layers else den, eta_i, eta_o, short)
-    return ScatterResult.from_coefficients(complex(r), complex(t))
+    """Exact reflection, transmission, and absorptance of a stack, as Python
+    numbers: `scatter_truncations` of the whole stack, one count. A chain
+    that overflows gives inf or NaN, without a warning."""
+    res = scatter_truncations(stack, [len(stack.layers)], wavelength_nm)
+    return ScatterResult(res.r.item(), res.t.item(), res.R.item(), res.T.item(), res.A.item())
 
 
 def scatter_truncations(stack: Stack, layer_counts, wavelength_nm: float) -> ScatterResult:
-    """`scatter` of the stack cut after each of ``layer_counts`` layers, as columns.
+    """The stack cut after each of ``layer_counts`` layers, scattered, as columns.
 
     Every truncation keeps the input and output media. One running product
     over the prepared chain serves them all, a repeated layer costing its
     cosh and sinh once. Each count's numerator and denominator are formed in
-    Python complex as `scatter` forms them, and one numpy division per
-    column divides them all: numpy's array and scalar division round alike.
-    A count of 0 (the identity) divides as Python does, as in `scatter`.
+    Python complex, and one numpy division per column divides them all:
+    numpy's array and scalar division round alike. A count of 0 (the
+    identity) divides as Python does, keeping a bare interface's bits.
     Entry k of each field is bit-identical to `scatter` of the stack cut
-    after ``layer_counts[k]`` layers.
+    after ``layer_counts[k]`` layers, which is this with one count.
     """
     n, d, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm)
     counts = list(layer_counts)

@@ -155,6 +155,22 @@ class TestSweep:
         assert rows[0] == SWEEP_HEADER
         assert len(rows) == 10
         assert rows[1][1] == "nan"
+        # a quarter-wave layer on a short is an open circuit: the CSV keeps
+        # inf and nan, and the strict-JSON report writes both as null
+        config.write_text("cavity: custom\nlayers: [{material: SiO, thickness_nm: 250}]\noutput: short\n")
+        argv = ["sweep", "--stack", str(config), "--layer", "0",
+                "--range", f"{1550 / (4 * 1.551)!r}:251", "--step", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert [row[1::2] for row in read_csv(out)[1:]] == [["nan", "inf"], ["nan", "102.546894219"]]
+        assert main(argv + ["--format", "structured-report"]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert [(row["A_analytic"], row["eta_ratio"]) for row in report] == [
+            (None, None), (None, pytest.approx(102.546894219)),
+        ]
 
     def test_bad_range(self, capsys):
         assert main(["sweep", "--cavity", "ssc", "--range", "30:1"]) == 1
@@ -360,10 +376,15 @@ def test_back_to_back_calls_share_no_state(tmp_path):
     # a Python float ** raises OverflowError where numpy would give inf
     (["mlc-convergence", "--cavity", "mlc", "--wire-nm", "1e308"],
      "closed-form absorptance overflows at a 1e+308 nm wire"),
+    # a config without the layer that --variable names
+    (["sweep", "--stack", "{stack}"], "a custom stack names no layer to sweep; --layer picks"),
+    (["sweep", "--stack", "{mlc}", "--variable", "dielectric"],
+     "the mlc layout has no dielectric spacer; --layer picks the swept layer"),
 ])
 def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
-    stack = write_custom_stack(tmp_path)
-    assert message in one_error_line(capsys, [arg.format(stack=stack) for arg in argv])
+    stack, mlc = write_custom_stack(tmp_path), tmp_path / "mlc.yaml"
+    mlc.write_text("cavity: mlc\nwire: {thickness_nm: 8}\n")
+    assert message in one_error_line(capsys, [arg.format(stack=stack, mlc=mlc) for arg in argv])
 
 
 @pytest.mark.parametrize("command", ["design", "mlc-convergence"])
