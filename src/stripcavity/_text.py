@@ -5,14 +5,15 @@ prints in fixed notation, so its text depends only on the sign, on X and on
 the twelve digits m = round(|v| * 10**(11 - X)). That product of two exact
 doubles is correctly rounded, and below 10**12 every tie k + 0.5 is itself a
 double, so the product never crosses a tie: ``rint`` gives dtoa's digits
-unless the product is the tie. Cells near a tie, and exponents outside
-[-4, 11], are formatted by ``%`` in one batch; nan, infinities and zeros are
-constants. Everything else is numpy arithmetic over whole columns.
+unless the product is the tie. Cells with X in [-4, 3], whose integer part
+fits one 4-digit group, are numpy arithmetic over whole columns. Cells near
+a tie, fixed cells of 10**4 and above, and other exponents go to ``%`` in one
+batch; nan, infinities and zeros are constants.
 
-Each cell is eight 4-byte words: the separator before it, the sign and the
-"0" of "0.xxx"; three words of integer digits without leading zeros; the
-point and the zeros after it; three words of fractional digits without
-trailing zeros. Unused bytes are nul and are dropped from the text.
+Each cell is six 4-byte words: the separator before it, the sign and the
+"0" of "0.xxx"; one word of integer digits without leading zeros; the point
+and the zeros after it; three words of fractional digits without trailing
+zeros. Unused bytes are nul and are dropped from the text.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ __all__ = ["encode_rows"]
 # Rows per block: the working arrays of a block stay in cache, and their
 # size, not the grid's, bounds the memory the encoder needs.
 _BLOCK_ROWS = 1 << 12
-_WORDS = 8
+_WORDS = 6
 _TEXT = np.dtype((np.void, 4 * _WORDS - 4))  # a cell's words after the first
-# dtoa cells fill those 28 bytes ("%.12g" needs at most 19, as in
+# dtoa cells fill those 20 bytes ("%.12g" needs at most 19, as in
 # "-4.94065645841e-324"); the padding spaces are dropped with the nul bytes.
 _FALLBACK = f"%-{_TEXT.itemsize}.12g"
 _TIE_MARGIN = 1e-3  # only a product exactly at a tie is ambiguous; this is slack
@@ -74,32 +75,25 @@ def _items(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))[:, 0]
 
 
-def _groups(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three 4-digit groups of n < 10**12 (numpy's % is slower than this)."""
-    high = n // 10**8
-    low = n - high * 10**8
-    middle = low // 10**4
-    return high, middle, low - middle * 10**4
-
-
 def _fixed_words(negative: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(n, _WORDS) uint32 text of the cells with sign, exponent X and digits m."""
+    """(n, _WORDS) uint32 text of the cells with sign, exponent X <= 3 and digits m."""
     # m = integer * 10**e + rest; the fraction is rest moved up to twelve digits
     e = np.minimum(11 - x, 12)
     integer = m // _IPOW10[e]
     fraction = (m - integer * _IPOW10[e]) * _IPOW10[12 - e]
-    i0, i1, i2 = _groups(integer)
-    f0, f1, f2 = _groups(fraction)
+    # its three 4-digit groups (numpy's % is slower than this)
+    f0 = fraction // 10**8
+    low = fraction - f0 * 10**8
+    f1 = low // 10**4
+    f2 = low - f1 * 10**4
 
     words = np.empty((len(m), _WORDS), np.uint32)
     words[:, 0] = _MINUS * negative | _UNITS * (x < 0)
-    words[:, 1] = _GROUPS[_LEAD + i0]
-    words[:, 2] = _GROUPS[np.where(i0 > 0, i1, _LEAD + i1)]
-    words[:, 3] = _GROUPS[np.where(integer >= 10**4, i2, _LEAD + i2)]
-    words[:, 4] = np.where(fraction > 0, _POINTS[np.maximum(-1 - x, 0)], 0)
-    words[:, 5] = _GROUPS[np.where((f1 | f2) > 0, f0, _TRAIL + f0)]
-    words[:, 6] = _GROUPS[np.where(f2 > 0, f1, _TRAIL + f1)]
-    words[:, 7] = _GROUPS[_TRAIL + f2]
+    words[:, 1] = _GROUPS[_LEAD + integer]
+    words[:, 2] = np.where(fraction > 0, _POINTS[np.maximum(-1 - x, 0)], 0)
+    words[:, 3] = _GROUPS[np.where((f1 | f2) > 0, f0, _TRAIL + f0)]
+    words[:, 4] = _GROUPS[np.where(f2 > 0, f1, _TRAIL + f1)]
+    words[:, 5] = _GROUPS[_TRAIL + f2]
     return words
 
 
@@ -108,7 +102,7 @@ def _cell_words(v: np.ndarray) -> np.ndarray:
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.floor(np.log10(a))
-    fast = np.isfinite(x) & (x >= -4) & (x <= 11)
+    fast = np.isfinite(x) & (x >= -4) & (x <= 3)
     # the other cells compute on 1.0, which keeps the arithmetic finite
     x = np.where(fast, x, 0).astype(np.int64)
     s = np.where(fast, a, 1.0) * _POW10[11 - x]

@@ -73,8 +73,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _csv_text(header, rows) -> str:

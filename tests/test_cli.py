@@ -387,6 +387,24 @@ def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     assert message in one_error_line(capsys, [arg.format(stack=stack, mlc=mlc) for arg in argv])
 
 
+@pytest.mark.parametrize("fmt", ["csv", "structured-report"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/x.csv", "No such file or directory"),
+    ("", "Is a directory"),
+], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["design", "--cavity", "ssc"],
+    ["table2"],
+    ["sweep", "--cavity", "ssc", "--range", "1:2", "--step", "0.5"],
+    ["impedance", "--cavity", "mlc", "--range", "1:2", "--step", "0.5"],
+    ["mlc-convergence", "--cavity", "mlc", "--max-periods", "3"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv, target, reason, fmt):
+    path = tmp_path / target
+    err = one_error_line(capsys, argv + ["--format", fmt, "--out", str(path)])
+    assert err == f"error: cannot write {path}: {reason}\n"
+
+
 @pytest.mark.parametrize("command", ["design", "mlc-convergence"])
 def test_mlc_ignores_mirror(tmp_path, command):
     # the reflector-backed cavity has no mirror, so --mirror names nothing it uses

@@ -20,12 +20,14 @@ def assert_encodes(columns):
 
 def adversarial():
     """Cells at every edge of the fast path, both signs."""
-    edges = [10.0**-4, 10.0**11, 10.0**12]
+    edges = [10.0**-4, 10.0**4, 10.0**11, 10.0**12]
     cells = [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)] + edges
     cells += [
         999999999999.5, 99999999999.5, 0.5, 1.5, 2.5, 0.125, 1.25e-4, 123456789012.5,
         0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1e-300, 1.7976931348623157e308,
         0.1, 1 / 3, 2 / 3, 9.9999999999995, 9.99999999999949, 0.00099999999999995,
+        # the last numpy cell below 10**4, and one that rounds up to it
+        9999.999999994, 9999.999999996,
     ]
     cells += [10.0**k for k in range(-8, 17)]
     # the doubles nearest to ties at the twelfth digit, and their neighbours,
@@ -43,6 +45,17 @@ def test_adversarial_cells():
     for shift in range(4):  # every cell in every column
         columns = [np.roll(cells, shift + k) for k in range(4)]
         assert_encodes(columns)
+
+
+@pytest.mark.parametrize("step", [2.0, 2 / 3])
+def test_column_of_ten_thousand_and_above(step):
+    """A whole column in [10**4, 10**12), beside [0, 1] columns, over several blocks."""
+    large = np.arange(1e4, 4e4, step)
+    n = len(large)
+    unit = np.linspace(0, 1, n)
+    columns = [unit, large, np.random.default_rng(0).random(n), 1 - unit]
+    assert n > 2 * 4096
+    assert_encodes(columns)
 
 
 def test_special_columns():
