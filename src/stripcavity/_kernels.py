@@ -13,9 +13,10 @@ with g = i*k0*n and eta = 1/n per layer. Two shapes of work use it:
   reflector period study scatters all its truncations from one pass, as
   columns.
 - ``chain_sweep``: one layer swept over an array of thicknesses, the whole
-  chain multiplied left to right for every point, the two columns of the
-  running product updated in place. Curves keep this order and these
-  per-layer scalars so their CSV digits do not move.
+  chain multiplied left to right for every point, the running product held
+  as one ``(2, 2, m)`` array of its two columns and updated in place. Curves
+  keep this order and these per-layer scalars so their CSV digits do not
+  move.
 
 Both compute each distinct layer's terms once per call and reuse them
 wherever it repeats, so an N-period reflector costs three layers' cosh and
@@ -89,23 +90,22 @@ def chain_sweep(n, d, idx, values, k0):
     """The chain product batched over the thicknesses ``values`` of layer ``idx``.
 
     The running product is held as its two columns, ``a = (f11, f21)`` and
-    ``b = (f12, f22)``, two ``(2, m)`` arrays updated in place through two
-    scratch arrays: six ufunc calls per layer. Each element gets the same
-    multiplies and additions as the entry-by-entry product, the addends of
-    ``b`` in swapped order, which IEEE addition does not see. ``c``,
-    ``s * n[j]`` and ``s / n[j]`` are numpy-scalar results, once per distinct
-    layer (arrays at ``idx``, which skips the memo): numpy rounds ``s * n``
-    over an array of layers differently from the scalar product. The memo
-    holds them as 0-d arrays, which a ufunc takes with less dispatch than a
-    scalar and multiplies by bit for bit the same.
+    ``b = (f12, f22)``, the two halves of one ``(2, 2, m)`` array ``ab``,
+    updated in place through one scratch array of that shape: four ufunc
+    calls per layer. Each element gets the same multiplies and additions as
+    the entry-by-entry product, the addends of ``b`` in swapped order, which
+    IEEE addition does not see. ``c``, ``s * n[j]`` and ``s / n[j]`` are
+    numpy-scalar results, once per distinct layer (arrays at ``idx``, which
+    skips the memo): numpy rounds ``s * n`` over an array of layers
+    differently from the scalar product. The memo holds them as 0-d arrays,
+    which a ufunc takes with less dispatch than a scalar and multiplies by
+    bit for bit the same.
     """
-    m = values.shape[0]
-    a = np.zeros((2, m), np.complex128)
-    b = np.zeros((2, m), np.complex128)
-    a[0] = 1.0
-    b[1] = 1.0
-    t = np.empty_like(a)
-    u = np.empty_like(a)
+    ab = np.zeros((2, 2, values.shape[0]), np.complex128)
+    ab[0, 0] = 1.0
+    ab[1, 1] = 1.0
+    a, b = ab
+    t = np.empty_like(ab)
     memo = {}
     keys = zip(n.view(_INDEX_BITS).tolist(), d.view(_THICKNESS_BITS).tolist(), strict=True)
     for j, key in enumerate(keys):
@@ -117,10 +117,8 @@ def chain_sweep(n, d, idx, values, k0):
             if j != idx:
                 memo[key] = terms
         c, g, h = terms
-        np.multiply(b, g, out=t)
-        np.multiply(a, h, out=u)
-        np.multiply(a, c, out=a)
-        a += t
-        np.multiply(b, c, out=b)
-        b += u
+        np.multiply(b, g, out=t[0])
+        np.multiply(a, h, out=t[1])
+        ab *= c
+        ab += t
     return a[0], b[0], a[1], b[1]

@@ -159,6 +159,18 @@ def thickness_from_detuning(dphi: float, n: float, wavelength_nm: float) -> floa
     return (0.5 * math.pi + dphi) * wavelength_nm / (2.0 * math.pi * n)
 
 
+def _spacer_from_detuning(dphi: float, n: float, wavelength_nm: float) -> float:
+    """Closed-form spacer thickness of a detuning, refused when not positive:
+    a detuning at or below -pi/2 has no spacer to build."""
+    d = thickness_from_detuning(dphi, n, wavelength_nm)
+    if d <= 0:
+        raise ValueError(
+            f"the closed-form spacer is {d:.6g} nm: its detuning {dphi:.6g} rad "
+            "is at or below -pi/2"
+        )
+    return d
+
+
 def combine_dsc_detunings(
     dphi_c1: FloatOrArray, dphi_c2: FloatOrArray, ctx: CavityContext
 ) -> FloatOrArray:
@@ -257,7 +269,7 @@ def dielectric_optimum_ssc(ctx: CavityContext) -> OptimumPoint:
     The optimum sits below quarter-wave: the wire's Re(eps) and the mirror's
     penetration both shave the required phase. dphi is computed first and the
     thickness derived from it, so this and the detuning family cannot drift
-    apart.
+    apart. A detuning at or below -pi/2 is a ValueError: no spacer realises it.
     """
     _need(ctx, "n_c")
     e = ctx.eps_w
@@ -265,7 +277,7 @@ def dielectric_optimum_ssc(ctx: CavityContext) -> OptimumPoint:
     if mag == 0:
         raise ValueError("wire permittivity must be nonzero")
     dphi = -ctx.n_i * e.real / (ctx.n_c * mag) + ctx.n_c * _mirror_phase_shift(ctx)
-    d_opt = thickness_from_detuning(dphi, ctx.n_c, ctx.wavelength_nm)
+    d_opt = _spacer_from_detuning(dphi, ctx.n_c, ctx.wavelength_nm)
     return OptimumPoint(d_opt, max_absorptance_detuned(e), dphi)
 
 
@@ -308,7 +320,7 @@ def absorptance_dsc_dielectric(dphi_dsc: FloatOrArray, ctx: CavityContext) -> Fl
 def dielectric_optimum_dsc(ctx: CavityContext) -> OptimumPoint:
     """Combined detuning maximising the double-side absorptance, and the upper
     dielectric thickness realising it when the lower layer stays at exact
-    quarter-wave."""
+    quarter-wave. An upper detuning at or below -pi/2 is a ValueError."""
     _need(ctx, "n_c1", "n_c2")
     e = ctx.eps_w
     mag = abs(e)
@@ -318,7 +330,7 @@ def dielectric_optimum_dsc(ctx: CavityContext) -> OptimumPoint:
         ctx.n_c2**2 / ctx.n_c1
     ) * _mirror_phase_shift(ctx)
     dphi_c2 = (ctx.n_c1 / ctx.n_c2) * dphi_dsc
-    d_c2 = thickness_from_detuning(dphi_c2, ctx.n_c2, ctx.wavelength_nm)
+    d_c2 = _spacer_from_detuning(dphi_c2, ctx.n_c2, ctx.wavelength_nm)
     return OptimumPoint(d_c2, max_absorptance_detuned(e), dphi_dsc)
 
 

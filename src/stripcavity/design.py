@@ -335,14 +335,15 @@ def _optima(spec: DesignSpec, registry: MaterialRegistry, ctx: CavityContext, wi
     cavity = _TABLE[spec.cavity]
     wire_opt = cavity.wire_optimum(ctx)
     d_w = wire_opt.d_opt_nm
+    # before any stack: a spacer the closed form cannot realise fails by name
+    spacer_opt = None if cavity.spacer_optimum is None else cavity.spacer_optimum(ctx)
     stack = _build_stack(spec, registry, d_w, mirror_token="pec-surrogate")
     lo, hi = windows[0] if windows else (0.3 * d_w, 3.0 * d_w)
     wire_oracle = tmm.argmax_absorptance(
         stack, cavity.layout.wire_index, lo, hi, spec.wavelength_nm
     )
-    if cavity.spacer_optimum is None:
+    if spacer_opt is None:
         return wire_opt, wire_oracle, None, None
-    spacer_opt = cavity.spacer_optimum(ctx)
     designed = _build_stack(spec, registry, d_w)
     index = cavity.layout.spacer_index
     qw = designed.layers[index].thickness_nm

@@ -17,6 +17,8 @@ import pytest
 
 from stripcavity import _kernels
 from stripcavity.cli import main
+from stripcavity.design import DesignSpec, _build_stack
+from stripcavity.materials import builtin_registry
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,11 +45,17 @@ def test_every_traced_entry_point_resolves(tracer):
 def test_traced_run_counts_work(tracer, tmp_path):
     with tracer.Tracer() as trace:
         assert main(["design", "--cavity", "mlc", "--out", str(tmp_path / "design.csv")]) == 0
+        design_points = trace.counters["kernels.layer_points"]
         assert main(["sweep", "--cavity", "ssc", "--range", "1:30", "--step", "1",
                      "--out", str(tmp_path / "sweep.csv")]) == 0
     summary = trace.summary()
     for counter in ("kernels.calls", "tmm.points", "stack.layers_built"):
         assert summary.get(counter, 0) > 0, counter
+    # The tracer reads chain_sweep's layers and points from its arguments 0
+    # and 3; a reordered signature would miscount them.
+    stack = _build_stack(DesignSpec(cavity="ssc"), builtin_registry(), 10.0,
+                         mirror_token="pec-surrogate")
+    assert summary["kernels.layer_points"] - design_points == len(stack.layers) * 30
 
 
 def test_runner_reads_existing_kernel_attributes():

@@ -76,6 +76,28 @@ class TestRunDesignFlow:
         with pytest.raises(ValueError, match="smaller refractive index"):
             run_design_flow(spec)
 
+    @pytest.mark.parametrize("input_medium, spacer", [(None, "-74.74"), ("Vacuum", "-917.4")])
+    def test_negative_closed_form_spacer_fails_before_any_stack(
+        self, monkeypatch, input_medium, spacer
+    ):
+        # Si below the wire detunes the upper SiO2 past -pi/2: the closed form
+        # asks for a negative spacer, which is refused by name, not by Layer
+        def no_stack(*args, **kwargs):
+            raise AssertionError("a stack was built")
+
+        monkeypatch.setattr(design, "_build_stack", no_stack)
+        spec = DesignSpec(cavity="dsc", line_nm=20, slit_nm=400, lower_dielectric="Si",
+                          upper_dielectric="SiO2", input_medium=input_medium)
+        with pytest.raises(ValueError, match=rf"closed-form spacer is {spacer}\d* nm: its "
+                                             r"detuning -\S+ rad is at or below -pi/2"):
+            run_design_flow(spec)
+
+    def test_negative_closed_form_ssc_spacer_is_a_value_error(self):
+        # a dense input over a low-index spacer: -n_i*Re(eps)/(n_c*|eps|) < -pi/2
+        ctx = analytic.CavityContext(10.0 - 1.0j, n_i=3.5, n_c=1.0)
+        with pytest.raises(ValueError, match="closed-form spacer is -.* at or below -pi/2"):
+            analytic.dielectric_optimum_ssc(ctx)
+
     def test_warning_collection(self):
         # nearly empty grating: the optimum wire is far beyond the thin-wire zone
         report = run_design_flow(DesignSpec(cavity="ssc", slit_nm=7920.0))

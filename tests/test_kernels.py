@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stripcavity import _kernels
+from stripcavity.design import DesignSpec, sweep_curves
 
 K0 = 2 * np.pi / 1550.0
 
@@ -144,6 +145,38 @@ def test_chain_sweep_is_bitwise_the_per_layer_loop():
             checked += 1
         assert not np.isfinite(got[0]).all()  # the last chain overflows
     assert checked > 250
+
+
+# The curves the benchmark's sweep-large and deep-reflector workloads draw,
+# with the (layers, points) each hands to `chain_sweep`.
+BENCHMARK_SWEEPS = {
+    "ssc-wire": (DesignSpec(cavity="ssc"), "wire", (1.0, 30.0, 0.002), (3, 14501)),
+    "dsc-dielectric": (DesignSpec(cavity="dsc"), "dielectric", (150.0, 300.0, 0.01), (4, 15001)),
+    "mlc-wire": (DesignSpec(cavity="mlc"), "wire", (1.0, 30.0, 0.002), (13, 14501)),
+    "SiO2-SiO-80-wire": (
+        DesignSpec(cavity="mlc", low_index="SiO2", high_index="SiO", periods=80),
+        "wire", (1.0, 30.0, 0.02), (161, 1451),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BENCHMARK_SWEEPS)
+def test_chain_sweep_is_bitwise_the_per_layer_loop_at_benchmark_shapes(monkeypatch, case):
+    spec, variable, grid, shape = BENCHMARK_SWEEPS[case]
+    kernel, calls = _kernels.chain_sweep, []
+
+    def recording(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "chain_sweep", recording)
+    sweep_curves(spec, variable, *grid)
+    [(n, d, idx, values, k0)] = calls
+    assert (len(n), len(values)) == shape
+    got = kernel(n, d, idx, values, k0)
+    want = per_layer_loop_sweep(n, d, idx, values, k0)
+    for name, x, y in zip(("f11", "f12", "f21", "f22"), got, want):
+        assert same_bits(x, y), name
 
 
 def numpy_scalar_prefixes(n, d, k0):
