@@ -12,14 +12,12 @@ from .analytic import (
     absorptance_mlc,
     absorptance_ssc,
     absorptance_ssc_dielectric,
-    analytic_input_impedance,
     combine_dsc_detunings,
     detuning_from_thickness,
     dielectric_optimum_dsc,
     dielectric_optimum_ssc,
     max_absorptance,
     max_absorptance_detuned,
-    mlc_reflection,
     qwt_relations,
     thickness_from_detuning,
     wire_optimum_dsc,

@@ -1,5 +1,5 @@
-"""Closed-form cavity results: absorptance models, optimal thicknesses,
-matched input impedances, and the quarter-wave-transformer view.
+"""Closed-form cavity results: absorptance models, optimal thicknesses and
+the quarter-wave-transformer view.
 
 All expressions here assume a thin absorbing wire layer, lossless dielectrics
 near quarter-wave thickness, and (where a metal mirror enters) an extinction
@@ -47,8 +47,6 @@ __all__ = [
     "wire_optimum_dsc",
     "absorptance_dsc_dielectric",
     "dielectric_optimum_dsc",
-    "mlc_reflection",
-    "analytic_input_impedance",
     "qwt_relations",
 ]
 
@@ -71,8 +69,7 @@ class CavityContext:
 
     eps_w is the effective wire-layer permittivity; n_c is the single-spacer
     index, n_c1/n_c2 the lower/upper (or reflector pair) indices, and n_m the
-    complex mirror index (None means the ideal-mirror limit). n_o only enters
-    the finite-period reflector formula.
+    complex mirror index (None means the ideal-mirror limit).
     """
 
     eps_w: complex
@@ -81,7 +78,6 @@ class CavityContext:
     n_c1: float | None = None
     n_c2: float | None = None
     n_m: complex | None = None
-    n_o: float = 1.0
     wavelength_nm: float = 1550.0
 
     def __post_init__(self) -> None:
@@ -97,6 +93,8 @@ class CavityContext:
             raise ValueError("Im(eps_w) must be <= 0 under the package sign convention")
         if self.n_m is not None and complex(self.n_m).imag > 0:
             raise ValueError("Im(n_m) must be <= 0 under the package sign convention")
+        if self.eps_w == 0:
+            raise ValueError("wire permittivity must be nonzero")
 
     @property
     def k0(self) -> float:
@@ -228,10 +226,7 @@ absorptance_mlc = absorptance_ssc
 def wire_optimum_ssc(ctx: CavityContext) -> OptimumPoint:
     """Wire thickness maximising the single-side cavity absorptance:
     d = n_i/(k0*|eps_w|)."""
-    mag = abs(ctx.eps_w)
-    if mag == 0:
-        raise ValueError("wire permittivity must be nonzero")
-    return OptimumPoint(ctx.n_i / (ctx.k0 * mag), max_absorptance(ctx.eps_w))
+    return OptimumPoint(ctx.n_i / (ctx.k0 * abs(ctx.eps_w)), max_absorptance(ctx.eps_w))
 
 
 wire_optimum_mlc = wire_optimum_ssc
@@ -274,8 +269,6 @@ def dielectric_optimum_ssc(ctx: CavityContext) -> OptimumPoint:
     _need(ctx, "n_c")
     e = ctx.eps_w
     mag = abs(e)
-    if mag == 0:
-        raise ValueError("wire permittivity must be nonzero")
     dphi = -ctx.n_i * e.real / (ctx.n_c * mag) + ctx.n_c * _mirror_phase_shift(ctx)
     d_opt = _spacer_from_detuning(dphi, ctx.n_c, ctx.wavelength_nm)
     return OptimumPoint(d_opt, max_absorptance_detuned(e), dphi)
@@ -295,10 +288,7 @@ def wire_optimum_dsc(ctx: CavityContext) -> OptimumPoint:
     """Wire thickness maximising the double-side cavity absorptance:
     d = n_c1**2/(k0*n_i*|eps_w|)."""
     _need(ctx, "n_c1")
-    mag = abs(ctx.eps_w)
-    if mag == 0:
-        raise ValueError("wire permittivity must be nonzero")
-    d_opt = ctx.n_c1**2 / (ctx.k0 * ctx.n_i * mag)
+    d_opt = ctx.n_c1**2 / (ctx.k0 * ctx.n_i * abs(ctx.eps_w))
     return OptimumPoint(d_opt, max_absorptance(ctx.eps_w))
 
 
@@ -324,73 +314,12 @@ def dielectric_optimum_dsc(ctx: CavityContext) -> OptimumPoint:
     _need(ctx, "n_c1", "n_c2")
     e = ctx.eps_w
     mag = abs(e)
-    if mag == 0:
-        raise ValueError("wire permittivity must be nonzero")
     dphi_dsc = -ctx.n_c1 * e.real / (ctx.n_i * mag) + (
         ctx.n_c2**2 / ctx.n_c1
     ) * _mirror_phase_shift(ctx)
     dphi_c2 = (ctx.n_c1 / ctx.n_c2) * dphi_dsc
     d_c2 = _spacer_from_detuning(dphi_c2, ctx.n_c2, ctx.wavelength_nm)
     return OptimumPoint(d_c2, max_absorptance_detuned(e), dphi_dsc)
-
-
-def mlc_reflection(d_w: float, periods: int, ctx: CavityContext) -> tuple[complex, complex]:
-    """Reflection off the reflector-backed cavity: (finite-period value,
-    large-period limit).
-
-    Both use the thin-wire layer matrix; the finite-period value keeps the
-    full reflector algebra while the limit drops the decaying diagonal. They
-    are returned together so convergence in the period count stays testable.
-    """
-    _need(ctx, "n_c1", "n_c2")
-    if ctx.n_c1 >= ctx.n_c2:
-        raise ValueError(
-            "the layer adjacent to the wire must have the smaller refractive index "
-            f"(n_c1 = {ctx.n_c1} >= n_c2 = {ctx.n_c2})"
-        )
-    if periods < 1:
-        raise ValueError(f"period count must be >= 1, got {periods}")
-    if d_w <= 0:
-        raise ValueError(f"wire thickness must be > 0 nm, got {d_w}")
-    _warn_wire(d_w, ctx.wavelength_nm)
-
-    k0 = ctx.k0
-    e = ctx.eps_w
-    eta_i = 1.0 / ctx.n_i
-    eta_o = 1.0 / ctx.n_o
-    # One quarter-wave pair is diag(-eta_c1/eta_c2, -eta_c2/eta_c1); the
-    # N-period chain raises each entry to the Nth power.
-    a = (-ctx.n_c2 / ctx.n_c1) ** periods
-    b = (-ctx.n_c1 / ctx.n_c2) ** periods
-    f11 = a
-    f12 = b * 1j * k0 * d_w          # eta_w * gamma_w * d_w = i*k0*d_w
-    f21 = a * 1j * k0 * e * d_w      # gamma_w * d_w / eta_w = i*k0*eps_w*d_w
-    f22 = b
-    den = f11 * eta_o + f12 + f21 * eta_i * eta_o + f22 * eta_i
-    num = f11 * eta_o + f12 - f21 * eta_i * eta_o - f22 * eta_i
-    r_full = num / den
-
-    x = 1j * k0 * e * d_w / ctx.n_i
-    r_limit = (1.0 - x) / (1.0 + x)
-    return r_full, r_limit
-
-
-def analytic_input_impedance(cavity: str, d_w: float, ctx: CavityContext) -> complex:
-    """Input impedance of a cavity with an ideal mirror (large period count
-    for the reflector type), in the thin-wire limit.
-
-    Single-side and reflector cavities present 1/(i*k0*eps_w*d_w); the
-    double-side cavity presents i*k0*eps_w*d_w/n_c1**2. At the optimal wire
-    thickness each has modulus equal to the input-medium impedance.
-    """
-    if d_w <= 0:
-        raise ValueError(f"wire thickness must be > 0 nm, got {d_w}")
-    if cavity in ("ssc", "mlc"):
-        return 1.0 / (1j * ctx.k0 * ctx.eps_w * d_w)
-    if cavity == "dsc":
-        _need(ctx, "n_c1")
-        return 1j * ctx.k0 * ctx.eps_w * d_w / ctx.n_c1**2
-    raise ValueError(f"unknown cavity type {cavity!r}")
 
 
 def qwt_relations(ctx: CavityContext, d_w: float) -> QwtResult:

@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _message(exc: KeyError | ValueError) -> str:
+def _message(exc: Exception) -> str:
     # str() of a KeyError is the repr of its argument, quotes included
     return str(exc.args[0]) if isinstance(exc, KeyError) else str(exc)
 
@@ -199,8 +199,8 @@ def _custom_sweep(args, registry) -> CurveSet:
             raise CliError(f"{flag} does not apply with --stack; the stack config sets it")
     try:
         config = load_stack_config(args.stack, registry)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    except (OSError, KeyError, ValueError) as exc:
+        raise CliError(_message(exc)) from exc
     index = args.layer
     if index is None:
         index = config.wire_layer_index if args.variable == "wire" else config.dielectric_layer_index

@@ -290,12 +290,11 @@ def build_context(spec: DesignSpec, registry: MaterialRegistry | None = None) ->
     if cavity.layout.has_mirror:
         mirror = resolve_mirror(spec.mirror, registry)
         n_m = None if isinstance(mirror, Medium) else mirror.optical_constant.n
-    out = registry.get(spec.output_medium).optical_constant.n_re
     n = {
         ctx_field: registry.get(getattr(spec, spec_field)).optical_constant.n_re
         for spec_field, ctx_field in cavity.part_fields
     }
-    return CavityContext(eps_w, n_i, n_m=n_m, n_o=out, wavelength_nm=spec.wavelength_nm, **n)
+    return CavityContext(eps_w, n_i, n_m=n_m, wavelength_nm=spec.wavelength_nm, **n)
 
 
 def _build_stack(
@@ -533,7 +532,7 @@ def mlc_convergence(
     Reports the smallest period count where adding one more pair moves the
     absorptance by less than 1e-4 (None if that never happens below n_max).
     """
-    if spec.cavity != "mlc":
+    if _TABLE[spec.cavity].layout.has_mirror:
         raise ValueError("convergence in period count only applies to the multi-layer cavity")
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")

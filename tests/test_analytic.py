@@ -12,14 +12,12 @@ from stripcavity.analytic import (
     absorptance_mlc,
     absorptance_ssc,
     absorptance_ssc_dielectric,
-    analytic_input_impedance,
     combine_dsc_detunings,
     detuning_from_thickness,
     dielectric_optimum_dsc,
     dielectric_optimum_ssc,
     max_absorptance,
     max_absorptance_detuned,
-    mlc_reflection,
     qwt_relations,
     wire_optimum_dsc,
     wire_optimum_mlc,
@@ -226,63 +224,6 @@ class TestStationarity:
             return absorptance_dsc_dielectric(dphi, ctx)
 
         assert abs(self.central_diff(a_of_upper, opt.d_opt_nm)) < 1e-6
-
-
-class TestMlcReflection:
-    def test_mirror_limit_as_wire_vanishes(self):
-        _, limit = mlc_reflection(1e-9, 12, ctx_mlc())
-        assert limit == pytest.approx(1.0, abs=1e-6)
-
-    def test_finite_period_converges_to_limit(self):
-        ctx = ctx_mlc()
-        d = wire_optimum_mlc(ctx).d_opt_nm
-        full, limit = mlc_reflection(d, 6, ctx)
-        assert abs(full - limit) == pytest.approx(0.004255, abs=5e-4)
-        assert abs(full - limit) < 1e-2
-
-    def test_reflectance_grows_with_periods_at_small_wire(self):
-        ctx = ctx_mlc()
-        mags = [abs(mlc_reflection(1.0, n, ctx)[0]) for n in range(1, 9)]
-        assert all(a < b for a, b in zip(mags, mags[1:]))
-        assert mags[-1] < abs(mlc_reflection(1.0, 1, ctx)[1])
-
-    def test_ordering_enforced(self):
-        ctx = CavityContext(mix(0.5), n_c1=2.15, n_c2=1.444, wavelength_nm=LAMBDA)
-        with pytest.raises(ValueError, match="smaller refractive index"):
-            mlc_reflection(11.6, 6, ctx)
-
-
-class TestAnalyticInputImpedance:
-    def test_matched_at_optimum(self):
-        ctx = ctx_ssc()
-        d = wire_optimum_ssc(ctx).d_opt_nm
-        assert abs(analytic_input_impedance("ssc", d, ctx)) == pytest.approx(
-            ctx.eta_i, rel=1e-12
-        )
-        ctx = ctx_dsc()
-        d = wire_optimum_dsc(ctx).d_opt_nm
-        assert abs(analytic_input_impedance("dsc", d, ctx)) == pytest.approx(
-            ctx.eta_i, rel=1e-12
-        )
-
-    def test_inverse_linear_scaling(self):
-        ctx = ctx_ssc()
-        d = wire_optimum_ssc(ctx).d_opt_nm
-        assert abs(analytic_input_impedance("ssc", 2 * d, ctx)) == pytest.approx(
-            ctx.eta_i / 2, rel=1e-12
-        )
-
-    def test_mlc_same_as_ssc(self):
-        ctx = ctx_ssc()
-        assert analytic_input_impedance("mlc", 10.0, ctx) == analytic_input_impedance(
-            "ssc", 10.0, ctx
-        )
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            analytic_input_impedance("ssc", 0.0, ctx_ssc())
-        with pytest.raises(ValueError):
-            analytic_input_impedance("ring", 10.0, ctx_ssc())
 
 
 class TestQwtRelations:

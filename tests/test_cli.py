@@ -555,6 +555,39 @@ class TestInputBounds:
         ])
         assert err == "error: material 'Foo' has a non-finite 'n_re': nan\n"
 
+    @pytest.mark.parametrize("command, cavity", [
+        ("design", "ssc"), ("sweep", "ssc"), ("impedance", "mlc"), ("mlc-convergence", "mlc"),
+    ])
+    def test_zero_wire_permittivity(self, tmp_path, capsys, command, cavity):
+        materials = tmp_path / "materials.yaml"
+        materials.write_text("materials:\n  - {name: Z, n_re: 0}\n")
+        err = one_error_line(capsys, [
+            command, "--cavity", cavity, "--materials", str(materials),
+            "--wire-material", "Z", "--f", "1",
+        ])
+        assert err == "error: wire permittivity must be nonzero\n"
+
+    # every material lookup of a stack config: a custom layer, the media, the
+    # wire, a layout part and the mirror; a YAML number or bool is a name too
+    @pytest.mark.parametrize("config, name", [
+        ("cavity: custom\nlayers: [{material: Foo, thickness_nm: 6}]\n", "Foo"),
+        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\ninput: Foo\n", "Foo"),
+        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\noutput: Foo\n", "Foo"),
+        ("cavity: ssc\nwire: {material: Foo, thickness_nm: 6}\n", "Foo"),
+        ("cavity: ssc\nwire: {slit_material: Foo, thickness_nm: 6}\n", "Foo"),
+        ("cavity: ssc\nwire: {thickness_nm: 6}\ndielectric: Foo\n", "Foo"),
+        ("cavity: ssc\nwire: {thickness_nm: 6}\nmirror: Foo\n", "Foo"),
+        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\ninput: 1.5\n", "1.5"),
+        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\ninput: true\n", "True"),
+    ], ids=[
+        "layer", "input", "output", "wire", "slit", "part", "mirror", "number", "bool",
+    ])
+    def test_unknown_material_in_stack_file(self, tmp_path, capsys, config, name):
+        path = tmp_path / "stack.yaml"
+        path.write_text(config)
+        err = one_error_line(capsys, ["sweep", "--stack", str(path), "--layer", "0"])
+        assert err.startswith(f"error: unknown material {name!r}; known materials: ")
+
     @pytest.mark.parametrize("flag, text", [
         ("--stack", "cavity: [custom\n"),
         ("--stack", "layers: {material: SiO\n"),
