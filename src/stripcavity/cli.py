@@ -286,97 +286,119 @@ def _cmd_mlc_convergence(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, cavity_required: bool = True) -> None:
-    parser.add_argument("--cavity", choices=CAVITIES, required=cavity_required)
-    spec = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
-    spec("--wavelength-nm", type=float)
-    spec("--line-nm", type=float)
-    spec("--slit-nm", type=float)
-    spec("--f", type=float, help="filling factor; alternative to --slit-nm")
-    spec("--wire-material")
-    spec("--slit-material")
-    spec("--c1", help="reflector layer adjacent to the wire")
-    spec("--c2", help="second reflector layer")
-    spec("--mirror", help="pec | pec-surrogate | material name (default Ag)")
-    spec("--periods", type=int)
-    _add_io(parser)
+def _flag(option, type=None, choices=None, default=None, required=False, help=None):
+    """One flag of the table: its option and the keywords of argparse's
+    add_argument, which _read follows too."""
+    return option, {"type": type, "choices": choices, "default": default,
+                    "required": required, "help": help}
 
 
-def _add_io(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--materials", default=None, help="material config file")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "structured-report"), default="csv")
+def _cavity(required: bool):
+    return _flag("--cavity", choices=CAVITIES, required=required)
 
 
-def _design_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.set_defaults(func=_cmd_design)
+# An absent spec flag sets no attribute, so the DesignSpec default holds.
+_spec_flag = functools.partial(_flag, default=argparse.SUPPRESS)
+_SPEC_FLAGS = (
+    _spec_flag("--wavelength-nm", float),
+    _spec_flag("--line-nm", float),
+    _spec_flag("--slit-nm", float),
+    _spec_flag("--f", float, help="filling factor; alternative to --slit-nm"),
+    _spec_flag("--wire-material"),
+    _spec_flag("--slit-material"),
+    _spec_flag("--c1", help="reflector layer adjacent to the wire"),
+    _spec_flag("--c2", help="second reflector layer"),
+    _spec_flag("--mirror", help="pec | pec-surrogate | material name (default Ag)"),
+    _spec_flag("--periods", int),
+)
+_IO_FLAGS = (
+    _flag("--materials", help="material config file"),
+    _flag("--out", help="output path (default stdout)"),
+    _flag("--format", choices=("csv", "structured-report"), default="csv"),
+)
 
-
-def _sweep_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p, cavity_required=False)
-    p.add_argument("--variable", choices=("wire", "dielectric"), default="wire")
-    p.add_argument("--range", default=None, help="LO:HI in nm")
-    p.add_argument("--step", type=float, default=None, help="step in nm")
-    p.add_argument("--stack", default=None, help="stack config file (custom cavities)")
-    p.add_argument("--layer", type=int, default=None, help="swept layer index for custom stacks")
-    p.set_defaults(func=_cmd_sweep)
-
-
-def _impedance_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--range", default=None, help="LO:HI in nm (default 1:30)")
-    p.add_argument("--step", type=float, default=None, help="step in nm (default 0.1)")
-    p.set_defaults(func=_cmd_impedance)
-
-
-def _table2_args(p: argparse.ArgumentParser) -> None:
-    _add_io(p)
-    p.set_defaults(func=_cmd_table2)
-
-
-def _mlc_convergence_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--max-periods", type=int, default=12)
-    p.add_argument("--wire-nm", type=float, default=None,
-                   help="wire thickness (default: closed-form optimum)")
-    p.set_defaults(func=_cmd_mlc_convergence)
-
-
-# name -> (help line, adder of the subcommand's flags), in help order
+# name -> (help line, handler, flags), in help order; _build_parser makes the
+# argparse tree of it, and _read reads a well-formed argv straight from it
 _COMMANDS = {
-    "design": ("closed-form design with oracle refinement", _design_args),
-    "sweep": ("absorptance and impedance curves over a thickness", _sweep_args),
-    "impedance": ("wire-thickness impedance-match curves", _impedance_args),
-    "table2": ("reference-table regression with pass/fail flags", _table2_args),
-    "mlc-convergence": ("reflector period-count study", _mlc_convergence_args),
+    "design": ("closed-form design with oracle refinement", _cmd_design,
+               (_cavity(True), *_SPEC_FLAGS, *_IO_FLAGS)),
+    "sweep": ("absorptance and impedance curves over a thickness", _cmd_sweep, (
+        _cavity(False), *_SPEC_FLAGS, *_IO_FLAGS,
+        _flag("--variable", choices=("wire", "dielectric"), default="wire"),
+        _flag("--range", help="LO:HI in nm"),
+        _flag("--step", float, help="step in nm"),
+        _flag("--stack", help="stack config file (custom cavities)"),
+        _flag("--layer", int, help="swept layer index for custom stacks"),
+    )),
+    "impedance": ("wire-thickness impedance-match curves", _cmd_impedance, (
+        _cavity(True), *_SPEC_FLAGS, *_IO_FLAGS,
+        _flag("--range", help="LO:HI in nm (default 1:30)"),
+        _flag("--step", float, help="step in nm (default 0.1)"),
+    )),
+    "table2": ("reference-table regression with pass/fail flags", _cmd_table2, _IO_FLAGS),
+    "mlc-convergence": ("reflector period-count study", _cmd_mlc_convergence, (
+        _cavity(True), *_SPEC_FLAGS, *_IO_FLAGS,
+        _flag("--max-periods", int, default=12),
+        _flag("--wire-nm", float, help="wire thickness (default: closed-form optimum)"),
+    )),
 }
 
 
-@functools.cache  # built once per process and command; parse_args leaves it unchanged
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full command tree, or only ``command``'s subparser under the same
-    top-level parser: a run pays for the flags of the command it runs."""
+@functools.cache  # built once per process; parse_args leaves it unchanged
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stripcavity",
         description="Design and analyse optical cavities for superconducting strip single-photon detectors.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args) in _COMMANDS.items():
-        if command is None or name == command:
-            add_args(sub.add_parser(name, help=help_text))
+    for name, (help_text, func, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option, kwargs in flags:
+            command.add_argument(option, **kwargs)
+        command.set_defaults(func=func)
     return parser
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse would make of ``argv`` when every token after
+    the command is an exact ``--flag value`` pair that converts and lies in
+    its choices; None for anything else (help, version, abbreviations,
+    ``--flag=value``, a value starting with ``-``, every error), which
+    argparse then parses, so its text stays the only help and error text."""
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    _, func, flags = _COMMANDS[argv[0]]
+    specs = dict(flags)
+    values = {}
+    for option, value in zip(argv[1::2], argv[2::2]):
+        spec = specs.get(option)
+        if spec is None or (value.startswith("-") and value != "-"):
+            return None
+        if spec["type"] is not None:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if spec["choices"] is not None and value not in spec["choices"]:
+            return None
+        values[option] = value
+    if any(spec["required"] and option not in values for option, spec in flags):
+        return None
+    args = argparse.Namespace(command=argv[0], func=func)
+    for option, spec in flags:
+        if option in values or spec["default"] is not argparse.SUPPRESS:
+            setattr(args, option[2:].replace("-", "_"), values.get(option, spec["default"]))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # --help, --version, no command and an unknown command see the full tree
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = _build_parser(command)
+    args = _read(argv)
     try:
-        args = parser.parse_args(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,8 +3,10 @@
 perfbench traces the package by rebinding named entry points, and its
 runner reads attributes of `stripcavity._kernels`. A change that renames or
 deletes one of them would crash a benchmark run or leave a tracer layer
-counting nothing; this module fails first, by name. It changes nothing under
-perfbench/.
+counting nothing; this module fails first, by name. Its cold command times
+the CLI's direct path, which reads a well-formed argv without argparse; a
+workload argv that argparse had to parse would time the other path. This
+module changes nothing under perfbench/.
 """
 
 import importlib
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from stripcavity import _kernels
+from stripcavity import _kernels, cli
 from stripcavity.cli import main
 from stripcavity.design import DesignSpec, _build_stack
 from stripcavity.materials import builtin_registry
@@ -23,14 +25,31 @@ from stripcavity.materials import builtin_registry
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture
-def tracer(monkeypatch):
-    """perfbench/tracer.py, loaded by path, with no bytecode written beside it."""
+def _load(monkeypatch, name):
+    """perfbench/<name>.py, loaded by path, with no bytecode written beside it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    return _load(monkeypatch, "tracer")
+
+
+def test_workload_commands_skip_argparse(monkeypatch):
+    # the benchmark's cold command, and every command of a pass, is read
+    # straight from the CLI's flag table
+    workloads = _load(monkeypatch, "workloads")
+    for workload in workloads.WORKLOADS.values():
+        passes = workload.passes(seed=1)
+        for _ in range(20):
+            for command in next(passes):
+                argv = command.argv("out.csv")
+                assert cli._read(argv) is not None, argv
 
 
 def test_every_traced_entry_point_resolves(tracer):

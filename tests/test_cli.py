@@ -3,6 +3,7 @@ import ast
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,11 +12,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stripcavity import cli
 from stripcavity.cli import main
 from stripcavity.design import MAX_PERIODS, DesignSpec
 from stripcavity.stack import StackConfigError, load_stack_config
+from test_cli_fuzz import mostly
 
 SWEEP_HEADER = ["x_nm", "A_analytic", "A_tmm", "eta_ratio"]
 
@@ -529,6 +533,29 @@ class TestInputBounds:
     def test_period_counts_above_the_bound(self, capsys, argv):
         assert str(MAX_PERIODS) in one_error_line(capsys, argv)
 
+    # 0 is read from the flag table, -1 by argparse
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_period_counts_below_one(self, capsys, count):
+        err = one_error_line(capsys, ["design", "--cavity", "mlc", "--periods", count])
+        assert err == f"error: period count must be >= 1, got {count}\n"
+
+    # the engine's own guards, which only a stack config reaches
+    @pytest.mark.parametrize("config, message", [
+        ("wavelength_nm: 0\n", "wavelength must be > 0 nm, got 0.0"),
+        ("wavelength_nm: -1550\n", "wavelength must be > 0 nm, got -1550.0"),
+        ("input: Z\n", "input medium must have a positive real index"),
+        ("output: Z\n", "output medium must have a positive real index; "
+                        "use the short-circuit terminal for an ideal mirror"),
+    ], ids=["zero-wavelength", "negative-wavelength", "input", "output"])
+    def test_stack_config_refused_by_the_engine(self, tmp_path, capsys, config, message):
+        materials, path = tmp_path / "materials.yaml", tmp_path / "stack.yaml"
+        materials.write_text("materials:\n  - {name: Z, n_re: 0}\n")
+        path.write_text("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\n" + config)
+        err = one_error_line(capsys, [
+            "sweep", "--stack", str(path), "--layer", "0", "--materials", str(materials),
+        ])
+        assert err == f"error: {message}\n"
+
     @pytest.mark.filterwarnings("error")
     def test_nan_thickness_in_stack_file(self, tmp_path, capsys):
         config = tmp_path / "stack.yaml"
@@ -613,8 +640,58 @@ def test_import_leaves_yaml_unloaded():
     assert proc.stdout == "False\n"
 
 
-# Each command's argv, parsed by its own parser and by the full tree. The
-# defaults, every flag, and repeated flags.
+def _fields(args):
+    # repr tells nan from nan and -0.0 from 0.0, where == would not
+    return repr(sorted(vars(args).items()))
+
+
+def _argparse_fields(argv):
+    """The full argparse tree's Namespace for ``argv``, as _fields, or None
+    where argparse refuses it or exits (help, version)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _fields(cli._build_parser().parse_args(argv))
+        except (cli.CliError, SystemExit):
+            return None
+
+
+def assert_read_as_argparse(argv):
+    """The flag-table reader declines ``argv`` or makes argparse's Namespace,
+    ``func`` included."""
+    read = cli._read(argv)
+    if read is not None:
+        assert _fields(read) == _argparse_fields(argv), argv
+    return read
+
+
+def test_broken_pipe_is_exit_1_without_a_message(monkeypatch, capsys):
+    class BrokenStdout(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    assert main(["design", "--cavity", "ssc"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_module_run_in_a_fresh_interpreter():
+    # the __main__ line, and a well-formed command that never builds argparse:
+    # its first message translation would import locale
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "stripcavity.cli", "design", "--cavity", "ssc"],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256["design-ssc"][1]
+    imported = [line.rpartition(b"|")[2].strip() for line in proc.stderr.splitlines()]
+    assert b"stripcavity" in imported
+    assert b"locale" not in imported
+
+
+# Each command's argv, read from the flag table and parsed by the argparse
+# tree. The defaults, every flag, and repeated flags.
 PARSER_CASES = [
     ["design", "--cavity", "ssc"],
     ["design", "--cavity", "mlc", "--wavelength-nm", "1310", "--line-nm", "90", "--f", "0.4",
@@ -639,10 +716,60 @@ PARSER_CASES = [
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=[" ".join(a) for a in PARSER_CASES])
 def test_command_parser_matches_full_tree(argv):
     assert set(cli._COMMANDS) == {argv[0] for argv in PARSER_CASES}
-    full = vars(cli._build_parser().parse_args(argv))
-    own = vars(cli._build_parser(argv[0]).parse_args(argv))
-    assert own == full
-    assert own["func"] is getattr(cli, "_cmd_" + argv[0].replace("-", "_"))
+    read = assert_read_as_argparse(argv)
+    assert read is not None
+    assert read.func is getattr(cli, "_cmd_" + argv[0].replace("-", "_"))
+
+
+MALFORMED_VALUES = ["-", "-5", "-1e3", "x", "", "1_0", " 2 ", "nan", "1e400", "2.5", "ssc",
+                    "--cavity", "--help"]
+
+
+def _flag_text(option, spec):
+    """A strategy for the text of one value of the flag ``option``."""
+    if spec["choices"] is not None:
+        valid = st.sampled_from(spec["choices"])
+    elif spec["type"] is float:
+        valid = st.floats(allow_nan=True).map(repr)
+    elif spec["type"] is int:
+        valid = st.integers(-5, 200).map(str)
+    else:
+        valid = st.sampled_from(["m.yaml", "o.csv", "1:30", "NbN", "-", ""])
+    return mostly(valid, st.sampled_from(MALFORMED_VALUES))
+
+
+@st.composite
+def argvs(draw):
+    """An argv of known flags, mostly well-formed, with the forms and tokens
+    the reader must decline mixed in: malformed values, another command's
+    flags, abbreviations, ``--flag=value``, stray tokens, a missing
+    ``--cavity`` and a missing command."""
+    command = draw(mostly(st.sampled_from(list(cli._COMMANDS)),
+                          st.sampled_from(["bogus", "--cavity"])))
+    own = cli._COMMANDS.get(command, cli._COMMANDS["design"])[2]
+    every = [flag for _, _, flags in cli._COMMANDS.values() for flag in flags]
+    argv = [command]
+    if own[0][0] == "--cavity" and draw(st.integers(0, 7)):  # missing now and then
+        argv += ["--cavity", draw(_flag_text(*own[0]))]
+    for _ in range(draw(st.integers(0, 5))):
+        option, spec = draw(mostly(st.sampled_from(own), st.sampled_from(every)))
+        value = draw(_flag_text(option, spec))
+        form = draw(st.integers(0, 29))
+        if form == 0:
+            argv.append(f"{option}={value}")
+        elif form == 1:
+            argv += [option[:4], value]  # an abbreviation, or an exact short flag
+        elif form == 2:
+            argv.append(draw(st.sampled_from([value, option, "--help", "--version", "--"])))
+        else:
+            argv += [option, value]
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argvs())
+def test_reader_is_argparse_or_declines(argv):
+    assert_read_as_argparse(argv)
 
 
 @pytest.mark.parametrize("argv, command", [
@@ -656,19 +783,28 @@ def test_command_parser_matches_full_tree(argv):
     (["--cavity", "ssc", "design"], None),
 ])
 def test_main_builds_the_invoked_command_only(monkeypatch, capsys, argv, command):
-    built, uncached = [], cli._build_parser.__wrapped__
+    # a well-formed argv runs its command straight from the flag table; help,
+    # version and a malformed argv build the one full argparse tree
+    built, codes, uncached = [], [], cli._build_parser.__wrapped__
 
-    def build(name=None):
-        built.append(name)
-        return uncached(name)
+    def build():
+        parser = uncached()
+        built.append(parser)
+        return parser
 
     monkeypatch.setattr(cli, "_build_parser", build)
     monkeypatch.setattr(sys, "argv", ["stripcavity", *argv, "--out", os.devnull])
     for args in (argv, None):  # None reads sys.argv[1:]
         with contextlib.suppress(SystemExit):  # --help and --version exit
-            main(args)
+            codes.append(main(args))
     capsys.readouterr()
-    assert built == [command, command]
+    if command is not None and "--help" not in argv:
+        assert built == [] and codes == [0, 0]
+    else:
+        assert len(built) == 2
+        for parser in built:
+            (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            assert list(commands.choices) == list(cli._COMMANDS)
 
 
 def _listed_names(exc_info) -> tuple:

@@ -136,6 +136,10 @@ class TestSweepCurves:
         assert len(curves.x_nm) == 1
         assert curves.x_nm[0] == 11.6
 
+    def test_span_lost_to_rounding(self):
+        # stop - lo rounds to 0 at 1e20 nm, so arange is empty: the grid is lo
+        assert design.sweep_grid(1e20, 1e20, 1e-10).tolist() == [1e20]
+
     def test_guards(self):
         spec = DesignSpec(cavity="ssc")
         with pytest.raises(ValueError):

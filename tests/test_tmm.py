@@ -303,6 +303,14 @@ class TestArgmax:
         d_best, _ = argmax_absorptance(stack, 2, 150.0, 280.0, LAMBDA)
         assert d_best == pytest.approx(218.0, abs=2.0)
 
+    def test_range_narrower_than_the_tolerance(self):
+        # a bracket under 0.01 nm skips the golden-section steps: its midpoint
+        # is the refined point
+        stack = build_ssc(make_wire())
+        d_best, a_best = argmax_absorptance(stack, 0, 11.6, 11.601, LAMBDA)
+        assert 11.6 <= d_best <= 11.601
+        assert a_best == absorptance_of_layer(stack, 0, LAMBDA)(d_best)
+
     def test_inverted_range_rejected(self):
         with pytest.raises(ValueError):
             argmax_absorptance(build_ssc(make_wire()), 0, 30.0, 1.0, LAMBDA)
