@@ -20,10 +20,13 @@ with g = i*k0*n and eta = 1/n per layer. Two shapes of work use it:
 
 Both compute each distinct layer's terms once per call and reuse them
 wherever it repeats, so an N-period reflector costs three layers' cosh and
-sinh; ``chain_prefixes`` runs its product in Python complex.
+sinh. ``chain_prefixes`` runs its product, and a distinct layer's terms but
+one numpy division, in Python complex; an empty chain is the identity at
+once, without the memo's keys.
 
 The argmax search calls ``chain_product`` for the layers on either side of
-the swept one and does the rest in `stripcavity.tmm.absorptance_of_layer`.
+the swept one, often none, and does the rest in
+`stripcavity.tmm.absorptance_of_layer`.
 
 The chain is the coherent 2x2 product of Byrnes, "Multilayer optical
 calculations", arXiv:1603.02720.
@@ -51,25 +54,31 @@ def chain_prefixes(n, d, k0) -> list[tuple[complex, complex, complex, complex]]:
 
     Entry 0 is the identity and entry len(n) is the whole chain. The product
     runs in Python complex, whose ``*`` and ``+`` round as numpy's scalar
-    ones do; the layer terms are numpy-scalar results made Python complex.
+    ones do. So do a distinct layer's terms, but for ``s / n``, a numpy
+    division made Python complex: CPython divides complex numbers otherwise.
     """
-    f11, f12, f21, f22 = _IDENTITY
     out = [_IDENTITY]
+    if not n.shape[0]:
+        return out
+    f11, f12, f21, f22 = _IDENTITY
     memo = {}
+    ik0 = 1j * k0
     keys = zip(n.view(_INDEX_BITS).tolist(), d.view(_THICKNESS_BITS).tolist(), strict=True)
     for j, key in enumerate(keys):
         terms = memo.get(key)
         if terms is None:
-            gd = 1j * k0 * n[j] * d[j]
+            nj = n[j]
+            index = complex(nj)
+            gd = ik0 * index * float(d[j])
             try:
                 c = cmath.cosh(gd)
                 s = cmath.sinh(gd)
             except OverflowError:
                 raise ValueError(
-                    f"a {d[j]:.6g} nm layer of index {complex(n[j]):.6g} overflows the "
+                    f"a {d[j]:.6g} nm layer of index {index:.6g} overflows the "
                     "transfer matrix at this wavelength"
                 ) from None
-            terms = memo[key] = c, complex(s * n[j]), complex(s / n[j])
+            terms = memo[key] = c, s * index, complex(s / nj)
         c, g, b = terms
         f11, f12, f21, f22 = (
             f11 * c + f12 * g,

@@ -242,13 +242,19 @@ def _cmd_impedance(args) -> int:
     return 0
 
 
+_TABLE2_HEADER = (
+    "cavity", "quantity", "slit_nm", "analytic_nm", "oracle_nm",
+    "target_nm", "analytic_pass", "oracle_pass", "oracle_rel_dev",
+)
+# Names without separators, numbers and flags: csv.writer would quote no
+# cell, "%.12g" is _fmt's format for a float, and each flag goes in as _fmt's
+# text.
+_TABLE2_ROW = "%s,%s,%.12g,%.12g,%.12g,%.12g,%s,%s,%.12g\n"
+
+
 def _cmd_table2(args) -> int:
     registry = _registry_from(args)
     report = reproduce_table2(registry)
-    header = (
-        "cavity", "quantity", "slit_nm", "analytic_nm", "oracle_nm",
-        "target_nm", "analytic_pass", "oracle_pass", "oracle_rel_dev",
-    )
     rows = [
         (
             c.cavity, c.quantity, c.slit_nm, c.analytic_nm, c.oracle_nm,
@@ -256,7 +262,14 @@ def _cmd_table2(args) -> int:
         )
         for c in report.cells
     ]
-    _emit(args, lambda: _csv_text(header, rows), lambda: [dict(zip(header, row)) for row in rows])
+    template = ",".join(_TABLE2_HEADER) + "\n" + _TABLE2_ROW * len(rows)
+    _emit(
+        args,
+        lambda: template % tuple(
+            _fmt(cell) if cell is True or cell is False else cell for row in rows for cell in row
+        ),
+        lambda: [dict(zip(_TABLE2_HEADER, row)) for row in rows],
+    )
     failed = sum(1 for c in report.cells if not (c.analytic_ok and c.oracle_ok))
     print(f"table cells: {len(report.cells)} total, {len(report.cells) - failed} pass, {failed} fail", file=sys.stderr)
     if failed:

@@ -297,19 +297,33 @@ def build_context(spec: DesignSpec, registry: MaterialRegistry | None = None) ->
     return CavityContext(eps_w, n_i, n_m=n_m, wavelength_nm=spec.wavelength_nm, **n)
 
 
+def _wire(spec: DesignSpec, registry: MaterialRegistry, d_w_nm: float) -> WireGeometry:
+    """The spec's patterned wire at ``d_w_nm``. The stacks of one design share
+    it, and with it one effective wire layer."""
+    return WireGeometry(
+        spec.line_nm, spec.slit_nm, registry.get(spec.wire_material),
+        _slit_material(spec, registry), d_w_nm,
+    )
+
+
 def _build_stack(
     spec: DesignSpec, registry: MaterialRegistry, d_w_nm: float,
     spacer_nm: float | None = None, mirror_token: str | None = None,
 ) -> Stack:
-    """Concrete stack for a spec, the spacer at quarter-wave unless given. Wire
-    searches and sweeps pass the closed forms' ideal mirror, "pec-surrogate";
-    a layout without a mirror keeps its reflector."""
+    """Concrete stack for a spec, the wire ``d_w_nm`` thick: `_stack_on` a
+    wire of its own."""
+    return _stack_on(spec, registry, _wire(spec, registry, d_w_nm), spacer_nm, mirror_token)
+
+
+def _stack_on(
+    spec: DesignSpec, registry: MaterialRegistry, wire: WireGeometry,
+    spacer_nm: float | None = None, mirror_token: str | None = None,
+) -> Stack:
+    """Concrete stack for a spec on ``wire``, the spacer at quarter-wave unless
+    given. Wire searches and sweeps pass the closed forms' ideal mirror,
+    "pec-surrogate"; a layout without a mirror keeps its reflector."""
     cavity = _TABLE[spec.cavity]
     layout = cavity.layout
-    wire = WireGeometry(
-        spec.line_nm, spec.slit_nm, registry.get(spec.wire_material),
-        _slit_material(spec, registry), d_w_nm,
-    )
     token = mirror_token if mirror_token is not None else spec.mirror
     mirror = resolve_mirror(token, registry) if layout.has_mirror else None
     inp = _input_material(spec, registry)
@@ -326,29 +340,31 @@ def _build_stack(
 
 def _optima(spec: DesignSpec, registry: MaterialRegistry, ctx: CavityContext, windows=None):
     """Closed-form optima and their exact-engine refinements: (wire optimum,
-    (oracle wire nm, its absorptance), spacer optimum, oracle spacer nm), the
-    spacer entries None when the layout has none. The wire is refined on the
-    ideal-mirror layout, the spacer on the actual mirror. The searches span
-    ``windows``, ((lo, hi) wire, (lo, hi) spacer) in nm, or by default
-    0.3-3x the closed-form wire and 0.6-1.2x the quarter-wave spacer."""
+    (oracle wire nm, its absorptance), spacer optimum, oracle spacer nm, the
+    wire at its closed-form optimum), the spacer entries None when the layout
+    has none. The wire is refined on the ideal-mirror layout, the spacer on
+    the actual mirror. The searches span ``windows``, ((lo, hi) wire, (lo,
+    hi) spacer) in nm, or by default 0.3-3x the closed-form wire and 0.6-1.2x
+    the quarter-wave spacer."""
     cavity = _TABLE[spec.cavity]
     wire_opt = cavity.wire_optimum(ctx)
     d_w = wire_opt.d_opt_nm
     # before any stack: a spacer the closed form cannot realise fails by name
     spacer_opt = None if cavity.spacer_optimum is None else cavity.spacer_optimum(ctx)
-    stack = _build_stack(spec, registry, d_w, mirror_token="pec-surrogate")
+    wire = _wire(spec, registry, d_w)
+    stack = _stack_on(spec, registry, wire, mirror_token="pec-surrogate")
     lo, hi = windows[0] if windows else (0.3 * d_w, 3.0 * d_w)
     wire_oracle = tmm.argmax_absorptance(
         stack, cavity.layout.wire_index, lo, hi, spec.wavelength_nm
     )
     if spacer_opt is None:
-        return wire_opt, wire_oracle, None, None
-    designed = _build_stack(spec, registry, d_w)
+        return wire_opt, wire_oracle, None, None, wire
+    designed = _stack_on(spec, registry, wire)
     index = cavity.layout.spacer_index
     qw = designed.layers[index].thickness_nm
     lo, hi = windows[1] if windows else (0.6 * qw, 1.2 * qw)
     spacer_oracle_nm, _ = tmm.argmax_absorptance(designed, index, lo, hi, spec.wavelength_nm)
-    return wire_opt, wire_oracle, spacer_opt, spacer_oracle_nm
+    return wire_opt, wire_oracle, spacer_opt, spacer_oracle_nm, wire
 
 
 def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) -> DesignReport:
@@ -362,7 +378,7 @@ def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) 
     registry = _registry(registry)
     cavity = _TABLE[spec.cavity]
     ctx = build_context(spec, registry)
-    wire_opt, (wire_oracle_nm, absorptance_oracle), spacer_opt, spacer_oracle_nm = _optima(
+    wire_opt, (wire_oracle_nm, absorptance_oracle), spacer_opt, spacer_oracle_nm, wire = _optima(
         spec, registry, ctx
     )
     spacer_nm = None if spacer_opt is None else spacer_opt.d_opt_nm
@@ -373,9 +389,12 @@ def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) 
         if spacer_opt is not None:
             cavity.spacer_family(spacer_nm, ctx)
     collected = [str(w.message) for w in caught if issubclass(w.category, ValidityWarning)]
+    collected += _disagreements(
+        ("wire", wire_opt.d_opt_nm, wire_oracle_nm), ("dielectric", spacer_nm, spacer_oracle_nm)
+    )
 
     # Impedance match of the designed stack at the closed-form design point.
-    designed = _build_stack(spec, registry, wire_opt.d_opt_nm, spacer_nm=spacer_nm)
+    designed = _stack_on(spec, registry, wire, spacer_nm=spacer_nm)
     eta_in = tmm.input_impedance(designed, spec.wavelength_nm)
     ratio = float(abs(eta_in) * ctx.n_i)
 
@@ -488,7 +507,7 @@ def reproduce_table2(registry: MaterialRegistry | None = None) -> Table2Report:
             for name in CAVITIES:
                 spec = DesignSpec(cavity=name, slit_nm=slit)
                 ctx = build_context(spec, registry)
-                wire_opt, (wire_nm, _), spacer_opt, spacer_nm = _optima(
+                wire_opt, (wire_nm, _), spacer_opt, spacer_nm, _ = _optima(
                     spec, registry, ctx, _TABLE2_WINDOWS
                 )
                 cells.append(_make_cell(name, "wire", slit, wire_opt.d_opt_nm, wire_nm))
@@ -507,6 +526,28 @@ _CELL_CHECKS = {
 }
 
 
+def _rel_dev(analytic_nm: float, oracle_nm: float) -> float:
+    return abs(oracle_nm - analytic_nm) / analytic_nm
+
+
+def _disagreements(*thicknesses) -> list[str]:
+    """An ``oracle-disagrees`` warning for each (quantity, closed-form nm,
+    oracle nm) whose oracle lies outside the quantity's agreement band, as a
+    reference-table cell fails; a quantity without a closed form is skipped."""
+    messages = []
+    for quantity, analytic_nm, oracle_nm in thicknesses:
+        if analytic_nm is None:
+            continue
+        band = _CELL_CHECKS[quantity][2]
+        rel_dev = _rel_dev(analytic_nm, oracle_nm)
+        if not rel_dev <= band:
+            messages.append(
+                f"oracle-disagrees: {quantity} oracle {oracle_nm:.6g} nm is {100 * rel_dev:.3g}% "
+                f"off the closed form {analytic_nm:.6g} nm, outside the {100 * band:g}% band"
+            )
+    return messages
+
+
 def _make_cell(
     cavity: str, quantity: str, slit_nm: float, analytic_nm: float, oracle_nm: float
 ) -> Table2Cell:
@@ -514,7 +555,7 @@ def _make_cell(
     target_nm = targets[(cavity, slit_nm)]
     rounded = round(analytic_nm / display_tol_nm) * display_tol_nm
     analytic_ok = abs(rounded - target_nm) <= display_tol_nm + 1e-9
-    rel_dev = abs(oracle_nm - analytic_nm) / analytic_nm
+    rel_dev = _rel_dev(analytic_nm, oracle_nm)
     return Table2Cell(
         cavity, quantity, slit_nm, analytic_nm, oracle_nm, target_nm,
         analytic_ok, rel_dev <= agreement_rel, rel_dev,

@@ -134,10 +134,6 @@ class Material:
     def n(self) -> complex:
         return self.optical_constant.n
 
-    @property
-    def eps(self) -> complex:
-        return permittivity(self.optical_constant)
-
 
 _BUILTIN = (
     Material("Vacuum", OpticalConstant(1.0), DIELECTRIC),
@@ -179,9 +175,6 @@ class MaterialRegistry:
             raise KeyError(f"unknown material {name!r}; known materials: {known}")
         return self._by_key[key]
 
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._by_key
-
     def __len__(self) -> int:
         return len(self._by_key)
 
@@ -197,6 +190,20 @@ def builtin_registry() -> MaterialRegistry:
     return MaterialRegistry()
 
 
+def _finite(value: int | float) -> bool:
+    """Whether a config number is finite; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _unknown_keys(doc: Mapping, allowed: set[str]) -> list:
+    """The keys of ``doc`` outside ``allowed``, sorted by their text: a YAML
+    key may be a number, a boolean or null."""
+    return sorted(set(doc) - allowed, key=str)
+
+
 def _parse_entry(entry: object, index: int) -> tuple[Material, bool]:
     label = f"materials[{index}]"
     if not isinstance(entry, Mapping):
@@ -206,10 +213,9 @@ def _parse_entry(entry: object, index: int) -> tuple[Material, bool]:
         raise MaterialConfigError(f"{label} needs a non-empty 'name'")
     label = f"material {name!r}"
 
-    allowed = {"name", "n_re", "n_im", "kind", "override"}
-    unknown = set(entry) - allowed
+    unknown = _unknown_keys(entry, {"name", "n_re", "n_im", "kind", "override"})
     if unknown:
-        raise MaterialConfigError(f"{label} has unknown keys: {sorted(unknown)}")
+        raise MaterialConfigError(f"{label} has unknown keys: {unknown}")
 
     n_re = entry.get("n_re")
     if not isinstance(n_re, (int, float)) or isinstance(n_re, bool):
@@ -218,7 +224,7 @@ def _parse_entry(entry: object, index: int) -> tuple[Material, bool]:
     if not isinstance(n_im, (int, float)) or isinstance(n_im, bool):
         raise MaterialConfigError(f"{label} has a non-numeric 'n_im'")
     for key, value in (("n_re", n_re), ("n_im", n_im)):
-        if not math.isfinite(value):
+        if not _finite(value):
             raise MaterialConfigError(f"{label} has a non-finite '{key}': {value}")
     if n_im < 0:
         raise MaterialConfigError(f"{label} has negative 'n_im'")
@@ -278,9 +284,9 @@ def load_registry(source: str | Path | Mapping | None = None) -> MaterialRegistr
 
     if not isinstance(doc, Mapping):
         raise MaterialConfigError("material config must be a mapping at the top level")
-    unknown = set(doc) - {"materials"}
+    unknown = _unknown_keys(doc, {"materials"})
     if unknown:
-        raise MaterialConfigError(f"material config has unknown keys: {sorted(unknown)}")
+        raise MaterialConfigError(f"material config has unknown keys: {unknown}")
 
     entries = doc.get("materials", [])
     if not isinstance(entries, list):

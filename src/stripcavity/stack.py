@@ -9,9 +9,9 @@ permittivity mixes wire and slit material by the filling factor.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -21,7 +21,9 @@ from .materials import (
     PEC_TERMINAL,
     Material,
     MaterialRegistry,
+    _finite,
     _read_yaml,
+    _unknown_keys,
     builtin_registry,
     effective_wire_permittivity,
     permittivity,
@@ -148,6 +150,12 @@ class WireGeometry:
     @property
     def f(self) -> float:
         return filling_factor(self.line_nm, self.slit_nm)
+
+    @cached_property
+    def layer(self) -> Layer:
+        """The effective wire layer, made once per geometry: every stack built
+        on this geometry shares it."""
+        return Layer(effective_wire_material(self), self.thickness_nm)
 
 
 def wire_permittivity(wire: WireGeometry) -> complex:
@@ -290,7 +298,7 @@ def _assemble(
         end = [Layer(part, nm) for part, nm in films[-2:]] * periods  # frozen: one shared pair
         del films[-2:]
     layers = [Layer(part, nm) for part, nm in films]
-    layers.insert(layout.wire_index, Layer(effective_wire_material(wire), wire.thickness_nm))
+    layers.insert(layout.wire_index, wire.layer)
     input = Medium(input or registry.get(layout.input_medium))
     return Stack(input, (*layers, *end), output)
 
@@ -357,9 +365,9 @@ _CONFIG_CAVITIES = (*LAYOUTS, "custom")
 
 
 def _require_keys(doc: Mapping, allowed: set[str], label: str) -> None:
-    unknown = set(doc) - allowed
+    unknown = _unknown_keys(doc, allowed)
     if unknown:
-        raise StackConfigError(f"{label} has unknown keys: {sorted(unknown)}")
+        raise StackConfigError(f"{label} has unknown keys: {unknown}")
 
 
 def _get_number(doc: Mapping, key: str, label: str, default: float | None = None) -> float:
@@ -370,7 +378,7 @@ def _get_number(doc: Mapping, key: str, label: str, default: float | None = None
     value = doc[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise StackConfigError(f"{label}: '{key}' must be a number")
-    if not math.isfinite(value):
+    if not _finite(value):
         raise StackConfigError(f"{label}: '{key}' must be finite, got {value}")
     return float(value)
 

@@ -21,6 +21,11 @@ anywhere here; those live in :mod:`stripcavity.analytic`.
 `scatter_truncations`, behind the reflector period study, returns a
 `ScatterResult` of columns over the layer counts. `scatter` is its one-count
 case, the whole stack, as Python numbers.
+
+`argmax_absorptance`, behind every design search, scans numpy's 256-point
+linspace grid of one layer's thickness in one array evaluation and refines
+the best point with Python floats; its fixed set-up per call is the chain
+on either side of that layer.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ _OPEN_CIRCUIT_EPS = 1e-12
 _TIE_EPS = 1e-12
 
 _GRID_POINTS = 256
+_RAMP = np.arange(float(_GRID_POINTS))  # linspace's ramp, 0, 1, ..., 255
 _REFINE_TOL_NM = 0.01
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -271,8 +277,10 @@ def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
     output medium into one column vector w, once, here, from the prepared
     chain and two running products in Python complex. Each call then costs
     one layer L(d) applied to w and two dot products: a float goes through
-    cmath, an array through numpy. The result agrees with `sweep` to
-    rounding (the product is grouped differently).
+    cmath and Python complex, an array of float64 thicknesses through
+    `_absorptance_columns`, whose operands are the same constants made 0-d
+    arrays once, here. The result agrees with `sweep` to rounding (the
+    product is grouped differently).
     """
     ns, ds, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm, layer_index)
     i = layer_index
@@ -286,13 +294,14 @@ def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
     w1, w2 = q11 * eta_o + q12, q21 * eta_o + q22
     t_num = 0.0 if short else 2.0 * math.sqrt(eta_i * eta_o)
     g = 1j * k0 * n
+    operands = tuple(map(np.asarray, (g, n, w1, w2, xd1, xd2, xn1, xn2, t_num)))
 
     def absorptance(thickness_nm):
+        # a 0-d array multiplies by g to a numpy scalar and goes the float way
+        if isinstance(thickness_nm, np.ndarray) and thickness_nm.ndim:
+            return _absorptance_columns(thickness_nm, *operands)
         gd = g * thickness_nm
-        if isinstance(gd, np.ndarray):
-            c, s = np.cosh(gd), np.sinh(gd)
-        else:
-            c, s = cmath.cosh(gd), cmath.sinh(gd)
+        c, s = cmath.cosh(gd), cmath.sinh(gd)
         y1 = c * w1 + (s / n) * w2
         y2 = (s * n) * w1 + c * w2
         den = xd1 * y1 + xd2 * y2
@@ -305,13 +314,62 @@ def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
     return absorptance
 
 
+def _absorptance_columns(x, g, n, w1, w2, xd1, xd2, xn1, xn2, t_num):
+    """`absorptance_of_layer` over an array ``x`` of thicknesses: the float
+    evaluation's operations in its order, each into one of four reused
+    columns. numpy's complex multiply by a 0-d operand rounds ``a * s`` and
+    ``s * a`` apart, so each product keeps its operand order too."""
+    cols = np.empty((4, *x.shape), np.complex128)
+    gd, c, y1, y2 = cols
+    np.multiply(g, x, out=gd)
+    np.cosh(gd, out=c)
+    s = np.sinh(gd, out=gd)
+    np.multiply(c, w1, out=y1)
+    np.divide(s, n, out=y2)
+    np.multiply(y2, w2, out=y2)
+    np.add(y1, y2, out=y1)  # y1 = c * w1 + (s / n) * w2
+    np.multiply(s, n, out=y2)
+    np.multiply(y2, w1, out=y2)
+    np.multiply(c, w2, out=c)
+    np.add(y2, c, out=y2)  # y2 = (s * n) * w1 + c * w2
+    den = np.multiply(xd1, y1, out=gd)
+    np.multiply(xd2, y2, out=c)
+    np.add(den, c, out=den)
+    r = np.multiply(xn1, y1, out=y1)
+    np.multiply(xn2, y2, out=y2)
+    np.add(r, y2, out=r)
+    np.divide(r, den, out=r)
+    t = np.divide(t_num, den, out=den)
+    power = np.conjugate(r, out=c)
+    np.multiply(power, r, out=power)
+    A = np.subtract(1.0, power.real)
+    np.conjugate(t, out=power)
+    np.multiply(power, t, out=power)
+    return np.subtract(A, power.real, out=A)
+
+
 def _select_thickness(grid: np.ndarray, grid_A: np.ndarray, refined: float, refined_A: float) -> float:
     """The lowest thickness, grid point or refined point, whose absorptance is
     within `_TIE_EPS` of the largest one."""
-    floor = max(float(grid_A.max()), refined_A) - _TIE_EPS
-    tied = grid_A >= floor
-    lowest = float(grid[np.argmax(tied)]) if tied.any() else math.inf
+    top = float(grid_A.max())
+    floor = max(top, refined_A) - _TIE_EPS
+    if top < floor:  # no grid point is tied, so the refined point is
+        return refined
+    lowest = float(grid[(grid_A >= floor).argmax()])
     return min(lowest, refined) if refined_A >= floor else lowest
+
+
+def _grid(lo_nm: float, hi_nm: float) -> np.ndarray:
+    """``np.linspace(lo_nm, hi_nm, _GRID_POINTS)`` bit for bit, from numpy's
+    own steps without its per-call set-up; a step that underflows to 0 takes
+    linspace's other order of operations."""
+    step = (hi_nm - lo_nm) / (_GRID_POINTS - 1)
+    if step:
+        grid = _RAMP * step + lo_nm
+    else:
+        grid = _RAMP / (_GRID_POINTS - 1) * (hi_nm - lo_nm) + lo_nm
+    grid[-1] = hi_nm
+    return grid
 
 
 def argmax_absorptance(
@@ -326,28 +384,26 @@ def argmax_absorptance(
     A coarse grid scan brackets the peak and golden-section refinement pins it
     to 0.01 nm. Candidates within 1e-12 in absorptance count as tied and the
     lowest thickness wins, so a flat (degenerate) family returns ``lo_nm``.
-    Every point goes through one `absorptance_of_layer`. Raises ValueError
-    when the grid absorptance is not finite (a chain that overflows).
+    Every point goes through one `absorptance_of_layer`: the grid as one
+    array, the refinement as Python floats. Raises ValueError when the grid
+    absorptance is not finite (a chain that overflows).
     """
     if not lo_nm < hi_nm:
         raise ValueError(f"need lo < hi, got [{lo_nm}, {hi_nm}]")
-    grid = np.linspace(lo_nm, hi_nm, _GRID_POINTS)
+    grid = _grid(lo_nm, hi_nm)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         absorptance = absorptance_of_layer(stack, layer_index, wavelength_nm)
         grid_A = absorptance(grid)
-    if not np.all(np.isfinite(grid_A)):
+    if not np.isfinite(grid_A).all():
         raise ValueError(
             f"absorptance is not finite over [{lo_nm}, {hi_nm}] nm of layer {layer_index}; "
             "the chain overflows"
         )
-    best = int(np.argmax(grid_A))
-
-    def refine(thickness: float) -> float:
-        return float(absorptance(thickness))
-
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    refined = _golden_max(refine, float(a), float(b), _REFINE_TOL_NM)
-    refined_A = refine(refined)
+    best = int(grid_A.argmax())
+    a = float(grid[max(best - 1, 0)])
+    b = float(grid[min(best + 1, _GRID_POINTS - 1)])
+    # a float thickness gives a Python float absorptance
+    refined = _golden_max(absorptance, a, b, _REFINE_TOL_NM)
+    refined_A = absorptance(refined)
     d_best = _select_thickness(grid, grid_A, refined, refined_A)
-    return d_best, refined_A if d_best == refined else refine(d_best)
+    return d_best, refined_A if d_best == refined else absorptance(d_best)

@@ -245,6 +245,11 @@ class TestQwtRelations:
         b = abs(qwt_relations(ctx, 2 * 6.6139).eta_qwt)
         assert b == pytest.approx(a / math.sqrt(2), rel=1e-12)
 
+    @pytest.mark.parametrize("d_w", [0.0, -1.0])
+    def test_non_positive_wire_rejected(self, d_w):
+        with pytest.raises(ValueError, match=f"wire thickness must be > 0 nm, got {d_w}"):
+            qwt_relations(ctx_dsc(), d_w)
+
 
 class TestValidityWarnings:
     def test_thick_wire_warns(self):
@@ -357,3 +362,15 @@ class TestContextValidation:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="n_c"):
             absorptance_ssc_dielectric(0.0, CavityContext(mix(0.5)))
+
+    @pytest.mark.parametrize("field", ["n_c", "n_c1", "n_c2"])
+    @pytest.mark.parametrize("value", [0.0, -1.5, math.nan])
+    def test_non_positive_dielectric_index(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be > 0, got {value}"):
+            CavityContext(mix(0.5), **{field: value})
+
+    # the context refuses eps_w = 0 first; the peak formulas take eps_w alone
+    @pytest.mark.parametrize("peak", [max_absorptance, max_absorptance_detuned])
+    def test_peak_of_zero_permittivity(self, peak):
+        with pytest.raises(ValueError, match="wire permittivity must be nonzero"):
+            peak(0j)

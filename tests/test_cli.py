@@ -105,6 +105,19 @@ class TestDesign:
         assert code == 2
         assert kv_report(out)["warnings"]
 
+    def test_oracle_disagreement_exit_code(self, tmp_path):
+        out = tmp_path / "report.csv"
+        code = main(["design", "--cavity", "ssc", "--wavelength-nm", "1e9", "--out", str(out)])
+        assert code == 2
+        assert kv_report(out)["warnings"].startswith(
+            "oracle-disagrees: wire oracle 1.91428e+07 nm is 156% off the closed form 7.4663e+06 nm"
+        )
+
+    @pytest.mark.parametrize("wavelength", ["0", "-1550"])
+    def test_non_positive_wavelength(self, capsys, wavelength):
+        err = one_error_line(capsys, ["design", "--cavity", "ssc", "--wavelength-nm", wavelength])
+        assert err == f"error: wavelength must be > 0 nm, got {float(wavelength)}\n"
+
     def test_conflicting_width_flags(self, capsys):
         assert main(["design", "--cavity", "ssc", "--f", "0.5", "--slit-nm", "80"]) == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -389,6 +402,64 @@ def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     stack, mlc = write_custom_stack(tmp_path), tmp_path / "mlc.yaml"
     mlc.write_text("cavity: mlc\nwire: {thickness_nm: 8}\n")
     assert message in one_error_line(capsys, [arg.format(stack=stack, mlc=mlc) for arg in argv])
+
+
+# Every error branch of a stack config, as `sweep --stack` reaches it.
+@pytest.mark.parametrize("config, message", [
+    ("[1, 2]\n", "stack config must be a mapping at the top level"),
+    ("cavity: custom\nlayers: []\n", "custom stack config needs a non-empty 'layers' list"),
+    ("cavity: custom\nlayers: [5]\n", "layers[0] must be a mapping"),
+    ("cavity: custom\nlayers: [{material: SiO, thickness_nm: abc}]\n",
+     "layers[0]: 'thickness_nm' must be a number"),
+    ("cavity: custom\nlayers: [{material: SiO, thickness_nm: 1" + "0" * 400 + "}]\n",
+     "layers[0]: 'thickness_nm' must be finite, got 1" + "0" * 400),
+    ("cavity: custom\n1: 2\nfoo: 3\nlayers: [{material: SiO, thickness_nm: 5}]\n",
+     "stack config has unknown keys: [1, 'foo']"),
+    ("cavity: ssc\n", "stack config needs a 'wire' block"),
+    ("cavity: ssc\nwire: 5\n", "'wire' must be a mapping"),
+    ("cavity: ssc\nwire: {thickness_nm: 8}\noutput: short\n",
+     "use mirror: pec for a short-terminated standard cavity"),
+    ("cavity: mlc\nwire: {thickness_nm: 8}\nperiods: 2.5\n", "'periods' must be an integer"),
+], ids=["top-level-list", "empty-layers", "layer-not-mapping", "non-numeric", "huge-int",
+        "non-string-key", "no-wire", "wire-not-mapping", "short-output", "fractional-periods"])
+def test_stack_config_errors_are_one_error_line(tmp_path, capsys, config, message):
+    path = tmp_path / "stack.yaml"
+    path.write_text(config)
+    err = one_error_line(capsys, ["sweep", "--stack", str(path), "--layer", "0"])
+    assert err == f"error: {message}\n"
+
+
+# Every error branch of a material config, as `design --materials` reaches it;
+# the last case passes the config and fails in the closed forms' context.
+@pytest.mark.parametrize("config, message", [
+    ("[1, 2]\n", "material config must be a mapping at the top level"),
+    ("materials: {name: X}\n", "'materials' must be a list"),
+    ("materials: [1]\n", "materials[0] must be a mapping, got int"),
+    ("materials: [{name: X, n_re: 1.5, n_im: a}]\n", "material 'X' has a non-numeric 'n_im'"),
+    ("materials: [{name: X, n_re: 1" + "0" * 400 + "}]\n",
+     "material 'X' has a non-finite 'n_re': 1" + "0" * 400),
+    ("materials: [{name: X, n_re: 1.5, override: 1}]\n",
+     "material 'X' has a non-boolean 'override'"),
+    ("materials: [{name: X, n_re: 1.5, n_im: 0.1, kind: dielectric}]\n",
+     "material 'X': dielectric 'X' must be lossless (n_im = 0), got n_im = 0.1"),
+    ("materials: [{name: X, n_re: 1.5, 3: 4, a: 5}]\n", "material 'X' has unknown keys: [3, 'a']"),
+    ("materials: []\ntrue: 1\nfoo: 2\n", "material config has unknown keys: [True, 'foo']"),
+    ("materials: [{name: SiO, n_re: -1.5, override: true}]\n", "n_c must be > 0, got -1.5"),
+], ids=["top-level-list", "materials-not-list", "entry-not-mapping", "non-numeric-n_im",
+        "huge-int", "non-boolean-override", "lossy-dielectric", "non-string-entry-key",
+        "non-string-key", "negative-spacer-index"])
+def test_material_config_errors_are_one_error_line(tmp_path, capsys, config, message):
+    path = tmp_path / "materials.yaml"
+    path.write_text(config)
+    err = one_error_line(capsys, ["design", "--cavity", "ssc", "--materials", str(path)])
+    assert err == f"error: {message}\n"
+
+
+def test_empty_material_config_is_the_builtin_table(tmp_path):
+    empty, out = tmp_path / "materials.yaml", tmp_path / "design.csv"
+    empty.write_text("# no entries\n")
+    assert main(["design", "--cavity", "ssc", "--materials", str(empty), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256["design-ssc"][1]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "structured-report"])

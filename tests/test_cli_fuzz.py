@@ -13,6 +13,7 @@ import io
 import math
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -134,11 +135,9 @@ def argvs(draw, files):
     return argv
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_every_argv_ends_in_a_known_exit(config_files, data):
-    argv = data.draw(argvs(config_files))
-    assume(grid_points(argv) <= MAX_ACCEPTED_POINTS)
+def assert_known_exit(argv):
+    """``argv`` ends in exit 0, 1 or 2, with one ``error:`` line for exit 1
+    and none otherwise, and no traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -150,3 +149,98 @@ def test_every_argv_ends_in_a_known_exit(config_files, data):
         assert text.splitlines()[-1].startswith("error:")
     else:
         assert "error:" not in text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_argv_ends_in_a_known_exit(config_files, data):
+    argv = data.draw(argvs(config_files))
+    assume(grid_points(argv) <= MAX_ACCEPTED_POINTS)
+    assert_known_exit(argv)
+
+
+# Whole config documents, drawn from the schema of stack and material
+# configs: known keys with plausible values most of the time, and unknown
+# keys, non-string keys and values of every YAML kind.
+CONFIG_NAMES = ["NbN", "SiO", "SiO2", "Ta2O5", "Si", "Vacuum", "Ag", "PEC", "MgF2", "Foo", ""]
+CONFIG_SCALARS = st.one_of(
+    st.sampled_from([*CONFIG_NAMES, "ssc", "dsc", "mlc", "custom", "short", "pec",
+                     "pec-surrogate", "dielectric", "metal", "pec-terminal"]),
+    st.text(max_size=4),
+    st.integers(-3, 60),
+    st.sampled_from([0, -1, 10**30, -(10**400), 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+)
+CONFIG_VALUES = st.recursive(
+    CONFIG_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.one_of(st.text(max_size=3), st.integers(0, 3), st.booleans()),
+                      inner, max_size=3),
+    max_leaves=5,
+)
+CONFIG_THICKNESS = mostly(st.floats(0.5, 300.0), CONFIG_VALUES)
+CONFIG_NAME = mostly(st.sampled_from(CONFIG_NAMES), CONFIG_VALUES)
+
+
+def documents(fields):
+    """A mapping of some of ``fields`` (key -> value strategy) and now and
+    then an unknown or non-string key; rarely a list or a scalar instead."""
+    known = st.fixed_dictionaries({}, optional=fields)
+    extra = st.dictionaries(st.one_of(st.sampled_from(["bogus", "Cavity"]), st.integers(0, 2),
+                                      st.booleans(), st.none()), CONFIG_VALUES, max_size=2)
+    mapping = st.tuples(known, mostly(st.just({}), extra)).map(lambda pair: {**pair[0], **pair[1]})
+    return mostly(mapping, st.one_of(st.lists(CONFIG_VALUES, max_size=3), CONFIG_SCALARS))
+
+
+LAYER = documents({"material": CONFIG_NAME, "thickness_nm": CONFIG_THICKNESS})
+WIRE = documents({"line_nm": CONFIG_THICKNESS, "slit_nm": CONFIG_THICKNESS,
+                  "material": CONFIG_NAME, "slit_material": CONFIG_NAME,
+                  "thickness_nm": CONFIG_THICKNESS})
+STACK_CONFIGS = documents({
+    "cavity": mostly(st.sampled_from(["ssc", "dsc", "mlc", "custom"]), CONFIG_VALUES),
+    "wavelength_nm": mostly(st.sampled_from([1550.0, 1310.0, 2000.0]), CONFIG_VALUES),
+    "input": CONFIG_NAME,
+    "output": mostly(st.sampled_from(["Vacuum", "short", "Si"]), CONFIG_VALUES),
+    "layers": mostly(st.lists(LAYER, min_size=1, max_size=4), CONFIG_VALUES),
+    "wire": mostly(WIRE, CONFIG_VALUES),
+    **{key: CONFIG_NAME for key in ("dielectric", "lower", "upper", "mirror", "c1", "c2")},
+    **{key: CONFIG_THICKNESS for key in ("dielectric_nm", "lower_nm", "upper_nm", "mirror_nm")},
+    "periods": mostly(st.integers(1, 12), CONFIG_VALUES),
+})
+MATERIAL_CONFIGS = documents({
+    "materials": mostly(st.lists(documents({
+        "name": CONFIG_NAME,
+        "n_re": mostly(st.floats(0.1, 5.0), CONFIG_VALUES),
+        "n_im": mostly(st.floats(0.0, 10.0), CONFIG_VALUES),
+        "kind": mostly(st.sampled_from(["dielectric", "metal", "pec-terminal"]), CONFIG_VALUES),
+        "override": mostly(st.booleans(), CONFIG_VALUES),
+    }), max_size=3), CONFIG_VALUES),
+})
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config-fuzz") / "config.yaml"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=STACK_CONFIGS, layer=st.sampled_from([None, "0", "1", "3"]),
+       variable=st.sampled_from(["wire", "dielectric"]))
+def test_every_stack_config_ends_in_a_known_exit(config_path, doc, layer, variable):
+    config_path.write_text(yaml.safe_dump(doc))
+    argv = ["sweep", "--stack", str(config_path), "--variable", variable,
+            "--range", "1:30", "--step", "1"]
+    assert_known_exit(argv + (["--layer", layer] if layer is not None else []))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=MATERIAL_CONFIGS, cavity=st.sampled_from(["ssc", "dsc", "mlc"]),
+       use=st.sampled_from([[], ["--wire-material", "MgF2"], ["--c1", "MgF2"],
+                            ["--mirror", "Foo"], ["--slit-material", "Foo"]]))
+def test_every_material_config_ends_in_a_known_exit(config_path, doc, cavity, use):
+    config_path.write_text(yaml.safe_dump(doc))
+    assert_known_exit(["design", "--cavity", cavity, "--materials", str(config_path), *use])

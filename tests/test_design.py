@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stripcavity import design
 from stripcavity import stack as stack_module
@@ -85,7 +87,7 @@ class TestRunDesignFlow:
         def no_stack(*args, **kwargs):
             raise AssertionError("a stack was built")
 
-        monkeypatch.setattr(design, "_build_stack", no_stack)
+        monkeypatch.setattr(design, "_stack_on", no_stack)
         spec = DesignSpec(cavity="dsc", line_nm=20, slit_nm=400, lower_dielectric="Si",
                           upper_dielectric="SiO2", input_medium=input_medium)
         with pytest.raises(ValueError, match=rf"closed-form spacer is {spacer}\d* nm: its "
@@ -102,6 +104,52 @@ class TestRunDesignFlow:
         # nearly empty grating: the optimum wire is far beyond the thin-wire zone
         report = run_design_flow(DesignSpec(cavity="ssc", slit_nm=7920.0))
         assert report.warnings
+
+    def test_oracle_disagreement_warns(self):
+        # at 1e9 nm the surrogate film no longer acts as an ideal mirror
+        report = run_design_flow(DesignSpec(cavity="ssc", wavelength_nm=1e9))
+        assert report.warnings == (
+            "oracle-disagrees: wire oracle 1.91428e+07 nm is 156% off the closed form "
+            "7.4663e+06 nm, outside the 2% band",
+            "oracle-disagrees: dielectric oracle 9.67118e+07 nm is 29.1% off the closed form "
+            "1.36429e+08 nm, outside the 6% band",
+        )
+
+
+DIELECTRICS = ["SiO", "SiO2", "Ta2O5", "Si"]
+BANDS = {"wire": design.WIRE_AGREEMENT_REL, "dielectric": design.DIELECTRIC_AGREEMENT_REL}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    cavity=st.sampled_from(design.CAVITIES),
+    wavelength=st.one_of(st.floats(400.0, 3000.0), st.sampled_from([1e4, 1e6, 1e9])),
+    line=st.floats(20.0, 200.0),
+    slit=st.floats(5.0, 400.0),
+    dielectrics=st.lists(st.sampled_from(DIELECTRICS), min_size=2, max_size=2),
+    periods=st.integers(1, 20),
+)
+def test_property_every_out_of_band_oracle_warns(cavity, wavelength, line, slit, dielectrics,
+                                                 periods):
+    lower, upper = dielectrics
+    spec = DesignSpec(
+        cavity=cavity, wavelength_nm=wavelength, line_nm=line, slit_nm=slit,
+        dielectric=upper, lower_dielectric=lower, upper_dielectric=upper,
+        low_index=min(dielectrics, key=DIELECTRICS.index), high_index="Ta2O5", periods=periods,
+    )
+    try:
+        report = run_design_flow(spec)
+    except ValueError:  # an overflowing chain or an unrealisable spacer, refused by name
+        return
+    flagged = {w.split()[1] for w in report.warnings if w.startswith("oracle-disagrees: ")}
+    for quantity, analytic_nm, oracle_nm in (
+        ("wire", report.wire_analytic_nm, report.wire_oracle_nm),
+        ("dielectric", report.dielectric_analytic_nm, report.dielectric_oracle_nm),
+    ):
+        outside = analytic_nm is not None and not (
+            abs(oracle_nm - analytic_nm) / analytic_nm <= BANDS[quantity]
+        )
+        assert (quantity in flagged) == outside, (quantity, report)
 
 
 class TestSweepCurves:
@@ -274,8 +322,8 @@ class TestMlcConvergence:
         def no_stack(*args, **kwargs):
             raise AssertionError("a stack or layer was built")
 
-        # every design stack goes through _build_stack and every layer is a Layer
-        monkeypatch.setattr(design, "_build_stack", no_stack)
+        # every design stack goes through _stack_on and every layer is a Layer
+        monkeypatch.setattr(design, "_stack_on", no_stack)
         monkeypatch.setattr(stack_module, "Layer", no_stack)
         with pytest.raises(ValueError, match=f"need n_max <= {MAX_PERIODS}"):
             mlc_convergence(spec, MAX_PERIODS + 1)

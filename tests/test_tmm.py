@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stripcavity import _kernels, tmm
+from stripcavity.design import DesignSpec, reproduce_table2, run_design_flow
 from stripcavity.materials import METAL, Material, OpticalConstant, builtin_registry
 from stripcavity.stack import (
     EXACT_SHORT,
@@ -359,6 +360,10 @@ class TestAbsorptanceOfLayer:
         with pytest.raises(IndexError):
             absorptance_of_layer(build_ssc(make_wire()), 5, LAMBDA)
 
+    def test_zero_d_array_is_a_float(self):
+        absorptance = absorptance_of_layer(build_ssc(make_wire()), 0, LAMBDA)
+        assert absorptance(np.array(11.6)) == absorptance(11.6)
+
     def test_evaluation_does_no_chain_work(self, monkeypatch):
         calls = []
         chain_product = _kernels.chain_product
@@ -614,3 +619,112 @@ class TestSelection:
             assert tmm._select_thickness(SELECTION_GRID, grid_A, refined, refined_A) == (
                 old_selection(SELECTION_GRID, grid_A, refined, refined_A)
             )
+
+
+def reference_argmax(stack, layer_index, lo_nm, hi_nm):
+    """The search as it was before its grid, its array evaluation and its
+    selection were rewritten: `np.linspace`, the expression form of
+    `reference_absorptance` and the list-and-generator tie rule. The engine
+    must match it bit for bit."""
+    grid = np.linspace(lo_nm, hi_nm, 256)
+    with np.errstate(over="ignore", invalid="ignore"):
+        absorptance = reference_absorptance(stack, layer_index)
+        grid_A = absorptance(grid)
+    assert np.all(np.isfinite(grid_A))
+    best = int(np.argmax(grid_A))
+
+    def refine(thickness):
+        return float(absorptance(thickness))
+
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    refined = tmm._golden_max(refine, float(a), float(b), 0.01)
+    refined_A = refine(refined)
+    d_best = old_selection(grid, grid_A, refined, refined_A)
+    return d_best, refined_A if d_best == refined else refine(d_best)
+
+
+def search_bits(result):
+    d_best, a_best = result
+    assert type(d_best) is float and type(a_best) is float
+    return np.array([d_best, a_best]).view(np.uint64)
+
+
+def random_search(rng):
+    """A stack of 1-6 distinct layers, lossless or lossy, on vacuum, a dielectric or a
+    short, and a window over one of its layers: wide, narrower than the
+    0.01 nm refinement, or a few ulps; a lossless stack is a flat family."""
+    lossy = rng.random() < 0.8
+    layers = []
+    for _ in range(rng.integers(1, 7)):
+        oc = OpticalConstant(rng.uniform(0.5, 4.0), rng.uniform(0.0, 6.0) if lossy else 0.0)
+        layers.append(Layer(Material("m", oc, METAL), rng.uniform(1.0, 300.0)))
+    if rng.random() < 0.3:
+        layers = layers[:2] * 3 + layers[2:]  # repeated Layer objects, as a reflector's
+    output = (VACUUM, EXACT_SHORT, Medium(REG.get("Si")))[rng.integers(0, 3)]
+    stack = Stack((VACUUM, Medium(REG.get("SiO2")))[rng.integers(0, 2)], tuple(layers), output)
+    lo = float(rng.uniform(0.5, 200.0))
+    span = rng.choice([rng.uniform(0.02, 300.0), rng.uniform(0.0, 0.01), 0.0])
+    hi = lo + span if span else lo + int(rng.integers(1, 6)) * math.ulp(lo)
+    return stack, int(rng.integers(0, len(layers))), lo, hi
+
+
+class TestSearchAgainstReference:
+    """`argmax_absorptance` bit for bit against `reference_argmax`."""
+
+    def test_random_stacks_and_windows(self):
+        rng = np.random.default_rng(19)
+        for _ in range(400):
+            stack, i, lo, hi = random_search(rng)
+            got = argmax_absorptance(stack, i, lo, hi, LAMBDA)
+            assert np.array_equal(search_bits(got), search_bits(reference_argmax(stack, i, lo, hi))), (
+                stack, i, lo, hi)
+
+    @pytest.mark.parametrize("periods", [2, 5, 17])
+    def test_tied_periodic_peaks(self, periods):
+        # A lossless spacer between lossy films is periodic in its thickness
+        # with period lambda/(2n): a window of whole periods puts grid points
+        # 255/periods apart in the same phase. Started on a peak, those grid
+        # points tie with the refined one, and the lowest, lo, wins.
+        n = 255 / periods / 20.0
+        stack = Stack(VACUUM, (make_wire_layer(), lossless_layer(n, 100.0), make_wire_layer()),
+                      Medium(REG.get("Si")))
+        period = LAMBDA / (2 * n)
+        peak, _ = argmax_absorptance(stack, 1, 3.0, 3.0 + period, LAMBDA)
+        for lo in (3.0, peak):
+            hi = lo + periods * period
+            got = argmax_absorptance(stack, 1, lo, hi, LAMBDA)
+            assert np.array_equal(search_bits(got), search_bits(reference_argmax(stack, 1, lo, hi)))
+        assert got[0] == peak
+
+    def test_every_design_search(self, monkeypatch):
+        # the searches behind the reference table and the three default designs
+        calls = []
+        search = tmm.argmax_absorptance
+
+        def recording(*args):
+            result = search(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(tmm, "argmax_absorptance", recording)
+        reproduce_table2()
+        for cavity in ("ssc", "dsc", "mlc"):
+            run_design_flow(DesignSpec(cavity=cavity))
+        assert len(calls) == 15 + 5
+        for (stack, i, lo, hi, wavelength), result in calls:
+            assert wavelength == LAMBDA
+            assert np.array_equal(search_bits(result), search_bits(reference_argmax(stack, i, lo, hi)))
+
+
+def test_grid_is_linspace():
+    rng = np.random.default_rng(20)
+    windows = [(0.0, 5e-324), (0.0, 1e-321), (-1e308, 1e308), (1.0, 30.0), (150.0, 300.0)]
+    for _ in range(2000):
+        lo = float(rng.uniform(-1e3, 1e3) * 10.0 ** rng.integers(-6, 7))
+        hi = lo + (rng.uniform(0.0, 1e3) * 10.0 ** rng.integers(-8, 4) if rng.random() < 0.7
+                   else int(rng.integers(1, 8)) * math.ulp(lo))
+        windows.append((lo, hi))
+    for lo, hi in windows:
+        with np.errstate(over="ignore", invalid="ignore"):  # the span overflows
+            want, got = np.linspace(lo, hi, 256), tmm._grid(lo, hi)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (lo, hi)
