@@ -244,8 +244,9 @@ def _parse_entry(entry: object, index: int) -> tuple[Material, bool]:
 
 
 def _read_yaml(path: str | Path, what: str, error: type[ValueError]) -> object:
-    """Parse a YAML (or JSON) file. A syntax error becomes ``error`` with a
-    one-line message naming the problem and where it is."""
+    """Parse a YAML (or JSON) file. A syntax error, or a scalar that Python
+    cannot convert, becomes ``error`` with a one-line message naming the
+    problem and, for a syntax error, where it is."""
     import yaml  # only a file pays for the parser, not every CLI start
 
     text = Path(path).read_text()
@@ -257,6 +258,11 @@ def _read_yaml(path: str | Path, what: str, error: type[ValueError]) -> object:
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark is not None else ""
         problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
         raise error(f"cannot parse {what}: {problem}{where}") from exc
+    except ValueError as exc:
+        # int() of a number longer than sys.get_int_max_str_digits(), or a
+        # date out of range; drop the advice to call sys.set_int_max_str_digits()
+        problem = str(exc).split(";")[0]
+        raise error(f"cannot parse {what}: {problem[:1].lower()}{problem[1:]}") from exc
 
 
 def load_registry(source: str | Path | Mapping | None = None) -> MaterialRegistry:
