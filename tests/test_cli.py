@@ -47,6 +47,12 @@ def kv_report(path):
     return {key: value for key, value in rows[1:]}
 
 
+# PyYAML converts an integer with int(), which refuses more digits than
+# sys.get_int_max_str_digits() (4300 by default)
+TOO_MANY_DIGITS = ("exceeds the limit (4300 digits) for integer string conversion: "
+                   "value has 5001 digits")
+
+
 def one_error_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -420,8 +426,11 @@ def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     ("cavity: ssc\nwire: {thickness_nm: 8}\noutput: short\n",
      "use mirror: pec for a short-terminated standard cavity"),
     ("cavity: mlc\nwire: {thickness_nm: 8}\nperiods: 2.5\n", "'periods' must be an integer"),
+    ("cavity: custom\nlayers:\n  - {material: SiO, thickness_nm: " + "1" * 5001 + "}\n",
+     "cannot parse stack config: " + TOO_MANY_DIGITS),
 ], ids=["top-level-list", "empty-layers", "layer-not-mapping", "non-numeric", "huge-int",
-        "non-string-key", "no-wire", "wire-not-mapping", "short-output", "fractional-periods"])
+        "non-string-key", "no-wire", "wire-not-mapping", "short-output", "fractional-periods",
+        "over-4300-digits"])
 def test_stack_config_errors_are_one_error_line(tmp_path, capsys, config, message):
     path = tmp_path / "stack.yaml"
     path.write_text(config)
@@ -445,9 +454,13 @@ def test_stack_config_errors_are_one_error_line(tmp_path, capsys, config, messag
     ("materials: [{name: X, n_re: 1.5, 3: 4, a: 5}]\n", "material 'X' has unknown keys: [3, 'a']"),
     ("materials: []\ntrue: 1\nfoo: 2\n", "material config has unknown keys: [True, 'foo']"),
     ("materials: [{name: SiO, n_re: -1.5, override: true}]\n", "n_c must be > 0, got -1.5"),
+    ("materials: [{name: X, n_re: " + "1" * 5001 + "}]\n",
+     "cannot parse material config: " + TOO_MANY_DIGITS),
+    ("materials: [{name: X, n_re: 2001-13-45}]\n",
+     "cannot parse material config: month must be in 1..12"),
 ], ids=["top-level-list", "materials-not-list", "entry-not-mapping", "non-numeric-n_im",
         "huge-int", "non-boolean-override", "lossy-dielectric", "non-string-entry-key",
-        "non-string-key", "negative-spacer-index"])
+        "non-string-key", "negative-spacer-index", "over-4300-digits", "out-of-range-date"])
 def test_material_config_errors_are_one_error_line(tmp_path, capsys, config, message):
     path = tmp_path / "materials.yaml"
     path.write_text(config)

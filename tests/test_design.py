@@ -351,3 +351,37 @@ class TestMlcConvergence:
             spec = DesignSpec(cavity="mlc", low_index="SiO2", high_index=c2)
             with pytest.raises(ValueError, match=rf"not finite at {periods} periods;"):
                 mlc_convergence(spec, n_max)
+
+
+# Every built-in optical constant is wavelength-independent, and every
+# closed-form thickness and search window scales with the wavelength, so a
+# design at wavelength L is the 1550 nm design with each thickness times
+# L/1550 and the same absorptances. The closed forms keep that to rounding;
+# the oracles only to the golden refinement's tolerance (tmm._REFINE_TOL_NM),
+# because their grids do not scale bit for bit. impedance_match_ratio is
+# left out: it moves by 2e-6 to 4e-5 between these designs.
+THICKNESSES = ("wire_analytic_nm", "wire_oracle_nm", "dielectric_analytic_nm",
+               "dielectric_oracle_nm")
+
+
+@pytest.mark.parametrize("wavelength, oracle_nm, oracle_absorptance", [
+    (1310.0, 1e-13, 1e-15),
+    (2000.0, 0.01, 1e-8),
+])
+@pytest.mark.parametrize("cavity", ["ssc", "dsc", "mlc"])
+def test_design_scales_with_the_wavelength(cavity, wavelength, oracle_nm, oracle_absorptance):
+    base = run_design_flow(DesignSpec(cavity=cavity))
+    scaled = run_design_flow(DesignSpec(cavity=cavity, wavelength_nm=wavelength))
+    assert not base.warnings and not scaled.warnings
+    factor = wavelength / 1550.0
+    for name in THICKNESSES:
+        want, got = getattr(base, name), getattr(scaled, name)
+        assert (want is None) == (got is None), name
+        if want is not None:
+            bound = oracle_nm if "oracle" in name else 1e-13
+            assert got == pytest.approx(want * factor, rel=0, abs=bound), name
+    assert scaled.absorptance_analytic == pytest.approx(base.absorptance_analytic, rel=0, abs=1e-15)
+    assert scaled.absorptance_oracle == pytest.approx(
+        base.absorptance_oracle, rel=0, abs=oracle_absorptance)
+    for name in ("filling_factor", "dphi_dsc_max", "qwt_index", "qwt_index_target"):
+        assert getattr(scaled, name) == getattr(base, name), name

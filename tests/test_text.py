@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,3 +93,84 @@ def test_any_double(values):
 def test_empty_and_single_column():
     assert encode_rows([np.array([])] * 4) == ""
     assert encode_rows([np.array([1.5, -0.0, 1e22])]) == "1.5\n-0\n1e+22\n"
+
+
+def curve_columns(rows, count, seed):
+    """Columns like a sweep's: the grid, then values in [0, 2), with now and
+    then a cell that is a constant or goes to dtoa."""
+    rng = np.random.default_rng(seed)
+    columns = [np.linspace(1, 30, rows)] + [2 * rng.random(rows) for _ in range(count - 1)]
+    others = np.array([np.nan, np.inf, -0.0, 0.0, 1e20, -2.5e-7, 0.5, 12345.678])
+    for column in columns[1:]:
+        picks = rng.random(rows) < 0.01
+        column[picks] = rng.choice(others, picks.sum())
+    return columns[:count]
+
+
+def in_new_thread(run):
+    """run() in a thread of its own, which starts without an encoder
+    workspace; what it raises is raised here."""
+    raised = []
+
+    def target():
+        try:
+            run()
+        except BaseException as exc:  # noqa: BLE001 (re-raised in the caller)
+            raised.append(exc)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join()
+    if raised:
+        raise raised[0]
+
+
+def test_workspace_serves_calls_of_every_size():
+    """One thread's calls share its workspace: a call that is shorter, or has
+    fewer columns, than an earlier one sees none of that call's cells."""
+    calls = [(14_501, 4), (1451, 4), (1, 1), (0, 4), (4097, 5), (4096, 4), (4097, 4), (1451, 4)]
+
+    def run():
+        for seed, (rows, count) in enumerate(calls):
+            assert_encodes(curve_columns(rows, count, seed))
+
+    in_new_thread(run)
+
+
+def test_threads_encode_at_once():
+    """Each thread has its own workspace, so threads encoding at the same
+    time each get the text that one thread alone gets."""
+    column_sets = [curve_columns(14_501, 4, 1), curve_columns(1451, 5, 2),
+                   curve_columns(4097, 3, 3)]
+    texts = [encode_rows(columns) for columns in column_sets]
+    start = threading.Barrier(len(column_sets))
+    wrong = []
+
+    def encode(columns, text):
+        start.wait()
+        wrong.extend(i for i in range(40) if encode_rows(columns) != text)
+
+    threads = [threading.Thread(target=encode, args=pair) for pair in zip(column_sets, texts)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not wrong
+    for columns in column_sets:
+        assert_encodes(columns)
+
+
+@pytest.mark.parametrize("rows, bound", [(1451, 5.0), (14_501, 3.0)])
+def test_warm_call_allocates_little_beyond_its_text(rows, bound):
+    """A warm call allocates its text and the bytes it is cut from, not
+    working arrays: its transient peak is at most ``bound`` times the text."""
+    columns = curve_columns(rows, 4, 0)
+    encode_rows(columns)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        text = encode_rows(columns)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * len(text), peak / len(text)
