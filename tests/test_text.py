@@ -144,18 +144,19 @@ def test_threads_encode_at_once():
                    curve_columns(4097, 3, 3)]
     texts = [encode_rows(columns) for columns in column_sets]
     start = threading.Barrier(len(column_sets))
-    wrong = []
+    same = []  # a thread that raises adds no more entries
 
     def encode(columns, text):
         start.wait()
-        wrong.extend(i for i in range(40) if encode_rows(columns) != text)
+        for _ in range(40):
+            same.append(encode_rows(columns) == text)
 
     threads = [threading.Thread(target=encode, args=pair) for pair in zip(column_sets, texts)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    assert not wrong
+    assert same.count(True) == 40 * len(column_sets)
     for columns in column_sets:
         assert_encodes(columns)
 
