@@ -18,7 +18,8 @@ zeros. Unused bytes are nul and are dropped from the text.
 
 The columns are encoded in blocks of ``_BLOCK_ROWS`` rows. Each thread keeps
 the working arrays of one block (``_Workspace``), and every step writes into
-them with ``out=``: a warm call allocates only its text."""
+them with ``out=``: a warm call allocates no working array, only its text and
+the bytes it is cut from."""
 
 from __future__ import annotations
 
@@ -84,7 +85,7 @@ class _Workspace(threading.local):
     """The working arrays of one block of cells, one set per thread.
 
     They are made for the first call and grown only for a call with more
-    columns, so a warm call touches no new page. Each block writes every
+    columns, so a warm call makes none. Each block writes every
     array before it reads it. For 4 columns they take 1.1 MiB: 71 bytes a
     cell, and 24 more for the newline cell.
     """
@@ -142,7 +143,7 @@ def _cell_words(ws: _Workspace, n: int, separators: np.ndarray) -> np.ndarray:
 
     # Every cell gets the words of the fixed notation; the others are written
     # over below, so only the separator may stand in their first word.
-    sign = xf.view(np.uint32)[:n]
+    sign = xf.view(np.uint32)[:n]  # xf is free again
     np.multiply(np.logical_and(np.less(v, 0, out=b), fast, out=b), _MINUS, out=sign)
     np.multiply(np.logical_and(np.less(x, 0, out=b), fast, out=b), _UNITS, out=u)
     np.bitwise_or(sign, u, out=u)
@@ -162,9 +163,11 @@ def _cell_words(ws: _Workspace, n: int, separators: np.ndarray) -> np.ndarray:
     return words
 
 
-def _fixed_words(m, x, k, p, words, u, b) -> None:
+def _fixed_words(m: np.ndarray, x: np.ndarray, k: np.ndarray, p: np.ndarray,
+                 words: np.ndarray, u: np.ndarray, b: np.ndarray) -> None:
     """Words 1 to 5 of every cell as if it had exponent x <= 3 and the twelve
-    digits m (float64, reused); k and p are int64 scratch columns."""
+    digits m (float64, reused); k and p (int64), u (uint32) and b (bool) are
+    scratch columns."""
     # m * 10**(x + 1) holds the integer part above 10**12 and below it the
     # fraction moved up to twelve digits (for x < 0 the fraction is m)
     np.take(_IPOW10, np.maximum(np.add(x, 1, out=k), 0, out=k), out=p, mode="clip")
