@@ -35,6 +35,7 @@ from .design import (
     sweep_curves,
 )
 from .materials import (
+    InputError,
     Material,
     MaterialConfigError,
     MaterialRegistry,

@@ -38,6 +38,8 @@ import cmath
 
 import numpy as np
 
+from .materials import InputError
+
 # The engine is numpy only; benchmark provenance records still read this flag.
 NUMBA_ENABLED = False
 
@@ -74,7 +76,7 @@ def chain_prefixes(n, d, k0) -> list[tuple[complex, complex, complex, complex]]:
                 c = cmath.cosh(gd)
                 s = cmath.sinh(gd)
             except OverflowError:
-                raise ValueError(
+                raise InputError(
                     f"a {d[j]:.6g} nm layer of index {index:.6g} overflows the "
                     "transfer matrix at this wavelength"
                 ) from None

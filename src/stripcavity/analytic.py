@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .materials import InputError
+
 __all__ = [
     "CavityContext",
     "OptimumPoint",
@@ -83,18 +85,18 @@ class CavityContext:
     def __post_init__(self) -> None:
         # "not x > 0" also rejects NaN
         if not self.n_i > 0:
-            raise ValueError(f"input index must be > 0, got {self.n_i}")
+            raise InputError(f"input index must be > 0, got {self.n_i}")
         if not self.wavelength_nm > 0:
-            raise ValueError(f"wavelength must be > 0 nm, got {self.wavelength_nm}")
+            raise InputError(f"wavelength must be > 0 nm, got {self.wavelength_nm}")
         for label, value in (("n_c", self.n_c), ("n_c1", self.n_c1), ("n_c2", self.n_c2)):
             if value is not None and not value > 0:
-                raise ValueError(f"{label} must be > 0, got {value}")
+                raise InputError(f"{label} must be > 0, got {value}")
         if self.eps_w.imag > 0:
-            raise ValueError("Im(eps_w) must be <= 0 under the package sign convention")
+            raise InputError("Im(eps_w) must be <= 0 under the package sign convention")
         if self.n_m is not None and complex(self.n_m).imag > 0:
-            raise ValueError("Im(n_m) must be <= 0 under the package sign convention")
+            raise InputError("Im(n_m) must be <= 0 under the package sign convention")
         if self.eps_w == 0:
-            raise ValueError("wire permittivity must be nonzero")
+            raise InputError("wire permittivity must be nonzero")
 
     @property
     def k0(self) -> float:
@@ -162,7 +164,7 @@ def _spacer_from_detuning(dphi: float, n: float, wavelength_nm: float) -> float:
     a detuning at or below -pi/2 has no spacer to build."""
     d = thickness_from_detuning(dphi, n, wavelength_nm)
     if d <= 0:
-        raise ValueError(
+        raise InputError(
             f"the closed-form spacer is {d:.6g} nm: its detuning {dphi:.6g} rad "
             "is at or below -pi/2"
         )
@@ -181,7 +183,7 @@ def combine_dsc_detunings(
 def _need(ctx: CavityContext, *fields: str) -> None:
     for name in fields:
         if getattr(ctx, name) is None:
-            raise ValueError(f"context is missing {name}")
+            raise InputError(f"context is missing {name}")
 
 
 def max_absorptance(eps_w: complex) -> float:
@@ -192,7 +194,7 @@ def max_absorptance(eps_w: complex) -> float:
     """
     mag = abs(eps_w)
     if mag == 0:
-        raise ValueError("wire permittivity must be nonzero")
+        raise InputError("wire permittivity must be nonzero")
     return 2.0 * eps_w.imag / (eps_w.imag - mag)
 
 
@@ -202,7 +204,7 @@ def max_absorptance_detuned(eps_w: complex) -> float:
     double-side spacer optima."""
     mag = abs(eps_w)
     if mag == 0:
-        raise ValueError("wire permittivity must be nonzero")
+        raise InputError("wire permittivity must be nonzero")
     ratio = eps_w.imag / mag
     return -4.0 * eps_w.imag / (mag * (1.0 - ratio) ** 2)
 
@@ -332,7 +334,7 @@ def qwt_relations(ctx: CavityContext, d_w: float) -> QwtResult:
     double-side wire optimum.
     """
     if d_w <= 0:
-        raise ValueError(f"wire thickness must be > 0 nm, got {d_w}")
+        raise InputError(f"wire thickness must be > 0 nm, got {d_w}")
     eta_qwt = cmath.sqrt(ctx.eta_i / (ctx.k0 * ctx.eps_w * d_w))
     n_qwt = 1.0 / abs(eta_qwt)
     d_w_implied = n_qwt**2 / (ctx.k0 * ctx.n_i * abs(ctx.eps_w))

@@ -5,8 +5,9 @@ Subcommands: ``design`` (closed-form plus oracle design report), ``sweep``
 regression with pass/fail flags), ``impedance`` (wire-thickness impedance
 curves), ``mlc-convergence`` (reflector period study).
 
-Exit codes: 0 success, 2 success with validity warnings, 1 error. Errors are
-one line on stderr prefixed with ``error:``.
+Exit codes: 0 success, 2 success with validity warnings, 1 error. An error
+is a refusal, an ``InputError`` from anywhere in the package, printed as one
+line on stderr prefixed with ``error:``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .design import (
     sweep_curves,
     sweep_grid,
 )
-from .materials import MaterialRegistry, load_registry
+from .materials import InputError, load_registry
 from .stack import load_stack_config
 
 __all__ = ["main"]
@@ -43,20 +44,11 @@ __all__ = ["main"]
 _SWEEP_HEADER = ("x_nm", "A_analytic", "A_tmm", "eta_ratio")
 
 
-class CliError(Exception):
-    """Maps to exit code 1 and a single-line error message."""
-
-
 class _Parser(argparse.ArgumentParser):
     # exit code 2 is reserved for validity-warning-only runs, so argument
     # errors must not use argparse's default SystemExit(2)
     def error(self, message):
-        raise CliError(message)
-
-
-def _message(exc: Exception) -> str:
-    # str() of a KeyError is the repr of its argument, quotes included
-    return str(exc.args[0]) if isinstance(exc, KeyError) else str(exc)
+        raise InputError(message)
 
 
 def _fmt(value) -> str:
@@ -77,7 +69,7 @@ def _write_text(path: str | None, text: str) -> None:
             with open(path, "w", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise CliError(f"cannot write {path}: {exc.strerror}") from exc
+            raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _csv_text(header, rows) -> str:
@@ -93,15 +85,8 @@ def _parse_range(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError as exc:
-        raise CliError(f"cannot parse range {text!r}; expected LO:HI") from exc
+        raise InputError(f"cannot parse range {text!r}; expected LO:HI") from exc
     return lo, hi
-
-
-def _registry_from(args) -> MaterialRegistry:
-    try:
-        return load_registry(args.materials)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
 
 
 # Spec flags by parser dest, and the DesignSpec field each sets. A flag that
@@ -120,14 +105,11 @@ def _spec_from(args) -> DesignSpec:
             kwargs[field] = getattr(args, dest)
     if hasattr(args, "f"):
         if "slit_nm" in kwargs:
-            raise CliError("give either --slit-nm or --f, not both")
+            raise InputError("give either --slit-nm or --f, not both")
         if not 0 < args.f <= 1:
-            raise CliError(f"--f must lie in (0, 1], got {args.f}")
+            raise InputError(f"--f must lie in (0, 1], got {args.f}")
         kwargs["slit_nm"] = kwargs.get("line_nm", DesignSpec.line_nm) * (1.0 - args.f) / args.f
-    try:
-        return DesignSpec(cavity=args.cavity, **kwargs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return DesignSpec(cavity=args.cavity, **kwargs)
 
 
 def _report_rows(report: DesignReport):
@@ -158,11 +140,8 @@ def _emit(args, csv_text, report) -> None:
 
 
 def _cmd_design(args) -> int:
-    registry = _registry_from(args)
-    try:
-        report = run_design_flow(_spec_from(args), registry)
-    except (KeyError, ValueError) as exc:
-        raise CliError(_message(exc)) from exc
+    registry = load_registry(args.materials)
+    report = run_design_flow(_spec_from(args), registry)
     _emit(args, lambda: _csv_text(("key", "value"), _report_rows(report)), report.as_dict)
     return 2 if report.warnings else 0
 
@@ -186,37 +165,25 @@ def _grid_from(args, variable: str) -> tuple[float, float, float]:
 
 
 def _sweep_common(args, registry, variable: str) -> CurveSet:
-    try:
-        return sweep_curves(_spec_from(args), variable, *_grid_from(args, variable), registry)
-    except (KeyError, ValueError) as exc:
-        raise CliError(_message(exc)) from exc
+    return sweep_curves(_spec_from(args), variable, *_grid_from(args, variable), registry)
 
 
 def _custom_sweep(args, registry) -> CurveSet:
     for dest in (*_SPEC_FIELDS, "f"):
         if hasattr(args, dest):
             flag = "--" + dest.replace("_", "-")
-            raise CliError(f"{flag} does not apply with --stack; the stack config sets it")
-    try:
-        config = load_stack_config(args.stack, registry)
-    except (OSError, KeyError, ValueError) as exc:
-        raise CliError(_message(exc)) from exc
+            raise InputError(f"{flag} does not apply with --stack; the stack config sets it")
+    config = load_stack_config(args.stack, registry)
     index = args.layer
     if index is None:
         index = config.wire_layer_index if args.variable == "wire" else config.dielectric_layer_index
     if index is None:
         reason = ("a custom stack names no layer to sweep" if config.cavity == "custom"
                   else f"the {config.cavity} layout has no dielectric spacer")
-        raise CliError(f"{reason}; --layer picks the swept layer")
+        raise InputError(f"{reason}; --layer picks the swept layer")
     # Custom stacks default to the wire range whichever layer is swept.
-    try:
-        xs = sweep_grid(*_grid_from(args, "wire"))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        result = tmm.sweep(config.stack, index, xs, config.wavelength_nm)
-    except (IndexError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    xs = sweep_grid(*_grid_from(args, "wire"))
+    result = tmm.sweep(config.stack, index, xs, config.wavelength_nm)
     n_i = config.stack.input.material.optical_constant.n_re
     return CurveSet(
         "custom", "nm", xs, np.full(len(xs), np.nan), result.A, np.abs(result.eta_in) * n_i
@@ -224,12 +191,15 @@ def _custom_sweep(args, registry) -> CurveSet:
 
 
 def _cmd_sweep(args) -> int:
-    registry = _registry_from(args)
+    registry = load_registry(args.materials)
     if args.stack is not None:
         curves = _custom_sweep(args, registry)
+    elif args.layer is not None:
+        raise InputError("--layer applies only with --stack; a built-in cavity sweeps "
+                         "the layer --variable names")
     elif args.cavity is None:
         # --cavity is optional only next to --stack, which it does not affect
-        raise CliError("the following arguments are required: --cavity")
+        raise InputError("the following arguments are required: --cavity")
     else:
         curves = _sweep_common(args, registry, args.variable)
     _emit_curves(args, curves)
@@ -237,7 +207,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_impedance(args) -> int:
-    registry = _registry_from(args)
+    registry = load_registry(args.materials)
     _emit_curves(args, _sweep_common(args, registry, "wire"))
     return 0
 
@@ -253,7 +223,7 @@ _TABLE2_ROW = "%s,%s,%.12g,%.12g,%.12g,%.12g,%s,%s,%.12g\n"
 
 
 def _cmd_table2(args) -> int:
-    registry = _registry_from(args)
+    registry = load_registry(args.materials)
     report = reproduce_table2(registry)
     rows = [
         (
@@ -273,17 +243,13 @@ def _cmd_table2(args) -> int:
     failed = sum(1 for c in report.cells if not (c.analytic_ok and c.oracle_ok))
     print(f"table cells: {len(report.cells)} total, {len(report.cells) - failed} pass, {failed} fail", file=sys.stderr)
     if failed:
-        raise CliError(f"{failed} table cells outside tolerance")
+        raise InputError(f"{failed} table cells outside tolerance")
     return 0
 
 
 def _cmd_mlc_convergence(args) -> int:
-    registry = _registry_from(args)
-    spec = _spec_from(args)
-    try:
-        report = mlc_convergence(spec, args.max_periods, args.wire_nm, registry)
-    except (KeyError, ValueError) as exc:
-        raise CliError(_message(exc)) from exc
+    registry = load_registry(args.materials)
+    report = mlc_convergence(_spec_from(args), args.max_periods, args.wire_nm, registry)
     header = ("periods", "A_tmm", "T_tmm")
     rows = [(r.periods, r.A, r.T) for r in report.rows]
     # all numbers: csv.writer would quote no cell, and "%.12g" is _fmt's format
@@ -349,8 +315,9 @@ _COMMANDS = {
         _flag("--step", float, help="step in nm (default 0.1)"),
     )),
     "table2": ("reference-table regression with pass/fail flags", _cmd_table2, _IO_FLAGS),
+    # --max-periods replaces --periods, the last spec flag
     "mlc-convergence": ("reflector period-count study", _cmd_mlc_convergence, (
-        _cavity(True), *_SPEC_FLAGS, *_IO_FLAGS,
+        _cavity(True), *_SPEC_FLAGS[:-1], *_IO_FLAGS,
         _flag("--max-periods", int, default=12),
         _flag("--wire-nm", float, help="wire thickness (default: closed-form optimum)"),
     )),
@@ -413,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         if args is None:
             args = _build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except InputError as exc:  # every deliberate refusal of the package
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -24,6 +24,7 @@ import numpy as np
 from . import analytic, tmm
 from .analytic import CavityContext, ValidityWarning
 from .materials import (
+    InputError,
     Material,
     MaterialRegistry,
     builtin_registry,
@@ -119,18 +120,18 @@ class DesignSpec:
 
     def __post_init__(self) -> None:
         if self.cavity not in CAVITIES:
-            raise ValueError(f"cavity must be one of {CAVITIES}, got {self.cavity!r}")
+            raise InputError(f"cavity must be one of {CAVITIES}, got {self.cavity!r}")
         if self.periods < 1:
-            raise ValueError(f"period count must be >= 1, got {self.periods}")
+            raise InputError(f"period count must be >= 1, got {self.periods}")
         if self.periods > MAX_PERIODS:
-            raise ValueError(f"period count must be <= {MAX_PERIODS}, got {self.periods}")
+            raise InputError(f"period count must be <= {MAX_PERIODS}, got {self.periods}")
         for label, value in (
             ("wavelength", self.wavelength_nm),
             ("line width", self.line_nm),
             ("slit width", self.slit_nm),
         ):
             if not math.isfinite(value):
-                raise ValueError(f"{label} must be a finite number of nm, got {value}")
+                raise InputError(f"{label} must be a finite number of nm, got {value}")
 
     @property
     def f(self) -> float:
@@ -430,18 +431,18 @@ def sweep_grid(lo_nm: float, hi_nm: float, step_nm: float) -> np.ndarray:
     allocated.
     """
     if not all(math.isfinite(v) for v in (lo_nm, hi_nm, step_nm)):
-        raise ValueError(
+        raise InputError(
             f"sweep bounds and step must be finite, got [{lo_nm}, {hi_nm}] step {step_nm}"
         )
     if lo_nm > hi_nm:
-        raise ValueError(f"need lo <= hi, got [{lo_nm}, {hi_nm}]")
+        raise InputError(f"need lo <= hi, got [{lo_nm}, {hi_nm}]")
     if step_nm <= 0:
-        raise ValueError(f"step must be > 0 nm, got {step_nm}")
+        raise InputError(f"step must be > 0 nm, got {step_nm}")
     stop = hi_nm + 0.5 * step_nm
     # numpy sizes the grid as ceil((stop - lo)/step); a span that overflows
     # to inf fails this test too.
     if not (stop - lo_nm) / step_nm <= MAX_SWEEP_POINTS:
-        raise ValueError(
+        raise InputError(
             f"sweep of [{lo_nm}, {hi_nm}] step {step_nm} exceeds {MAX_SWEEP_POINTS} points"
         )
     xs = np.arange(lo_nm, stop, step_nm)
@@ -469,9 +470,9 @@ def sweep_curves(
     registry = _registry(registry)
     cavity = _TABLE[spec.cavity]
     if variable not in ("wire", "dielectric"):
-        raise ValueError(f"variable must be 'wire' or 'dielectric', got {variable!r}")
+        raise InputError(f"variable must be 'wire' or 'dielectric', got {variable!r}")
     if variable == "dielectric" and cavity.spacer_family is None:
-        raise ValueError("the multi-layer cavity has no free dielectric thickness")
+        raise InputError("the multi-layer cavity has no free dielectric thickness")
     xs = sweep_grid(lo_nm, hi_nm, step_nm)
 
     ctx = build_context(spec, registry)
@@ -574,11 +575,11 @@ def mlc_convergence(
     absorptance by less than 1e-4 (None if that never happens below n_max).
     """
     if _TABLE[spec.cavity].layout.has_mirror:
-        raise ValueError("convergence in period count only applies to the multi-layer cavity")
+        raise InputError("convergence in period count only applies to the multi-layer cavity")
     if n_max < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
+        raise InputError(f"need n_max >= 2, got {n_max}")
     if n_max > MAX_PERIODS:
-        raise ValueError(f"need n_max <= {MAX_PERIODS}, got {n_max}")
+        raise InputError(f"need n_max <= {MAX_PERIODS}, got {n_max}")
     registry = _registry(registry)
     ctx = build_context(spec, registry)
     with warnings.catch_warnings():
@@ -588,7 +589,7 @@ def mlc_convergence(
         try:
             analytic_A = analytic.absorptance_mlc(d_w_nm, ctx)
         except OverflowError:  # a float ** overflows where numpy gives inf
-            raise ValueError(
+            raise InputError(
                 f"the closed-form absorptance overflows at a {d_w_nm:.6g} nm wire"
             ) from None
 
@@ -597,7 +598,7 @@ def mlc_convergence(
     result = tmm.scatter_truncations(stack, range(3, 2 * n_max + 2, 2), spec.wavelength_nm)
     finite = np.isfinite(result.A) & np.isfinite(result.T)
     if not finite.all():
-        raise ValueError(
+        raise InputError(
             f"absorptance or transmission is not finite at {np.argmin(finite) + 1} periods; "
             "the reflector chain overflows"
         )

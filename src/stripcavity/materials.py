@@ -15,7 +15,7 @@ config file can add or (with an explicit override flag) replace entries.
 from __future__ import annotations
 
 import cmath
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -27,6 +27,8 @@ __all__ = [
     "OpticalConstant",
     "Material",
     "MaterialRegistry",
+    "InputError",
+    "UnknownMaterialError",
     "MaterialConfigError",
     "permittivity",
     "refractive_index",
@@ -42,8 +44,23 @@ PEC_TERMINAL = "pec-terminal"
 _KINDS = (DIELECTRIC, METAL, PEC_TERMINAL)
 
 
-class MaterialConfigError(ValueError):
+class InputError(ValueError):
+    """An input the package refuses: a flag, a config value or a design it
+    cannot make. Every deliberate refusal raises this class or a subclass,
+    and the command line prints it as its one ``error:`` line."""
+
+
+class UnknownMaterialError(InputError, KeyError):
+    """A material name the registry does not hold; a KeyError too, as a
+    mapping's lookup would raise."""
+
+    __str__ = BaseException.__str__  # the message, not KeyError's repr of it
+
+
+class MaterialConfigError(InputError):
     """A material config document is malformed or conflicts with the registry."""
+
+    document = "material config"
 
 
 @dataclass(frozen=True)
@@ -61,7 +78,7 @@ class OpticalConstant:
 
     def __post_init__(self) -> None:
         if self.n_im < 0:
-            raise ValueError(f"extinction magnitude must be >= 0, got {self.n_im}")
+            raise InputError(f"extinction magnitude must be >= 0, got {self.n_im}")
 
     @property
     def n(self) -> complex:
@@ -84,11 +101,11 @@ def refractive_index(eps: complex) -> OpticalConstant:
     """Square root of a permittivity on the branch with Im(n) <= 0.
 
     Raises:
-        ValueError: for eps = 0, which has no usable index.
+        InputError: for eps = 0, which has no usable index.
     """
     eps = complex(eps)
     if eps == 0:
-        raise ValueError("permittivity must be nonzero")
+        raise InputError("permittivity must be nonzero")
     root = cmath.sqrt(eps)
     if root.imag > 0:
         root = -root
@@ -103,7 +120,7 @@ def effective_wire_permittivity(eps_metal: complex, eps_slit: complex, f: float)
     eps = eps_metal*f + eps_slit*(1 - f).
     """
     if not 0.0 <= f <= 1.0:
-        raise ValueError(f"filling factor must lie in [0, 1], got {f}")
+        raise InputError(f"filling factor must lie in [0, 1], got {f}")
     return complex(eps_metal) * f + complex(eps_slit) * (1.0 - f)
 
 
@@ -123,9 +140,9 @@ class Material:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown material kind {self.kind!r}; expected one of {_KINDS}")
+            raise InputError(f"unknown material kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == DIELECTRIC and not self.optical_constant.is_lossless:
-            raise ValueError(
+            raise InputError(
                 f"dielectric {self.name!r} must be lossless (n_im = 0), "
                 f"got n_im = {self.optical_constant.n_im}"
             )
@@ -172,7 +189,7 @@ class MaterialRegistry:
         key = name.lower()
         if key not in self._by_key:
             known = ", ".join(sorted(m.name for m in self._by_key.values()))
-            raise KeyError(f"unknown material {name!r}; known materials: {known}")
+            raise UnknownMaterialError(f"unknown material {name!r}; known materials: {known}")
         return self._by_key[key]
 
     def __len__(self) -> int:
@@ -190,66 +207,103 @@ def builtin_registry() -> MaterialRegistry:
     return MaterialRegistry()
 
 
-def _finite(value: int | float) -> bool:
-    """Whether a config number is finite; an int too large for a float is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+# A config document is read against a field table: key -> (kind, default,
+# detail), checked in order. A default of _REQUIRED marks a key that must be
+# given, and None one that stays None when absent; any other default is read
+# as if given. ``detail`` is a "number"'s least value, a "choice"'s choices,
+# the table of a "mapping" or of each mapping in a "list", or a "material"'s
+# resolver ``(name, registry)`` in place of the registry's lookup.
+_REQUIRED = object()
 
 
-def _unknown_keys(doc: Mapping, allowed: set[str]) -> list:
-    """The keys of ``doc`` outside ``allowed``, sorted by their text: a YAML
-    key may be a number, a boolean or null."""
-    return sorted(set(doc) - allowed, key=str)
+def _refusal(error: type[InputError], path: str, problem: str) -> InputError:
+    """``error`` naming its document and the key at ``path``."""
+    return error(f"{error.document}: {repr(path) if path else 'the top level'} {problem}")
 
 
-def _parse_entry(entry: object, index: int) -> tuple[Material, bool]:
-    label = f"materials[{index}]"
-    if not isinstance(entry, Mapping):
-        raise MaterialConfigError(f"{label} must be a mapping, got {type(entry).__name__}")
-    name = entry.get("name")
-    if not isinstance(name, str) or not name:
-        raise MaterialConfigError(f"{label} needs a non-empty 'name'")
-    label = f"material {name!r}"
-
-    unknown = _unknown_keys(entry, {"name", "n_re", "n_im", "kind", "override"})
+def _read_fields(doc, fields: Mapping, error: type[InputError], registry=None, path="") -> dict:
+    """``doc`` read against the field table ``fields``: key -> converted value,
+    every absent key at its default, material names resolved in
+    ``registry``. The first bad key raises ``error`` naming its path, for
+    example ``layers[0].thickness_nm``; unknown keys come after the known, all
+    named at once."""
+    if not isinstance(doc, Mapping):
+        raise _refusal(error, path, f"must be a mapping, got {type(doc).__name__}")
+    values = {}
+    for key, (kind, default, *detail) in fields.items():
+        at = f"{path}.{key}" if path else key
+        if key in doc:
+            value = doc[key]
+        elif default is _REQUIRED:
+            raise _refusal(error, at, "is missing")
+        elif default is None:
+            values[key] = None
+            continue
+        else:
+            value = default
+        values[key] = _read_value(value, kind, detail[0] if detail else None, error, registry, at)
+    unknown = sorted(doc.keys() - fields.keys(), key=str)
     if unknown:
-        raise MaterialConfigError(f"{label} has unknown keys: {unknown}")
+        raise _refusal(error, path, f"has unknown keys: {unknown}")
+    return values
 
-    n_re = entry.get("n_re")
-    if not isinstance(n_re, (int, float)) or isinstance(n_re, bool):
-        raise MaterialConfigError(f"{label} needs a numeric 'n_re'")
-    n_im = entry.get("n_im", 0.0)
-    if not isinstance(n_im, (int, float)) or isinstance(n_im, bool):
-        raise MaterialConfigError(f"{label} has a non-numeric 'n_im'")
-    for key, value in (("n_re", n_re), ("n_im", n_im)):
-        if not _finite(value):
-            raise MaterialConfigError(f"{label} has a non-finite '{key}': {value}")
-    if n_im < 0:
-        raise MaterialConfigError(f"{label} has negative 'n_im'")
 
-    kind = entry.get("kind", DIELECTRIC if n_im == 0 else METAL)
-    if kind not in _KINDS:
-        raise MaterialConfigError(f"{label} has unknown kind {kind!r}")
-    override = entry.get("override", False)
-    if not isinstance(override, bool):
-        raise MaterialConfigError(f"{label} has a non-boolean 'override'")
-
+def _read_value(value, kind: str, detail, error: type[InputError], registry, at: str):
+    """One value of a config field, converted; see _read_fields."""
+    if kind == "mapping":
+        return _read_fields(value, detail, error, registry, at)
+    if kind == "list":
+        if not isinstance(value, list):
+            raise _refusal(error, at, f"must be a list, got {type(value).__name__}")
+        return [_read_fields(item, detail, error, registry, f"{at}[{i}]")
+                for i, item in enumerate(value)]
+    if kind == "choice":
+        if value not in detail:
+            raise _refusal(error, at, f"must be one of {detail}, got {value!r}")
+        return value
+    if kind == "boolean":
+        if not isinstance(value, bool):
+            raise _refusal(error, at, f"must be true or false, got {value!r}")
+        return value
+    if kind == "number":
+        # a YAML bool is a Python int, but not a number of a config
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _refusal(error, at, f"must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, infinities and ints beyond a float
+            raise _refusal(error, at, f"must be finite, got {value}")
+        if detail is not None and value < detail:
+            raise _refusal(error, at, f"must be >= {detail}, got {value}")
+        return float(value)
+    if kind == "integer":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _refusal(error, at, f"must be an integer, got {value!r}")
+        return value
+    if kind == "name":
+        if not isinstance(value, str) or not value:
+            raise _refusal(error, at, f"must be a non-empty string, got {value!r}")
+        return value
+    # "material"
+    if not isinstance(value, str):
+        raise _refusal(error, at, f"must be a material name, got {value!r}")
     try:
-        mat = Material(name, OpticalConstant(float(n_re), float(n_im)), kind)
-    except ValueError as exc:
-        raise MaterialConfigError(f"{label}: {exc}") from exc
-    return mat, override
+        return detail(value, registry) if detail else registry.get(value)
+    except UnknownMaterialError as exc:
+        raise error(f"{error.document}: {at!r}: {exc}") from None
 
 
-def _read_yaml(path: str | Path, what: str, error: type[ValueError]) -> object:
-    """Parse a YAML (or JSON) file. A syntax error, or a scalar that Python
-    cannot convert, becomes ``error`` with a one-line message naming the
-    problem and, for a syntax error, where it is."""
+def _read_yaml(path: str | Path, error: type[InputError]) -> object:
+    """Parse a YAML (or JSON) file. A file that cannot be read, a syntax
+    error, or a scalar that Python cannot convert becomes ``error`` with a
+    one-line message naming the document, the problem and, for a syntax
+    error, where it is."""
     import yaml  # only a file pays for the parser, not every CLI start
 
-    text = Path(path).read_text()
+    what = error.document
+    try:
+        # bytes: PyYAML decodes them, and refuses a bad encoding as a syntax error
+        text = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc.strerror}: {str(path)!r}") from exc
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -265,6 +319,15 @@ def _read_yaml(path: str | Path, what: str, error: type[ValueError]) -> object:
         raise error(f"cannot parse {what}: {problem[:1].lower()}{problem[1:]}") from exc
 
 
+_MATERIAL_FIELDS = {"materials": ("list", None, {
+    "name": ("name", _REQUIRED),
+    "n_re": ("number", _REQUIRED),
+    "n_im": ("number", 0.0, 0),
+    "kind": ("choice", None, _KINDS),  # None: dielectric when lossless, else metal
+    "override": ("boolean", False),
+})}
+
+
 def load_registry(source: str | Path | Mapping | None = None) -> MaterialRegistry:
     """Build a registry from the built-in table plus a config document.
 
@@ -278,26 +341,12 @@ def load_registry(source: str | Path | Mapping | None = None) -> MaterialRegistr
     ``override: true``.
     """
     registry = builtin_registry()
-    if source is None:
-        return registry
-
     if isinstance(source, (str, Path)):
-        doc = _read_yaml(source, "material config", MaterialConfigError)
-        if doc is None:
-            return registry
-    else:
-        doc = source
-
-    if not isinstance(doc, Mapping):
-        raise MaterialConfigError("material config must be a mapping at the top level")
-    unknown = _unknown_keys(doc, {"materials"})
-    if unknown:
-        raise MaterialConfigError(f"material config has unknown keys: {unknown}")
-
-    entries = doc.get("materials", [])
-    if not isinstance(entries, list):
-        raise MaterialConfigError("'materials' must be a list")
-    for i, entry in enumerate(entries):
-        mat, override = _parse_entry(entry, i)
-        registry.add(mat, override=override)
+        source = _read_yaml(source, MaterialConfigError)
+    if source is None:  # no document, or an empty file
+        return registry
+    for entry in _read_fields(source, _MATERIAL_FIELDS, MaterialConfigError)["materials"] or ():
+        kind = entry["kind"] or (DIELECTRIC if entry["n_im"] == 0 else METAL)
+        constant = OpticalConstant(entry["n_re"], entry["n_im"])
+        registry.add(Material(entry["name"], constant, kind), override=entry["override"])
     return registry

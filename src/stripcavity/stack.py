@@ -10,20 +10,22 @@ permittivity mixes wire and slit material by the filling factor.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
 from .materials import (
+    _REQUIRED,
     DIELECTRIC,
     METAL,
     PEC_TERMINAL,
+    InputError,
     Material,
     MaterialRegistry,
-    _finite,
+    _read_fields,
     _read_yaml,
-    _unknown_keys,
+    _refusal,
     builtin_registry,
     effective_wire_permittivity,
     permittivity,
@@ -60,8 +62,10 @@ __all__ = [
 MAX_PERIODS = 10_000
 
 
-class StackConfigError(ValueError):
+class StackConfigError(InputError):
     """A stack config document is malformed."""
+
+    document = "stack config"
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,9 @@ class Layer:
 
     def __post_init__(self) -> None:
         if not self.thickness_nm > 0:
-            raise ValueError(f"layer thickness must be > 0 nm, got {self.thickness_nm}")
+            raise InputError(f"layer thickness must be > 0 nm, got {self.thickness_nm}")
         if self.material.kind == PEC_TERMINAL:
-            raise ValueError(
+            raise InputError(
                 "the ideal-mirror marker cannot form a finite layer; "
                 "use its -1000i surrogate material instead"
             )
@@ -114,10 +118,10 @@ class Stack:
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.input.is_short:
-            raise ValueError("the short-circuit terminal is only allowed as the output medium")
+            raise InputError("the short-circuit terminal is only allowed as the output medium")
         oc = self.input.material.optical_constant
         if not oc.is_lossless:
-            raise ValueError(
+            raise InputError(
                 f"input medium {self.input.material.name!r} must be lossless; "
                 "the scattering formulas discard input/output absorption"
             )
@@ -126,9 +130,9 @@ class Stack:
 def filling_factor(line_nm: float, slit_nm: float) -> float:
     """Line width over line-plus-slit width of the patterned wire."""
     if line_nm <= 0:
-        raise ValueError(f"line width must be > 0 nm, got {line_nm}")
+        raise InputError(f"line width must be > 0 nm, got {line_nm}")
     if slit_nm < 0:
-        raise ValueError(f"slit width must be >= 0 nm, got {slit_nm}")
+        raise InputError(f"slit width must be >= 0 nm, got {slit_nm}")
     return line_nm / (line_nm + slit_nm)
 
 
@@ -145,7 +149,7 @@ class WireGeometry:
     def __post_init__(self) -> None:
         filling_factor(self.line_nm, self.slit_nm)
         if not self.thickness_nm > 0:
-            raise ValueError(f"wire thickness must be > 0 nm, got {self.thickness_nm}")
+            raise InputError(f"wire thickness must be > 0 nm, got {self.thickness_nm}")
 
     @property
     def f(self) -> float:
@@ -269,7 +273,7 @@ def _assemble(
     for part, nm, (_, default, role) in zip(parts, part_nm, layout.parts):
         part = part or registry.get(default)
         if not part.optical_constant.is_lossless:
-            raise ValueError(f"{role} {part.name!r} must be a lossless dielectric")
+            raise InputError(f"{role} {part.name!r} must be a lossless dielectric")
         films.append((part, quarter_wave_thickness(part, wavelength_nm) if nm is None else nm))
     output = Medium(output or registry.get("Vacuum"))
     if layout.has_mirror:
@@ -277,7 +281,7 @@ def _assemble(
         mirror = mirror or registry.get("PEC")
         if isinstance(mirror, Medium):
             if not mirror.is_short:
-                raise ValueError("a Medium mirror must be the exact short terminal")
+                raise InputError("a Medium mirror must be the exact short terminal")
             end, output = [], EXACT_SHORT
         else:
             if mirror.kind == PEC_TERMINAL:
@@ -286,15 +290,15 @@ def _assemble(
     else:
         (low, _), (high, _) = films[-2:]
         if low.optical_constant.n_re >= high.optical_constant.n_re:
-            raise ValueError(
+            raise InputError(
                 "the reflector layer adjacent to the wire must have the smaller refractive "
                 f"index, got n({low.name}) = {low.optical_constant.n_re} >= "
                 f"n({high.name}) = {high.optical_constant.n_re}"
             )
         if periods < 1:
-            raise ValueError(f"period count must be >= 1, got {periods}")
+            raise InputError(f"period count must be >= 1, got {periods}")
         if periods > MAX_PERIODS:
-            raise ValueError(f"period count must be <= {MAX_PERIODS}, got {periods}")
+            raise InputError(f"period count must be <= {MAX_PERIODS}, got {periods}")
         end = [Layer(part, nm) for part, nm in films[-2:]] * periods  # frozen: one shared pair
         del films[-2:]
     layers = [Layer(part, nm) for part, nm in films]
@@ -361,43 +365,6 @@ class StackConfig:
     dielectric_layer_index: int | None = None
 
 
-_CONFIG_CAVITIES = (*LAYOUTS, "custom")
-
-
-def _require_keys(doc: Mapping, allowed: set[str], label: str) -> None:
-    unknown = _unknown_keys(doc, allowed)
-    if unknown:
-        raise StackConfigError(f"{label} has unknown keys: {unknown}")
-
-
-def _get_number(doc: Mapping, key: str, label: str, default: float | None = None) -> float:
-    if key not in doc:
-        if default is None:
-            raise StackConfigError(f"{label} needs '{key}'")
-        return default
-    value = doc[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise StackConfigError(f"{label}: '{key}' must be a number")
-    if not _finite(value):
-        raise StackConfigError(f"{label}: '{key}' must be finite, got {value}")
-    return float(value)
-
-
-def _parse_wire(doc: Mapping, registry: MaterialRegistry, thickness_required: bool) -> WireGeometry:
-    if "wire" not in doc:
-        raise StackConfigError("stack config needs a 'wire' block")
-    wire = doc["wire"]
-    if not isinstance(wire, Mapping):
-        raise StackConfigError("'wire' must be a mapping")
-    _require_keys(wire, {"line_nm", "slit_nm", "material", "slit_material", "thickness_nm"}, "'wire'")
-    line = _get_number(wire, "line_nm", "'wire'", 80.0)
-    slit = _get_number(wire, "slit_nm", "'wire'", 80.0)
-    thickness = _get_number(wire, "thickness_nm", "'wire'", None if thickness_required else 10.0)
-    material = registry.get(str(wire.get("material", "NbN")))
-    slit_material = registry.get(str(wire["slit_material"])) if "slit_material" in wire else None
-    return WireGeometry(line, slit, material, slit_material or registry.get("Vacuum"), thickness)
-
-
 def resolve_mirror(token: str, registry: MaterialRegistry) -> Material | Medium:
     """Map a mirror token to a buildable mirror.
 
@@ -409,6 +376,46 @@ def resolve_mirror(token: str, registry: MaterialRegistry) -> Material | Medium:
     if token == "pec-surrogate":
         return registry.get("PEC")
     return registry.get(token)
+
+
+def _resolve_output(token: str, registry: MaterialRegistry) -> Material | Medium:
+    """An output medium of a stack config: ``short`` is the exact short terminal."""
+    return EXACT_SHORT if token == "short" else registry.get(token)
+
+
+# The field tables of a stack config (see materials._read_fields): the keys
+# of every config, the wire block and a custom layer. A standard layout's
+# own keys come from its Layout row.
+_COMMON_FIELDS = {
+    "cavity": ("choice", _REQUIRED, (*LAYOUTS, "custom")),
+    "wavelength_nm": ("number", 1550.0),
+    "input": ("material", None),  # None: the layout's default input medium
+    "output": ("material", None, _resolve_output),  # None: vacuum
+}
+_WIRE_FIELDS = {
+    "line_nm": ("number", 80.0),
+    "slit_nm": ("number", 80.0),
+    "material": ("material", "NbN"),
+    "slit_material": ("material", None),  # None: the layout's slit filler, else vacuum
+    "thickness_nm": ("number", _REQUIRED),
+}
+_LAYER_FIELDS = {"material": ("material", _REQUIRED), "thickness_nm": ("number", _REQUIRED)}
+
+
+def _config_fields(layout: Layout | None) -> dict:
+    """The field table of a stack config of ``layout``, None for a custom one."""
+    if layout is None:
+        return {**_COMMON_FIELDS, "layers": ("list", _REQUIRED, _LAYER_FIELDS)}
+    fields = {**_COMMON_FIELDS, "wire": ("mapping", _REQUIRED, _WIRE_FIELDS)}
+    fields.update({key: ("material", default) for key, default, _ in layout.parts})
+    if layout.has_mirror:
+        # a None part thickness is quarter-wave
+        fields.update({key + "_nm": ("number", None) for key, *_ in layout.parts})
+        fields["mirror"] = ("material", "pec-surrogate", resolve_mirror)
+        fields["mirror_nm"] = ("number", 130.0)
+    else:
+        fields["periods"] = ("integer", 6)
+    return fields
 
 
 def load_stack_config(
@@ -433,74 +440,37 @@ def load_stack_config(
         cavity: custom
         layers: [{material: SiO, thickness_nm: 250}, ...]
 
-    Unknown keys anywhere are rejected.
+    A wrong key anywhere is named by its path, for example
+    ``layers[0].thickness_nm``, and unknown keys are rejected.
     """
     registry = _registry_default(registry)
     if isinstance(source, (str, Path)):
-        doc = _read_yaml(source, "stack config", StackConfigError)
-    else:
-        doc = source
-    if not isinstance(doc, Mapping):
-        raise StackConfigError("stack config must be a mapping at the top level")
-
-    cavity = doc.get("cavity")
-    if cavity not in _CONFIG_CAVITIES:
-        raise StackConfigError(f"'cavity' must be one of {_CONFIG_CAVITIES}, got {cavity!r}")
-    wavelength = _get_number(doc, "wavelength_nm", "stack config", 1550.0)
-
-    common = {"cavity", "wavelength_nm", "input", "output"}
-    input_mat = registry.get(str(doc.get("input"))) if "input" in doc else None
-    output_token = str(doc["output"]) if "output" in doc else None
-    output_mat = None
-    if output_token is not None:
-        output_mat = None if output_token == "short" else registry.get(output_token)
-
-    layout = LAYOUTS.get(cavity)
+        source = _read_yaml(source, StackConfigError)
+    # A 'cavity' that names no layout reads the custom table, whose first
+    # key, 'cavity', then refuses it.
+    cavity = source.get("cavity") if isinstance(source, Mapping) else None
+    layout = LAYOUTS.get(cavity) if isinstance(cavity, str) else None
+    values = _read_fields(source, _config_fields(layout), StackConfigError, registry)
+    wavelength, input, output = values["wavelength_nm"], values["input"], values["output"]
     if layout is None:  # custom
-        _require_keys(doc, common | {"layers"}, "stack config")
-        entries = doc.get("layers")
-        if not isinstance(entries, list) or not entries:
-            raise StackConfigError("custom stack config needs a non-empty 'layers' list")
-        layers = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, Mapping):
-                raise StackConfigError(f"layers[{i}] must be a mapping")
-            _require_keys(entry, {"material", "thickness_nm"}, f"layers[{i}]")
-            mat = registry.get(str(entry.get("material")))
-            layers.append(Layer(mat, _get_number(entry, "thickness_nm", f"layers[{i}]")))
-        inp = Medium(input_mat if input_mat is not None else registry.get("Vacuum"))
-        out = EXACT_SHORT if output_token == "short" else Medium(
-            output_mat if output_mat is not None else registry.get("Vacuum")
-        )
-        stack = Stack(inp, tuple(layers), out)
+        layers = tuple(Layer(item["material"], item["thickness_nm"]) for item in values["layers"])
+        output = output if output is EXACT_SHORT else Medium(output or registry.get("Vacuum"))
+        stack = Stack(Medium(input or registry.get("Vacuum")), layers, output)
         return StackConfig("custom", stack, wavelength)
 
-    if output_token == "short":
-        raise StackConfigError("use mirror: pec for a short-terminated standard cavity")
-
-    keys = {"wire", *(key for key, *_ in layout.parts)}
-    if layout.has_mirror:
-        keys |= {"mirror", "mirror_nm", *(key + "_nm" for key, *_ in layout.parts)}
-    else:
-        keys.add("periods")
-    _require_keys(doc, common | keys, "stack config")
-    wire = _parse_wire(doc, registry, thickness_required=True)
-    parts = [registry.get(str(doc.get(key, default))) for key, default, _ in layout.parts]
-    if layout.slit_fill is not None and "slit_material" not in doc["wire"]:
-        wire = replace(wire, slit_material=parts[layout.slit_fill])
-    part_nm = [
-        _get_number(doc, key + "_nm", "stack config") if key + "_nm" in doc else None
-        for key, *_ in layout.parts
-    ]
-    mirror = mirror_nm = periods = None
-    if layout.has_mirror:
-        mirror = resolve_mirror(str(doc.get("mirror", "pec-surrogate")), registry)
-        mirror_nm = _get_number(doc, "mirror_nm", "stack config", 130.0)
-    else:
-        periods = doc.get("periods", 6)
-        if not isinstance(periods, int) or isinstance(periods, bool):
-            raise StackConfigError("'periods' must be an integer")
+    if output is EXACT_SHORT:
+        raise _refusal(StackConfigError, "output",
+                       "cannot be short in a standard cavity; use mirror: pec")
+    parts = [values[key] for key, *_ in layout.parts]
+    wire = values["wire"]
+    slit = wire["slit_material"] or (
+        registry.get("Vacuum") if layout.slit_fill is None else parts[layout.slit_fill]
+    )
+    wire = WireGeometry(
+        wire["line_nm"], wire["slit_nm"], wire["material"], slit, wire["thickness_nm"]
+    )
     stack = layout.build(
-        wire, parts, part_nm, mirror, mirror_nm, periods, input_mat, output_mat, wavelength, registry
+        wire, parts, [values.get(key + "_nm") for key, *_ in layout.parts], values.get("mirror"),
+        values.get("mirror_nm"), values.get("periods"), input, output, wavelength, registry,
     )
     return StackConfig(layout.name, stack, wavelength, layout.wire_index, layout.spacer_index)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .materials import InputError
 from .stack import Stack
 
 __all__ = [
@@ -50,6 +51,11 @@ __all__ = [
     "absorptance_of_layer",
     "argmax_absorptance",
 ]
+
+
+class LayerIndexError(InputError, IndexError):
+    """A layer index outside the stack; an IndexError too, as a sequence's is."""
+
 
 #: Returned by `input_impedance` when the chain presents an open circuit.
 OPEN_CIRCUIT = complex(math.inf, 0.0)
@@ -113,18 +119,18 @@ def _prepare(stack: Stack, wavelength_nm: float, layer_index: int | None = None)
     `Layer` object's index is read once: a reflector repeats one shared pair.
     """
     if wavelength_nm <= 0:
-        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm}")
+        raise InputError(f"wavelength must be > 0 nm, got {wavelength_nm}")
     layers = stack.layers
     if layer_index is not None and not 0 <= layer_index < len(layers):
-        raise IndexError(f"layer index {layer_index} outside stack of {len(layers)} layers")
+        raise LayerIndexError(f"layer index {layer_index} outside stack of {len(layers)} layers")
     n_i = stack.input.material.optical_constant.n_re
     if n_i <= 0:
-        raise ValueError("input medium must have a positive real index")
+        raise InputError("input medium must have a positive real index")
     eta_o = 0.0
     if not stack.output.is_short:
         n_o = stack.output.material.optical_constant.n_re
         if n_o <= 0:
-            raise ValueError(
+            raise InputError(
                 "output medium must have a positive real index; "
                 "use the short-circuit terminal for an ideal mirror"
             )
@@ -235,7 +241,7 @@ def sweep(stack: Stack, layer_index: int, thicknesses_nm, wavelength_nm: float) 
     # slows a 15k-point sweep
     finite = np.isfinite(result.A)
     if not finite.all():
-        raise ValueError(
+        raise InputError(
             f"absorptance is not finite at {values[np.argmin(finite)]:.6g} nm of layer "
             f"{layer_index}; the chain overflows"
         )
@@ -389,13 +395,13 @@ def argmax_absorptance(
     absorptance is not finite (a chain that overflows).
     """
     if not lo_nm < hi_nm:
-        raise ValueError(f"need lo < hi, got [{lo_nm}, {hi_nm}]")
+        raise InputError(f"need lo < hi, got [{lo_nm}, {hi_nm}]")
     grid = _grid(lo_nm, hi_nm)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         absorptance = absorptance_of_layer(stack, layer_index, wavelength_nm)
         grid_A = absorptance(grid)
     if not np.isfinite(grid_A).all():
-        raise ValueError(
+        raise InputError(
             f"absorptance is not finite over [{lo_nm}, {hi_nm}] nm of layer {layer_index}; "
             "the chain overflows"
         )

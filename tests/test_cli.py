@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from stripcavity import cli
 from stripcavity.cli import main
 from stripcavity.design import MAX_PERIODS, DesignSpec
+from stripcavity.materials import InputError
 from stripcavity.stack import StackConfigError, load_stack_config
 from test_cli_fuzz import mostly
 
@@ -51,6 +52,17 @@ def kv_report(path):
 # sys.get_int_max_str_digits() (4300 by default)
 TOO_MANY_DIGITS = ("exceeds the limit (4300 digits) for integer string conversion: "
                    "value has 5001 digits")
+
+
+def write_config(directory, config):
+    """The path of a config file holding the text ``config``; "<missing>"
+    names a file that does not exist, and "<directory>" a directory."""
+    if config == "<directory>":
+        return directory
+    path = directory / "config.yaml"
+    if config != "<missing>":
+        path.write_text(config)
+    return path
 
 
 def one_error_line(capsys, argv):
@@ -403,6 +415,9 @@ def test_back_to_back_calls_share_no_state(tmp_path):
     (["sweep", "--stack", "{stack}"], "a custom stack names no layer to sweep; --layer picks"),
     (["sweep", "--stack", "{mlc}", "--variable", "dielectric"],
      "the mlc layout has no dielectric spacer; --layer picks the swept layer"),
+    # a built-in cavity sweeps the layer --variable names, so --layer would be ignored
+    (["sweep", "--cavity", "ssc", "--range", "1:30", "--step", "0.5", "--layer", "7"],
+     "--layer applies only with --stack"),
 ])
 def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     stack, mlc = write_custom_stack(tmp_path), tmp_path / "mlc.yaml"
@@ -410,62 +425,76 @@ def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     assert message in one_error_line(capsys, [arg.format(stack=stack, mlc=mlc) for arg in argv])
 
 
-# Every error branch of a stack config, as `sweep --stack` reaches it.
+# Every error branch of a stack config, as `sweep --stack` reaches it. An
+# empty layer list is a stack without layers, which --layer 0 cannot sweep.
 @pytest.mark.parametrize("config, message", [
-    ("[1, 2]\n", "stack config must be a mapping at the top level"),
-    ("cavity: custom\nlayers: []\n", "custom stack config needs a non-empty 'layers' list"),
-    ("cavity: custom\nlayers: [5]\n", "layers[0] must be a mapping"),
+    ("[1, 2]\n", "stack config: the top level must be a mapping, got list"),
+    ("cavity: custom\nlayers: []\n", "layer index 0 outside stack of 0 layers"),
+    ("cavity: custom\nlayers: [5]\n", "stack config: 'layers[0]' must be a mapping, got int"),
     ("cavity: custom\nlayers: [{material: SiO, thickness_nm: abc}]\n",
-     "layers[0]: 'thickness_nm' must be a number"),
+     "stack config: 'layers[0].thickness_nm' must be a number, got 'abc'"),
     ("cavity: custom\nlayers: [{material: SiO, thickness_nm: 1" + "0" * 400 + "}]\n",
-     "layers[0]: 'thickness_nm' must be finite, got 1" + "0" * 400),
+     "stack config: 'layers[0].thickness_nm' must be finite, got 1" + "0" * 400),
     ("cavity: custom\n1: 2\nfoo: 3\nlayers: [{material: SiO, thickness_nm: 5}]\n",
-     "stack config has unknown keys: [1, 'foo']"),
-    ("cavity: ssc\n", "stack config needs a 'wire' block"),
-    ("cavity: ssc\nwire: 5\n", "'wire' must be a mapping"),
+     "stack config: the top level has unknown keys: [1, 'foo']"),
+    ("cavity: ssc\n", "stack config: 'wire' is missing"),
+    ("cavity: ssc\nwire: 5\n", "stack config: 'wire' must be a mapping, got int"),
     ("cavity: ssc\nwire: {thickness_nm: 8}\noutput: short\n",
-     "use mirror: pec for a short-terminated standard cavity"),
-    ("cavity: mlc\nwire: {thickness_nm: 8}\nperiods: 2.5\n", "'periods' must be an integer"),
+     "stack config: 'output' cannot be short in a standard cavity; use mirror: pec"),
+    ("cavity: mlc\nwire: {thickness_nm: 8}\nperiods: 2.5\n",
+     "stack config: 'periods' must be an integer, got 2.5"),
     ("cavity: custom\nlayers:\n  - {material: SiO, thickness_nm: " + "1" * 5001 + "}\n",
      "cannot parse stack config: " + TOO_MANY_DIGITS),
+    ("cavity: custom\nlayers: [{thickness_nm: 5}]\n", "stack config: 'layers[0].material' is missing"),
+    ("cavity: ssc\nwire: {material: null, thickness_nm: 6}\n",
+     "stack config: 'wire.material' must be a material name, got None"),
+    ("<missing>", "cannot read stack config: No such file or directory: '{path}'"),
+    ("<directory>", "cannot read stack config: Is a directory: '{path}'"),
 ], ids=["top-level-list", "empty-layers", "layer-not-mapping", "non-numeric", "huge-int",
         "non-string-key", "no-wire", "wire-not-mapping", "short-output", "fractional-periods",
-        "over-4300-digits"])
+        "over-4300-digits", "layer-without-material", "null-wire-material", "missing-file",
+        "directory"])
 def test_stack_config_errors_are_one_error_line(tmp_path, capsys, config, message):
-    path = tmp_path / "stack.yaml"
-    path.write_text(config)
+    path = write_config(tmp_path, config)
     err = one_error_line(capsys, ["sweep", "--stack", str(path), "--layer", "0"])
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message.replace('{path}', str(path))}\n"
 
 
 # Every error branch of a material config, as `design --materials` reaches it;
-# the last case passes the config and fails in the closed forms' context.
+# the lossy dielectric is refused by the Material it would make, and the
+# negative spacer index passes the config and fails in the closed forms' context.
 @pytest.mark.parametrize("config, message", [
-    ("[1, 2]\n", "material config must be a mapping at the top level"),
-    ("materials: {name: X}\n", "'materials' must be a list"),
-    ("materials: [1]\n", "materials[0] must be a mapping, got int"),
-    ("materials: [{name: X, n_re: 1.5, n_im: a}]\n", "material 'X' has a non-numeric 'n_im'"),
+    ("[1, 2]\n", "material config: the top level must be a mapping, got list"),
+    ("materials: {name: X}\n", "material config: 'materials' must be a list, got dict"),
+    ("materials: [1]\n", "material config: 'materials[0]' must be a mapping, got int"),
+    ("materials: [{name: X, n_re: 1.5, n_im: a}]\n",
+     "material config: 'materials[0].n_im' must be a number, got 'a'"),
     ("materials: [{name: X, n_re: 1" + "0" * 400 + "}]\n",
-     "material 'X' has a non-finite 'n_re': 1" + "0" * 400),
+     "material config: 'materials[0].n_re' must be finite, got 1" + "0" * 400),
     ("materials: [{name: X, n_re: 1.5, override: 1}]\n",
-     "material 'X' has a non-boolean 'override'"),
+     "material config: 'materials[0].override' must be true or false, got 1"),
     ("materials: [{name: X, n_re: 1.5, n_im: 0.1, kind: dielectric}]\n",
-     "material 'X': dielectric 'X' must be lossless (n_im = 0), got n_im = 0.1"),
-    ("materials: [{name: X, n_re: 1.5, 3: 4, a: 5}]\n", "material 'X' has unknown keys: [3, 'a']"),
-    ("materials: []\ntrue: 1\nfoo: 2\n", "material config has unknown keys: [True, 'foo']"),
+     "dielectric 'X' must be lossless (n_im = 0), got n_im = 0.1"),
+    ("materials: [{name: X, n_re: 1.5, 3: 4, a: 5}]\n",
+     "material config: 'materials[0]' has unknown keys: [3, 'a']"),
+    ("materials: []\ntrue: 1\nfoo: 2\n",
+     "material config: the top level has unknown keys: [True, 'foo']"),
     ("materials: [{name: SiO, n_re: -1.5, override: true}]\n", "n_c must be > 0, got -1.5"),
     ("materials: [{name: X, n_re: " + "1" * 5001 + "}]\n",
      "cannot parse material config: " + TOO_MANY_DIGITS),
     ("materials: [{name: X, n_re: 2001-13-45}]\n",
      "cannot parse material config: month must be in 1..12"),
+    ("materials: [{n_re: 1.5}]\n", "material config: 'materials[0].name' is missing"),
+    ("<missing>", "cannot read material config: No such file or directory: '{path}'"),
+    ("<directory>", "cannot read material config: Is a directory: '{path}'"),
 ], ids=["top-level-list", "materials-not-list", "entry-not-mapping", "non-numeric-n_im",
         "huge-int", "non-boolean-override", "lossy-dielectric", "non-string-entry-key",
-        "non-string-key", "negative-spacer-index", "over-4300-digits", "out-of-range-date"])
+        "non-string-key", "negative-spacer-index", "over-4300-digits", "out-of-range-date",
+        "entry-without-name", "missing-file", "directory"])
 def test_material_config_errors_are_one_error_line(tmp_path, capsys, config, message):
-    path = tmp_path / "materials.yaml"
-    path.write_text(config)
+    path = write_config(tmp_path, config)
     err = one_error_line(capsys, ["design", "--cavity", "ssc", "--materials", str(path)])
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message.replace('{path}', str(path))}\n"
 
 
 def test_empty_material_config_is_the_builtin_table(tmp_path):
@@ -606,6 +635,11 @@ class TestMlcConvergence:
         assert main(["mlc-convergence", "--cavity", "ssc"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_periods_flag_refused(self, capsys):
+        # --max-periods sets the period counts, so --periods would be ignored
+        err = one_error_line(capsys, ["mlc-convergence", "--cavity", "mlc", "--periods", "3"])
+        assert "unrecognized arguments: --periods 3" in err
+
 
 class TestInputBounds:
     # MAX_PERIODS + 1 is refused before a layer is built, so these are quick
@@ -654,7 +688,7 @@ class TestInputBounds:
         err = one_error_line(capsys, [
             "sweep", "--cavity", "ssc", "--stack", str(config), "--layer", "0", "--out", str(out),
         ])
-        assert "'thickness_nm' must be finite" in err
+        assert "'layers[1].thickness_nm' must be finite" in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
@@ -664,7 +698,7 @@ class TestInputBounds:
         err = one_error_line(capsys, [
             "design", "--cavity", "ssc", "--slit-material", "Foo", "--materials", str(materials),
         ])
-        assert err == "error: material 'Foo' has a non-finite 'n_re': nan\n"
+        assert err == "error: material config: 'materials[0].n_re' must be finite, got nan\n"
 
     @pytest.mark.parametrize("command, cavity", [
         ("design", "ssc"), ("sweep", "ssc"), ("impedance", "mlc"), ("mlc-convergence", "mlc"),
@@ -678,26 +712,36 @@ class TestInputBounds:
         ])
         assert err == "error: wire permittivity must be nonzero\n"
 
-    # every material lookup of a stack config: a custom layer, the media, the
-    # wire, a layout part and the mirror; a YAML number or bool is a name too
-    @pytest.mark.parametrize("config, name", [
-        ("cavity: custom\nlayers: [{material: Foo, thickness_nm: 6}]\n", "Foo"),
-        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\ninput: Foo\n", "Foo"),
-        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\noutput: Foo\n", "Foo"),
-        ("cavity: ssc\nwire: {material: Foo, thickness_nm: 6}\n", "Foo"),
-        ("cavity: ssc\nwire: {slit_material: Foo, thickness_nm: 6}\n", "Foo"),
-        ("cavity: ssc\nwire: {thickness_nm: 6}\ndielectric: Foo\n", "Foo"),
-        ("cavity: ssc\nwire: {thickness_nm: 6}\nmirror: Foo\n", "Foo"),
-        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\ninput: 1.5\n", "1.5"),
-        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\ninput: true\n", "True"),
+    # every material lookup of a stack config, named by its key: a custom
+    # layer, the media, the wire, a layout part and the mirror; a YAML number
+    # or bool is no name
+    @pytest.mark.parametrize("config, start", [
+        ("cavity: custom\nlayers: [{material: Foo, thickness_nm: 6}]\n",
+         "'layers[0].material': unknown material 'Foo'; known materials: "),
+        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\ninput: Foo\n",
+         "'input': unknown material 'Foo'; known materials: "),
+        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\noutput: Foo\n",
+         "'output': unknown material 'Foo'; known materials: "),
+        ("cavity: ssc\nwire: {material: Foo, thickness_nm: 6}\n",
+         "'wire.material': unknown material 'Foo'; known materials: "),
+        ("cavity: ssc\nwire: {slit_material: Foo, thickness_nm: 6}\n",
+         "'wire.slit_material': unknown material 'Foo'; known materials: "),
+        ("cavity: ssc\nwire: {thickness_nm: 6}\ndielectric: Foo\n",
+         "'dielectric': unknown material 'Foo'; known materials: "),
+        ("cavity: ssc\nwire: {thickness_nm: 6}\nmirror: Foo\n",
+         "'mirror': unknown material 'Foo'; known materials: "),
+        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\ninput: 1.5\n",
+         "'input' must be a material name, got 1.5\n"),
+        ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\ninput: true\n",
+         "'input' must be a material name, got True\n"),
     ], ids=[
         "layer", "input", "output", "wire", "slit", "part", "mirror", "number", "bool",
     ])
-    def test_unknown_material_in_stack_file(self, tmp_path, capsys, config, name):
+    def test_unknown_material_in_stack_file(self, tmp_path, capsys, config, start):
         path = tmp_path / "stack.yaml"
         path.write_text(config)
         err = one_error_line(capsys, ["sweep", "--stack", str(path), "--layer", "0"])
-        assert err.startswith(f"error: unknown material {name!r}; known materials: ")
+        assert err.startswith(f"error: stack config: {start}")
 
     @pytest.mark.parametrize("flag, text", [
         ("--stack", "cavity: [custom\n"),
@@ -735,7 +779,7 @@ def _argparse_fields(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return _fields(cli._build_parser().parse_args(argv))
-        except (cli.CliError, SystemExit):
+        except (InputError, SystemExit):
             return None
 
 
@@ -746,6 +790,18 @@ def assert_read_as_argparse(argv):
     if read is not None:
         assert _fields(read) == _argparse_fields(argv), argv
     return read
+
+
+def test_accidental_error_is_not_a_refusal(monkeypatch, capsys):
+    # only the package's refusal class becomes an error line; any other
+    # exception is a fault, and keeps its traceback
+    def run_design_flow(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "run_design_flow", run_design_flow)
+    with pytest.raises(ValueError, match="boom"):
+        main(["design", "--cavity", "ssc"])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_broken_pipe_is_exit_1_without_a_message(monkeypatch, capsys):
@@ -793,7 +849,7 @@ PARSER_CASES = [
     ["table2", "--materials", "m.yaml", "--format", "structured-report"],
     ["mlc-convergence", "--cavity", "mlc"],
     ["mlc-convergence", "--cavity", "mlc", "--max-periods", "20", "--wire-nm", "11.6",
-     "--c1", "SiO2", "--c2", "SiO", "--periods", "3"],
+     "--c1", "SiO2", "--c2", "SiO"],
 ]
 
 

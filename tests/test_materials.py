@@ -5,6 +5,7 @@ from stripcavity.materials import (
     DIELECTRIC,
     METAL,
     PEC_TERMINAL,
+    InputError,
     Material,
     MaterialConfigError,
     OpticalConstant,
@@ -141,8 +142,11 @@ class TestRegistry:
         assert reg.get("nbn") is reg.get("NbN")
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError, match="known materials"):
+        with pytest.raises(KeyError, match="known materials") as info:
             builtin_registry().get("Unobtanium")
+        # a refusal too, whose text is the message, not KeyError's repr of it
+        assert isinstance(info.value, InputError)
+        assert str(info.value).startswith("unknown material 'Unobtanium'; known materials: Ag")
 
     def test_duplicate_rejected(self):
         reg = builtin_registry()
@@ -183,16 +187,26 @@ class TestLoadRegistry:
             ({"n_re": 1.2}, "name"),
             ({"name": "X"}, "n_re"),
             ({"name": "X", "n_re": "big"}, "n_re"),
-            ({"name": "X", "n_re": 1.0, "n_im": -1.0}, "negative"),
+            pytest.param({"name": "X", "n_re": 1.0, "n_im": -1.0},
+                         r"'materials\[0\]\.n_im' must be >= 0, got -1.0", id="entry3-negative"),
             ({"name": "X", "n_re": 1.0, "colour": "blue"}, "unknown keys"),
             ({"name": "X", "n_re": 1.0, "kind": "plasma"}, "kind"),
-            ({"name": "X", "n_re": float("nan")}, "material 'X' has a non-finite 'n_re'"),
-            ({"name": "X", "n_re": float("inf")}, "material 'X' has a non-finite 'n_re'"),
-            ({"name": "X", "n_re": 4.9, "n_im": float("nan")}, "material 'X' has a non-finite 'n_im'"),
-            ({"name": "X", "n_re": 4.9, "n_im": float("inf")}, "material 'X' has a non-finite 'n_im'"),
+            pytest.param({"name": "X", "n_re": float("nan")},
+                         r"'materials\[0\]\.n_re' must be finite, got nan",
+                         id="entry6-material 'X' has a non-finite 'n_re'"),
+            pytest.param({"name": "X", "n_re": float("inf")},
+                         r"'materials\[0\]\.n_re' must be finite, got inf",
+                         id="entry7-material 'X' has a non-finite 'n_re'"),
+            pytest.param({"name": "X", "n_re": 4.9, "n_im": float("nan")},
+                         r"'materials\[0\]\.n_im' must be finite, got nan",
+                         id="entry8-material 'X' has a non-finite 'n_im'"),
+            pytest.param({"name": "X", "n_re": 4.9, "n_im": float("inf")},
+                         r"'materials\[0\]\.n_im' must be finite, got inf",
+                         id="entry9-material 'X' has a non-finite 'n_im'"),
         ],
     )
     def test_malformed_entry(self, entry, match):
+        # ids name the case; a message names its key by path, as 'materials[0].n_re'
         with pytest.raises(MaterialConfigError, match=match):
             load_registry({"materials": [entry]})
 

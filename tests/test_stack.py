@@ -276,7 +276,8 @@ class TestStackConfig:
         ({"cavity": "dsc", "wire": {"thickness_nm": 6}, "mirror_nm": float("nan")}, "mirror_nm"),
     ])
     def test_non_finite_number_rejected(self, doc, key):
-        with pytest.raises(StackConfigError, match=f"'{key}' must be finite"):
+        # the message names the key's path, such as 'layers[0].thickness_nm'
+        with pytest.raises(StackConfigError, match=f"{key}' must be finite"):
             load_stack_config(doc)
 
     def test_lossy_part_refused_before_its_quarter_wave(self):
