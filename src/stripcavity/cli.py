@@ -315,9 +315,8 @@ _COMMANDS = {
         _flag("--step", float, help="step in nm (default 0.1)"),
     )),
     "table2": ("reference-table regression with pass/fail flags", _cmd_table2, _IO_FLAGS),
-    # --max-periods replaces --periods, the last spec flag
     "mlc-convergence": ("reflector period-count study", _cmd_mlc_convergence, (
-        _cavity(True), *_SPEC_FLAGS[:-1], *_IO_FLAGS,
+        _cavity(True), *(f for f in _SPEC_FLAGS if f[0] != "--periods"), *_IO_FLAGS,
         _flag("--max-periods", int, default=12),
         _flag("--wire-nm", float, help="wire thickness (default: closed-form optimum)"),
     )),

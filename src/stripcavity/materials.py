@@ -210,9 +210,9 @@ def builtin_registry() -> MaterialRegistry:
 # A config document is read against a field table: key -> (kind, default,
 # detail), checked in order. A default of _REQUIRED marks a key that must be
 # given, and None one that stays None when absent; any other default is read
-# as if given. ``detail`` is a "number"'s least value, a "choice"'s choices,
-# the table of a "mapping" or of each mapping in a "list", or a "material"'s
-# resolver ``(name, registry)`` in place of the registry's lookup.
+# as if given. ``detail`` is a "choice"'s choices, the table of a "mapping"
+# or of each mapping in a "list", or a "material"'s resolver
+# ``(name, registry)`` in place of the registry's lookup.
 _REQUIRED = object()
 
 
@@ -271,8 +271,6 @@ def _read_value(value, kind: str, detail, error: type[InputError], registry, at:
             raise _refusal(error, at, f"must be a number, got {value!r}")
         if not abs(value) <= sys.float_info.max:  # NaN, infinities and ints beyond a float
             raise _refusal(error, at, f"must be finite, got {value}")
-        if detail is not None and value < detail:
-            raise _refusal(error, at, f"must be >= {detail}, got {value}")
         return float(value)
     if kind == "integer":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -322,7 +320,7 @@ def _read_yaml(path: str | Path, error: type[InputError]) -> object:
 _MATERIAL_FIELDS = {"materials": ("list", None, {
     "name": ("name", _REQUIRED),
     "n_re": ("number", _REQUIRED),
-    "n_im": ("number", 0.0, 0),
+    "n_im": ("number", 0.0),
     "kind": ("choice", None, _KINDS),  # None: dielectric when lossless, else metal
     "override": ("boolean", False),
 })}
@@ -345,7 +343,11 @@ def load_registry(source: str | Path | Mapping | None = None) -> MaterialRegistr
         source = _read_yaml(source, MaterialConfigError)
     if source is None:  # no document, or an empty file
         return registry
-    for entry in _read_fields(source, _MATERIAL_FIELDS, MaterialConfigError)["materials"] or ():
+    entries = _read_fields(source, _MATERIAL_FIELDS, MaterialConfigError)["materials"] or ()
+    for i, entry in enumerate(entries):
+        if entry["n_im"] < 0:
+            raise _refusal(MaterialConfigError, f"materials[{i}].n_im",
+                           f"must be >= 0, got {entry['n_im']}")
         kind = entry["kind"] or (DIELECTRIC if entry["n_im"] == 0 else METAL)
         constant = OpticalConstant(entry["n_re"], entry["n_im"])
         registry.add(Material(entry["name"], constant, kind), override=entry["override"])

@@ -453,6 +453,8 @@ def load_stack_config(
     values = _read_fields(source, _config_fields(layout), StackConfigError, registry)
     wavelength, input, output = values["wavelength_nm"], values["input"], values["output"]
     if layout is None:  # custom
+        if not values["layers"]:
+            raise _refusal(StackConfigError, "layers", "must be a non-empty list, got []")
         layers = tuple(Layer(item["material"], item["thickness_nm"]) for item in values["layers"])
         output = output if output is EXACT_SHORT else Medium(output or registry.get("Vacuum"))
         stack = Stack(Medium(input or registry.get("Vacuum")), layers, output)
@@ -463,12 +465,9 @@ def load_stack_config(
                        "cannot be short in a standard cavity; use mirror: pec")
     parts = [values[key] for key, *_ in layout.parts]
     wire = values["wire"]
-    slit = wire["slit_material"] or (
-        registry.get("Vacuum") if layout.slit_fill is None else parts[layout.slit_fill]
-    )
-    wire = WireGeometry(
-        wire["line_nm"], wire["slit_nm"], wire["material"], slit, wire["thickness_nm"]
-    )
+    fill = registry.get("Vacuum") if layout.slit_fill is None else parts[layout.slit_fill]
+    wire = WireGeometry(wire["line_nm"], wire["slit_nm"], wire["material"],
+                        wire["slit_material"] or fill, wire["thickness_nm"])
     stack = layout.build(
         wire, parts, [values.get(key + "_nm") for key, *_ in layout.parts], values.get("mirror"),
         values.get("mirror_nm"), values.get("periods"), input, output, wavelength, registry,

@@ -425,11 +425,10 @@ def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     assert message in one_error_line(capsys, [arg.format(stack=stack, mlc=mlc) for arg in argv])
 
 
-# Every error branch of a stack config, as `sweep --stack` reaches it. An
-# empty layer list is a stack without layers, which --layer 0 cannot sweep.
+# Every error branch of a stack config, as `sweep --stack` reaches it.
 @pytest.mark.parametrize("config, message", [
     ("[1, 2]\n", "stack config: the top level must be a mapping, got list"),
-    ("cavity: custom\nlayers: []\n", "layer index 0 outside stack of 0 layers"),
+    ("cavity: custom\nlayers: []\n", "stack config: 'layers' must be a non-empty list, got []"),
     ("cavity: custom\nlayers: [5]\n", "stack config: 'layers[0]' must be a mapping, got int"),
     ("cavity: custom\nlayers: [{material: SiO, thickness_nm: abc}]\n",
      "stack config: 'layers[0].thickness_nm' must be a number, got 'abc'"),

@@ -206,7 +206,8 @@ class TestLoadRegistry:
         ],
     )
     def test_malformed_entry(self, entry, match):
-        # ids name the case; a message names its key by path, as 'materials[0].n_re'
+        # the ids are the names these cases have long had in the suite's reports;
+        # the messages they quote became key paths, as 'materials[0].n_re'
         with pytest.raises(MaterialConfigError, match=match):
             load_registry({"materials": [entry]})
 
