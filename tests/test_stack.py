@@ -243,10 +243,6 @@ class TestStackConfig:
         assert len(config.stack.layers) == 2
         assert config.stack.output.is_short
 
-    def test_custom_needs_layers(self):
-        with pytest.raises(StackConfigError, match=r"'layers' must be a non-empty list, got \[\]"):
-            load_stack_config({"cavity": "custom", "layers": []})
-
     def test_pec_mirror_short_terminates(self):
         doc = {"cavity": "ssc", "wire": {"thickness_nm": 11.6}, "mirror": "pec"}
         config = load_stack_config(doc)
