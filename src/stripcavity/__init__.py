@@ -33,6 +33,7 @@ from .design import (
     reproduce_table2,
     run_design_flow,
     sweep_curves,
+    sweep_stack,
 )
 from .materials import (
     InputError,

@@ -20,9 +20,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__, tmm
+from . import __version__
 from ._text import encode_rows
 from .design import (
     CAVITIES,
@@ -34,7 +32,7 @@ from .design import (
     reproduce_table2,
     run_design_flow,
     sweep_curves,
-    sweep_grid,
+    sweep_stack,
 )
 from .materials import InputError, load_registry
 from .stack import load_stack_config
@@ -174,20 +172,8 @@ def _custom_sweep(args, registry) -> CurveSet:
             flag = "--" + dest.replace("_", "-")
             raise InputError(f"{flag} does not apply with --stack; the stack config sets it")
     config = load_stack_config(args.stack, registry)
-    index = args.layer
-    if index is None:
-        index = config.wire_layer_index if args.variable == "wire" else config.dielectric_layer_index
-    if index is None:
-        reason = ("a custom stack names no layer to sweep" if config.cavity == "custom"
-                  else f"the {config.cavity} layout has no dielectric spacer")
-        raise InputError(f"{reason}; --layer picks the swept layer")
     # Custom stacks default to the wire range whichever layer is swept.
-    xs = sweep_grid(*_grid_from(args, "wire"))
-    result = tmm.sweep(config.stack, index, xs, config.wavelength_nm)
-    n_i = config.stack.input.material.optical_constant.n_re
-    return CurveSet(
-        "custom", "nm", xs, np.full(len(xs), np.nan), result.A, np.abs(result.eta_in) * n_i
-    )
+    return sweep_stack(config, args.variable, args.layer, *_grid_from(args, "wire"))
 
 
 def _cmd_sweep(args) -> int:
@@ -251,7 +237,7 @@ def _cmd_mlc_convergence(args) -> int:
     registry = load_registry(args.materials)
     report = mlc_convergence(_spec_from(args), args.max_periods, args.wire_nm, registry)
     header = ("periods", "A_tmm", "T_tmm")
-    rows = [(r.periods, r.A, r.T) for r in report.rows]
+    rows = list(zip(range(1, len(report.A) + 1), report.A.tolist(), report.T.tolist()))
     # all numbers: csv.writer would quote no cell, and "%.12g" is _fmt's format
     template = ",".join(header) + "\n" + "%d,%.12g,%.12g\n" * len(rows)
     _emit(args, lambda: template % tuple(v for row in rows for v in row), lambda: {

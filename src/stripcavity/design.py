@@ -27,7 +27,7 @@ from .materials import (
     InputError,
     Material,
     MaterialRegistry,
-    builtin_registry,
+    _registry,
     effective_wire_permittivity,
     permittivity,
 )
@@ -38,6 +38,7 @@ from .stack import (
     SSC,
     Medium,
     Stack,
+    StackConfig,
     WireGeometry,
     filling_factor,
     resolve_mirror,
@@ -49,10 +50,10 @@ __all__ = [
     "CurveSet",
     "Table2Cell",
     "Table2Report",
-    "ConvergenceRow",
     "ConvergenceReport",
     "run_design_flow",
     "sweep_curves",
+    "sweep_stack",
     "sweep_grid",
     "reproduce_table2",
     "mlc_convergence",
@@ -198,16 +199,13 @@ class Table2Report:
         return all(c.analytic_ok and c.oracle_ok for c in self.cells)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    periods: int
-    A: float
-    T: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy columns, as in CurveSet
 class ConvergenceReport:
-    rows: tuple[ConvergenceRow, ...]
+    """Columns of exact A and residual T over the period count: entry p - 1
+    holds the reflector of p periods."""
+
+    A: np.ndarray
+    T: np.ndarray
     converged_periods: int | None
     analytic_A: float
     d_w_nm: float
@@ -260,10 +258,6 @@ _TABLE = {
 CAVITIES = tuple(_TABLE)
 
 
-def _registry(registry: MaterialRegistry | None) -> MaterialRegistry:
-    return registry if registry is not None else builtin_registry()
-
-
 def _slit_material(spec: DesignSpec, registry: MaterialRegistry) -> Material:
     if spec.slit_material is not None:
         return registry.get(spec.slit_material)
@@ -305,15 +299,6 @@ def _wire(spec: DesignSpec, registry: MaterialRegistry, d_w_nm: float) -> WireGe
         spec.line_nm, spec.slit_nm, registry.get(spec.wire_material),
         _slit_material(spec, registry), d_w_nm,
     )
-
-
-def _build_stack(
-    spec: DesignSpec, registry: MaterialRegistry, d_w_nm: float,
-    spacer_nm: float | None = None, mirror_token: str | None = None,
-) -> Stack:
-    """Concrete stack for a spec, the wire ``d_w_nm`` thick: `_stack_on` a
-    wire of its own."""
-    return _stack_on(spec, registry, _wire(spec, registry, d_w_nm), spacer_nm, mirror_token)
 
 
 def _stack_on(
@@ -480,17 +465,40 @@ def sweep_curves(
     # column below then refuses the sweep with one error, so no numpy warning.
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", ValidityWarning)
-        d_w = cavity.wire_optimum(ctx).d_opt_nm
+        wire = _wire(spec, registry, cavity.wire_optimum(ctx).d_opt_nm)
         if variable == "wire":
-            stack = _build_stack(spec, registry, d_w, mirror_token="pec-surrogate")
+            stack = _stack_on(spec, registry, wire, mirror_token="pec-surrogate")
             idx = cavity.layout.wire_index
             analytic_A = cavity.wire_family(xs, ctx)
         else:
-            stack, idx = _build_stack(spec, registry, d_w), cavity.layout.spacer_index
+            stack, idx = _stack_on(spec, registry, wire), cavity.layout.spacer_index
             analytic_A = cavity.spacer_family(xs, ctx)
+    return _curves(variable, stack, idx, xs, spec.wavelength_nm, analytic_A)
 
-    result = tmm.sweep(stack, idx, xs, spec.wavelength_nm)
-    return CurveSet(variable, "nm", xs, analytic_A, result.A, np.abs(result.eta_in) * ctx.n_i)
+
+def sweep_stack(config: StackConfig, variable: str, layer: int | None,
+                lo_nm: float, hi_nm: float, step_nm: float) -> CurveSet:
+    """Exact A and impedance ratio over ``layer`` of a stack config, or over
+    its wire or dielectric layer as ``variable`` names. The analytic column
+    is NaN: a config stack has no closed form."""
+    if layer is None:
+        layer = config.wire_layer_index if variable == "wire" else config.dielectric_layer_index
+    if layer is None:
+        reason = ("a custom stack names no layer to sweep" if config.cavity == "custom"
+                  else f"the {config.cavity} layout has no dielectric spacer")
+        raise InputError(f"{reason}; --layer picks the swept layer")
+    xs = sweep_grid(lo_nm, hi_nm, step_nm)
+    return _curves("custom", config.stack, layer, xs, config.wavelength_nm)
+
+
+def _curves(variable, stack: Stack, index: int, xs, wavelength_nm: float, analytic_A=None):
+    """Layer ``index`` of ``stack`` swept over ``xs``, the ratio taken to the
+    stack's input medium; no ``analytic_A`` is a NaN column."""
+    result = tmm.sweep(stack, index, xs, wavelength_nm)
+    if analytic_A is None:
+        analytic_A = np.full(len(xs), np.nan)
+    n_i = stack.input.material.optical_constant.n_re
+    return CurveSet(variable, "nm", xs, analytic_A, result.A, np.abs(result.eta_in) * n_i)
 
 
 def reproduce_table2(registry: MaterialRegistry | None = None) -> Table2Report:
@@ -594,7 +602,7 @@ def mlc_convergence(
             ) from None
 
     # Layers are wire | (c1, c2) * n_max: p periods are the first 1 + 2p.
-    stack = _build_stack(replace(spec, periods=n_max), registry, d_w_nm)
+    stack = _stack_on(replace(spec, periods=n_max), registry, _wire(spec, registry, d_w_nm))
     result = tmm.scatter_truncations(stack, range(3, 2 * n_max + 2, 2), spec.wavelength_nm)
     finite = np.isfinite(result.A) & np.isfinite(result.T)
     if not finite.all():
@@ -604,5 +612,4 @@ def mlc_convergence(
         )
     steps = np.flatnonzero(np.abs(np.diff(result.A)) < _CONVERGENCE_TOL)
     converged = int(steps[0]) + 1 if steps.size else None
-    rows = tuple(map(ConvergenceRow, range(1, n_max + 1), result.A.tolist(), result.T.tolist()))
-    return ConvergenceReport(rows, converged, analytic_A, d_w_nm)
+    return ConvergenceReport(result.A, result.T, converged, analytic_A, d_w_nm)

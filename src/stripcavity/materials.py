@@ -207,6 +207,11 @@ def builtin_registry() -> MaterialRegistry:
     return MaterialRegistry()
 
 
+def _registry(registry: MaterialRegistry | None) -> MaterialRegistry:
+    """``registry``, or the built-in table when it is None."""
+    return registry if registry is not None else builtin_registry()
+
+
 # A config document is read against a field table: key -> (kind, default,
 # detail), checked in order. A default of _REQUIRED marks a key that must be
 # given, and None one that stays None when absent; any other default is read

@@ -26,7 +26,7 @@ from .materials import (
     _read_fields,
     _read_yaml,
     _refusal,
-    builtin_registry,
+    _registry,
     effective_wire_permittivity,
     permittivity,
     refractive_index,
@@ -185,10 +185,6 @@ def quarter_wave_thickness(material: Material, wavelength_nm: float) -> float:
     return wavelength_nm / (4.0 * material.optical_constant.n_re)
 
 
-def _registry_default(registry: MaterialRegistry | None) -> MaterialRegistry:
-    return registry if registry is not None else builtin_registry()
-
-
 def build_ssc(
     wire: WireGeometry,
     dielectric: Material | None = None,
@@ -268,7 +264,7 @@ def _assemble(
     the wire at ``wire_index``, ended by the mirror, or without one by the
     two layers of the last two parts, the reflector pair, repeated
     ``periods`` times."""
-    registry = _registry_default(registry)
+    registry = _registry(registry)
     films = []  # (material, thickness) per part
     for part, nm, (_, default, role) in zip(parts, part_nm, layout.parts):
         part = part or registry.get(default)
@@ -443,7 +439,7 @@ def load_stack_config(
     A wrong key anywhere is named by its path, for example
     ``layers[0].thickness_nm``, and unknown keys are rejected.
     """
-    registry = _registry_default(registry)
+    registry = _registry(registry)
     if isinstance(source, (str, Path)):
         source = _read_yaml(source, StackConfigError)
     # A 'cavity' that names no layout reads the custom table, whose first

@@ -297,8 +297,8 @@ def test_property_mlc_convergence_gate():
     """
     result = mlc_convergence(DesignSpec(cavity="mlc"), 14, d_w_nm=11.6)
     steps = {
-        row.periods: abs(nxt.A - row.A)
-        for row, nxt in zip(result.rows, result.rows[1:])
+        periods: abs(nxt - A)
+        for periods, A, nxt in zip(range(1, len(result.A)), result.A, result.A[1:])
     }
     ok = result.converged_periods is not None and result.converged_periods <= 8
     report(

@@ -19,7 +19,7 @@ import pytest
 
 from stripcavity import _kernels, cli
 from stripcavity.cli import main
-from stripcavity.design import DesignSpec, _build_stack
+from stripcavity.design import DesignSpec, _stack_on, _wire
 from stripcavity.materials import builtin_registry
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -72,8 +72,8 @@ def test_traced_run_counts_work(tracer, tmp_path):
         assert summary.get(counter, 0) > 0, counter
     # The tracer reads chain_sweep's layers and points from its arguments 0
     # and 3; a reordered signature would miscount them.
-    stack = _build_stack(DesignSpec(cavity="ssc"), builtin_registry(), 10.0,
-                         mirror_token="pec-surrogate")
+    spec, registry = DesignSpec(cavity="ssc"), builtin_registry()
+    stack = _stack_on(spec, registry, _wire(spec, registry, 10.0), mirror_token="pec-surrogate")
     assert summary["kernels.layer_points"] - design_points == len(stack.layers) * 30
 
 

@@ -283,17 +283,17 @@ class TestMlcConvergence:
     def test_transmission_monotone_and_convergence(self):
         spec = DesignSpec(cavity="mlc")
         report = mlc_convergence(spec, 12)
-        transmissions = [row.T for row in report.rows]
+        transmissions = report.T.tolist()
         assert all(a > b for a, b in zip(transmissions, transmissions[1:]))
         assert report.converged_periods == 11
 
     def test_close_to_closed_form_at_ten_periods(self):
         report = mlc_convergence(DesignSpec(cavity="mlc"), 10, d_w_nm=11.6)
-        assert abs(report.rows[-1].A - report.analytic_A) < 1e-3
+        assert abs(report.A[-1] - report.analytic_A) < 1e-3
 
     def test_minimal_table(self):
         report = mlc_convergence(DesignSpec(cavity="mlc"), 2)
-        assert len(report.rows) == 2
+        assert len(report.A) == len(report.T) == 2
         assert report.converged_periods is None
 
     def test_guards(self):
@@ -310,11 +310,11 @@ class TestMlcConvergence:
         wire = WireGeometry(
             spec.line_nm, spec.slit_nm, registry.get("NbN"), registry.get("Vacuum"), report.d_w_nm
         )
-        assert [row.periods for row in report.rows] == list(range(1, n_max + 1))
-        for row in report.rows:
-            stack = build_mlc(wire, registry.get(c1), registry.get(c2), row.periods)
+        assert len(report.A) == len(report.T) == n_max
+        for periods, A, T in zip(range(1, n_max + 1), report.A, report.T):
+            stack = build_mlc(wire, registry.get(c1), registry.get(c2), periods)
             result = scatter(stack, spec.wavelength_nm)
-            assert (row.A, row.T) == (result.A, result.T)
+            assert (A, T) == (result.A, result.T)
 
     def test_period_bound_checked_before_any_stack(self, monkeypatch):
         spec = DesignSpec(cavity="mlc")
