@@ -160,13 +160,18 @@ def thickness_from_detuning(dphi: float, n: float, wavelength_nm: float) -> floa
 
 
 def _spacer_from_detuning(dphi: float, n: float, wavelength_nm: float) -> float:
-    """Closed-form spacer thickness of a detuning, refused when not positive:
-    a detuning at or below -pi/2 has no spacer to build."""
+    """Closed-form spacer thickness of a detuning, refused when not positive,
+    as a detuning at or below -pi/2 has no spacer to build, or not finite."""
     d = thickness_from_detuning(dphi, n, wavelength_nm)
     if d <= 0:
         raise InputError(
             f"the closed-form spacer is {d:.6g} nm: its detuning {dphi:.6g} rad "
             "is at or below -pi/2"
+        )
+    if not math.isfinite(d):
+        raise InputError(
+            f"the closed-form spacer is {d:.6g} nm: not a finite thickness "
+            f"at a {wavelength_nm:.6g} nm wavelength"
         )
     return d
 

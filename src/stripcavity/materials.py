@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -226,6 +227,16 @@ def _refusal(error: type[InputError], path: str, problem: str) -> InputError:
     return error(f"{error.document}: {repr(path) if path else 'the top level'} {problem}")
 
 
+@contextmanager
+def _at_key(error: type[InputError], path: str):
+    """Raise a refusal from inside the block, a library guard's or the
+    registry's, as ``error`` naming its document and the key at ``path``."""
+    try:
+        yield
+    except InputError as exc:
+        raise error(f"{error.document}: {path!r}: {exc}") from None
+
+
 def _read_fields(doc, fields: Mapping, error: type[InputError], registry=None, path="") -> dict:
     """``doc`` read against the field table ``fields``: key -> converted value,
     every absent key at its default, material names resolved in
@@ -288,10 +299,8 @@ def _read_value(value, kind: str, detail, error: type[InputError], registry, at:
     # "material"
     if not isinstance(value, str):
         raise _refusal(error, at, f"must be a material name, got {value!r}")
-    try:
+    with _at_key(error, at):
         return detail(value, registry) if detail else registry.get(value)
-    except UnknownMaterialError as exc:
-        raise error(f"{error.document}: {at!r}: {exc}") from None
 
 
 def _read_yaml(path: str | Path, error: type[InputError]) -> object:
@@ -350,10 +359,12 @@ def load_registry(source: str | Path | Mapping | None = None) -> MaterialRegistr
         return registry
     entries = _read_fields(source, _MATERIAL_FIELDS, MaterialConfigError)["materials"] or ()
     for i, entry in enumerate(entries):
-        if entry["n_im"] < 0:
-            raise _refusal(MaterialConfigError, f"materials[{i}].n_im",
-                           f"must be >= 0, got {entry['n_im']}")
         kind = entry["kind"] or (DIELECTRIC if entry["n_im"] == 0 else METAL)
-        constant = OpticalConstant(entry["n_re"], entry["n_im"])
-        registry.add(Material(entry["name"], constant, kind), override=entry["override"])
+        with _at_key(MaterialConfigError, f"materials[{i}]"):
+            material = Material(entry["name"], OpticalConstant(entry["n_re"], entry["n_im"]), kind)
+        try:
+            registry.add(material, override=entry["override"])
+        except MaterialConfigError:  # the one refusal of add, a name already held
+            raise _refusal(MaterialConfigError, f"materials[{i}].name", f"is {material.name!r}, a "
+                           "name already registered; set override: true to replace it") from None
     return registry

@@ -17,6 +17,7 @@ from typing import Mapping
 
 from .materials import (
     _REQUIRED,
+    _at_key,
     DIELECTRIC,
     METAL,
     PEC_TERMINAL,
@@ -451,7 +452,10 @@ def load_stack_config(
     if layout is None:  # custom
         if not values["layers"]:
             raise _refusal(StackConfigError, "layers", "must be a non-empty list, got []")
-        layers = tuple(Layer(item["material"], item["thickness_nm"]) for item in values["layers"])
+        layers = []
+        for i, item in enumerate(values["layers"]):
+            with _at_key(StackConfigError, f"layers[{i}]"):
+                layers.append(Layer(item["material"], item["thickness_nm"]))
         output = output if output is EXACT_SHORT else Medium(output or registry.get("Vacuum"))
         stack = Stack(Medium(input or registry.get("Vacuum")), layers, output)
         return StackConfig("custom", stack, wavelength)
@@ -462,8 +466,9 @@ def load_stack_config(
     parts = [values[key] for key, *_ in layout.parts]
     wire = values["wire"]
     fill = registry.get("Vacuum") if layout.slit_fill is None else parts[layout.slit_fill]
-    wire = WireGeometry(wire["line_nm"], wire["slit_nm"], wire["material"],
-                        wire["slit_material"] or fill, wire["thickness_nm"])
+    with _at_key(StackConfigError, "wire"):
+        wire = WireGeometry(wire["line_nm"], wire["slit_nm"], wire["material"],
+                            wire["slit_material"] or fill, wire["thickness_nm"])
     stack = layout.build(
         wire, parts, [values.get(key + "_nm") for key, *_ in layout.parts], values.get("mirror"),
         values.get("mirror_nm"), values.get("periods"), input, output, wavelength, registry,

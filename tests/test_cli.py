@@ -385,6 +385,31 @@ def test_back_to_back_calls_share_no_state(tmp_path):
     assert hashlib.sha256(second.read_bytes()).hexdigest() == GOLDEN_SHA256["design-ssc"][1]
 
 
+# A stack config that spells out a built-in cavity sweeps through the same
+# tail as the built-in: its exact columns are byte-equal, and it has no
+# closed-form column.
+@pytest.mark.parametrize("config, variable, grid", [
+    ("cavity: ssc\nwire: {thickness_nm: 10}\n", "wire", ["--range", "1:30", "--step", "0.1"]),
+    # the dsc wire at its closed-form optimum
+    ("cavity: dsc\nmirror: Ag\nwire: {thickness_nm: 6.6138687609835065}\n", "dielectric",
+     ["--range", "150:300", "--step", "0.5"]),
+], ids=["ssc-wire", "dsc-dielectric"])
+def test_stack_sweep_agrees_with_builtin_sweep(tmp_path, config, variable, grid):
+    path, custom, builtin = tmp_path / "stack.yaml", tmp_path / "custom.csv", tmp_path / "builtin.csv"
+    path.write_text(config)
+    cavity = config.split()[1]
+    assert main(["sweep", "--stack", str(path), "--variable", variable, *grid,
+                 "--out", str(custom)]) == 0
+    assert main(["sweep", "--cavity", cavity, "--variable", variable, "--out", str(builtin)]) == 0
+    custom_columns = list(zip(*read_csv(custom)))
+    builtin_columns = list(zip(*read_csv(builtin)))
+    assert [c[0] for c in custom_columns] == SWEEP_HEADER
+    for k in (0, 2, 3):  # x_nm, A_tmm, eta_ratio
+        assert custom_columns[k] == builtin_columns[k]
+    assert len(custom_columns[0]) > 100
+    assert set(custom_columns[1][1:]) == {"nan"}
+
+
 # a stray numpy warning would print more lines on a real stderr
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, message", [
@@ -408,6 +433,9 @@ def test_back_to_back_calls_share_no_state(tmp_path):
      "not finite at 150 nm of layer 1"),
     (["sweep", "--cavity", "dsc", "--variable", "dielectric", "--wavelength-nm", "1e-300"],
      "not finite at 150 nm of layer 2"),
+    # the closed-form spacer overflows to inf before any stack is built
+    (["design", "--cavity", "ssc", "--wavelength-nm", "1e308", "--slit-material", "Ag"],
+     "the closed-form spacer is inf nm: not a finite thickness at a 1e+308 nm wavelength"),
     # a Python float ** raises OverflowError where numpy would give inf
     (["mlc-convergence", "--cavity", "mlc", "--wire-nm", "1e308"],
      "closed-form absorptance overflows at a 1e+308 nm wire"),
@@ -449,10 +477,20 @@ def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
      "stack config: 'wire.material' must be a material name, got None"),
     ("<missing>", "cannot read stack config: No such file or directory: '{path}'"),
     ("<directory>", "cannot read stack config: Is a directory: '{path}'"),
+    # values the library guards of Layer and WireGeometry refuse, named by their key
+    ("cavity: custom\nlayers: [{material: NbN, thickness_nm: -3}]\n",
+     "stack config: 'layers[0]': layer thickness must be > 0 nm, got -3.0"),
+    ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}, {material: PEC, thickness_nm: 9}]\n",
+     "stack config: 'layers[1]': the ideal-mirror marker cannot form a finite layer; "
+     "use its -1000i surrogate material instead"),
+    ("cavity: ssc\nwire: {thickness_nm: -2}\n",
+     "stack config: 'wire': wire thickness must be > 0 nm, got -2.0"),
+    ("cavity: mlc\nwire: {line_nm: 0, thickness_nm: 6}\n",
+     "stack config: 'wire': line width must be > 0 nm, got 0.0"),
 ], ids=["top-level-list", "empty-layers", "layer-not-mapping", "non-numeric", "huge-int",
         "non-string-key", "no-wire", "wire-not-mapping", "short-output", "fractional-periods",
         "over-4300-digits", "layer-without-material", "null-wire-material", "missing-file",
-        "directory"])
+        "directory", "negative-layer", "marker-layer", "negative-wire", "zero-line-width"])
 def test_stack_config_errors_are_one_error_line(tmp_path, capsys, config, message):
     path = write_config(tmp_path, config)
     err = one_error_line(capsys, ["sweep", "--stack", str(path), "--layer", "0"])
@@ -473,7 +511,7 @@ def test_stack_config_errors_are_one_error_line(tmp_path, capsys, config, messag
     ("materials: [{name: X, n_re: 1.5, override: 1}]\n",
      "material config: 'materials[0].override' must be true or false, got 1"),
     ("materials: [{name: X, n_re: 1.5, n_im: 0.1, kind: dielectric}]\n",
-     "dielectric 'X' must be lossless (n_im = 0), got n_im = 0.1"),
+     "material config: 'materials[0]': dielectric 'X' must be lossless (n_im = 0), got n_im = 0.1"),
     ("materials: [{name: X, n_re: 1.5, 3: 4, a: 5}]\n",
      "material config: 'materials[0]' has unknown keys: [3, 'a']"),
     ("materials: []\ntrue: 1\nfoo: 2\n",
@@ -486,10 +524,15 @@ def test_stack_config_errors_are_one_error_line(tmp_path, capsys, config, messag
     ("materials: [{n_re: 1.5}]\n", "material config: 'materials[0].name' is missing"),
     ("<missing>", "cannot read material config: No such file or directory: '{path}'"),
     ("<directory>", "cannot read material config: Is a directory: '{path}'"),
+    ("materials: [{name: X, n_re: 1.5, n_im: -1}]\n",
+     "material config: 'materials[0]': extinction magnitude must be >= 0, got -1.0"),
+    ("materials: [{name: MgF2, n_re: 1.37}, {name: nbn, n_re: 5.0, n_im: 4.0}]\n",
+     "material config: 'materials[1].name' is 'nbn', a name already registered; "
+     "set override: true to replace it"),
 ], ids=["top-level-list", "materials-not-list", "entry-not-mapping", "non-numeric-n_im",
         "huge-int", "non-boolean-override", "lossy-dielectric", "non-string-entry-key",
         "non-string-key", "negative-spacer-index", "over-4300-digits", "out-of-range-date",
-        "entry-without-name", "missing-file", "directory"])
+        "entry-without-name", "missing-file", "directory", "negative-n_im", "duplicate-name"])
 def test_material_config_errors_are_one_error_line(tmp_path, capsys, config, message):
     path = write_config(tmp_path, config)
     err = one_error_line(capsys, ["design", "--cavity", "ssc", "--materials", str(path)])

@@ -94,6 +94,18 @@ class TestRunDesignFlow:
                                              r"detuning -\S+ rad is at or below -pi/2"):
             run_design_flow(spec)
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_closed_form_spacer_fails_before_any_stack(self, monkeypatch):
+        # at a 1e308 nm wavelength the quarter-wave spacer overflows to inf
+        def no_stack(*args, **kwargs):
+            raise AssertionError("a stack was built")
+
+        monkeypatch.setattr(design, "_stack_on", no_stack)
+        spec = DesignSpec(cavity="ssc", wavelength_nm=1e308, slit_material="Ag")
+        with pytest.raises(ValueError, match=r"closed-form spacer is inf nm: not a finite "
+                                             r"thickness at a 1e\+308 nm wavelength"):
+            run_design_flow(spec)
+
     def test_negative_closed_form_ssc_spacer_is_a_value_error(self):
         # a dense input over a low-index spacer: -n_i*Re(eps)/(n_c*|eps|) < -pi/2
         ctx = analytic.CavityContext(10.0 - 1.0j, n_i=3.5, n_c=1.0)

@@ -188,7 +188,8 @@ class TestLoadRegistry:
             ({"name": "X"}, "n_re"),
             ({"name": "X", "n_re": "big"}, "n_re"),
             pytest.param({"name": "X", "n_re": 1.0, "n_im": -1.0},
-                         r"'materials\[0\]\.n_im' must be >= 0, got -1.0", id="entry3-negative"),
+                         r"'materials\[0\]': extinction magnitude must be >= 0, got -1.0",
+                         id="entry3-negative"),
             ({"name": "X", "n_re": 1.0, "colour": "blue"}, "unknown keys"),
             ({"name": "X", "n_re": 1.0, "kind": "plasma"}, "kind"),
             pytest.param({"name": "X", "n_re": float("nan")},
