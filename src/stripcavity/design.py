@@ -491,7 +491,8 @@ def sweep_stack(config: StackConfig, variable: str, layer: int | None,
     return _curves("custom", config.stack, layer, xs, config.wavelength_nm)
 
 
-def _curves(variable, stack: Stack, index: int, xs, wavelength_nm: float, analytic_A=None):
+def _curves(variable: str, stack: Stack, index: int, xs: np.ndarray, wavelength_nm: float,
+            analytic_A: np.ndarray | None = None) -> CurveSet:
     """Layer ``index`` of ``stack`` swept over ``xs``, the ratio taken to the
     stack's input medium; no ``analytic_A`` is a NaN column."""
     result = tmm.sweep(stack, index, xs, wavelength_nm)

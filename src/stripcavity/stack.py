@@ -17,13 +17,13 @@ from typing import Mapping
 
 from .materials import (
     _REQUIRED,
-    _at_key,
     DIELECTRIC,
     METAL,
     PEC_TERMINAL,
     InputError,
     Material,
     MaterialRegistry,
+    _at_key,
     _read_fields,
     _read_yaml,
     _refusal,
