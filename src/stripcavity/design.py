@@ -201,8 +201,8 @@ class Table2Report:
 
 @dataclass(frozen=True, eq=False)  # numpy columns, as in CurveSet
 class ConvergenceReport:
-    """Columns of exact A and residual T over the period count: entry p - 1
-    holds the reflector of p periods."""
+    """Columns of exact A and residual T over the reflector's period count,
+    entry p - 1 at p periods."""
 
     A: np.ndarray
     T: np.ndarray
