@@ -388,16 +388,15 @@ def test_back_to_back_calls_share_no_state(tmp_path):
 # A stack config that spells out a built-in cavity sweeps through the same
 # tail as the built-in: its exact columns are byte-equal, and it has no
 # closed-form column.
-@pytest.mark.parametrize("config, variable, grid", [
-    ("cavity: ssc\nwire: {thickness_nm: 10}\n", "wire", ["--range", "1:30", "--step", "0.1"]),
+@pytest.mark.parametrize("cavity, keys, variable, grid", [
+    ("ssc", "wire: {thickness_nm: 10}\n", "wire", ["--range", "1:30", "--step", "0.1"]),
     # the dsc wire at its closed-form optimum
-    ("cavity: dsc\nmirror: Ag\nwire: {thickness_nm: 6.6138687609835065}\n", "dielectric",
+    ("dsc", "mirror: Ag\nwire: {thickness_nm: 6.6138687609835065}\n", "dielectric",
      ["--range", "150:300", "--step", "0.5"]),
 ], ids=["ssc-wire", "dsc-dielectric"])
-def test_stack_sweep_agrees_with_builtin_sweep(tmp_path, config, variable, grid):
+def test_stack_sweep_agrees_with_builtin_sweep(tmp_path, cavity, keys, variable, grid):
     path, custom, builtin = tmp_path / "stack.yaml", tmp_path / "custom.csv", tmp_path / "builtin.csv"
-    path.write_text(config)
-    cavity = config.split()[1]
+    path.write_text(f"cavity: {cavity}\n{keys}")
     assert main(["sweep", "--stack", str(path), "--variable", variable, *grid,
                  "--out", str(custom)]) == 0
     assert main(["sweep", "--cavity", cavity, "--variable", variable, "--out", str(builtin)]) == 0
@@ -433,9 +432,6 @@ def test_stack_sweep_agrees_with_builtin_sweep(tmp_path, config, variable, grid)
      "not finite at 150 nm of layer 1"),
     (["sweep", "--cavity", "dsc", "--variable", "dielectric", "--wavelength-nm", "1e-300"],
      "not finite at 150 nm of layer 2"),
-    # the closed-form spacer overflows to inf before any stack is built
-    (["design", "--cavity", "ssc", "--wavelength-nm", "1e308", "--slit-material", "Ag"],
-     "the closed-form spacer is inf nm: not a finite thickness at a 1e+308 nm wavelength"),
     # a Python float ** raises OverflowError where numpy would give inf
     (["mlc-convergence", "--cavity", "mlc", "--wire-nm", "1e308"],
      "closed-form absorptance overflows at a 1e+308 nm wire"),
@@ -446,6 +442,9 @@ def test_stack_sweep_agrees_with_builtin_sweep(tmp_path, config, variable, grid)
     # a built-in cavity sweeps the layer --variable names, so --layer would be ignored
     (["sweep", "--cavity", "ssc", "--range", "1:30", "--step", "0.5", "--layer", "7"],
      "--layer applies only with --stack"),
+    # the closed-form spacer overflows to inf before any stack is built
+    (["design", "--cavity", "ssc", "--wavelength-nm", "1e308", "--slit-material", "Ag"],
+     "the closed-form spacer is inf nm: not a finite thickness at a 1e+308 nm wavelength"),
 ])
 def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     stack, mlc = write_custom_stack(tmp_path), tmp_path / "mlc.yaml"
