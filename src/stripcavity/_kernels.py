@@ -12,17 +12,17 @@ with g = i*k0*n and eta = 1/n per layer. Two shapes of work use it:
   entry j is bit-identical to ``chain_product`` of the first j layers; the
   reflector period study scatters all its truncations from one pass, as
   columns.
-- ``chain_sweep``: one layer swept over an array of thicknesses, the whole
-  chain multiplied left to right for every point, the running product held
-  as one ``(2, 2, m)`` array of its two columns and updated in place. Curves
-  keep this order and these per-layer scalars so their CSV digits do not
-  move.
+- ``chain_sweep``: one layer swept over a block of at most ``_BLOCK_ROWS``
+  thicknesses, the whole chain multiplied left to right for every point, the
+  running product held as one ``(2, 2, m)`` array of its two columns and
+  updated in place, in the thread's ``_Workspace``. Curves keep this order
+  and these per-layer scalars so their CSV digits do not move.
 
-Both compute each distinct layer's terms once per call and reuse them
-wherever it repeats, so an N-period reflector costs three layers' cosh and
-sinh. ``chain_prefixes`` runs its product, and a distinct layer's terms but
-one numpy division, in Python complex; an empty chain is the identity at
-once, without the memo's keys.
+Both compute each distinct layer's terms once and reuse them wherever it
+repeats, so an N-period reflector costs three layers' cosh and sinh; a
+curve's blocks share one ``layer_terms``. ``chain_prefixes`` runs its
+product, and a distinct layer's terms but one numpy division, in Python
+complex; an empty chain is the identity at once, without the memo's keys.
 
 The argmax search calls ``chain_product`` for the layers on either side of
 the swept one, often none, and does the rest in
@@ -35,9 +35,11 @@ calculations", arXiv:1603.02720.
 from __future__ import annotations
 
 import cmath
+import threading
 
 import numpy as np
 
+from ._text import _BLOCK_ROWS
 from .materials import InputError
 
 # The engine is numpy only; benchmark provenance records still read this flag.
@@ -97,37 +99,103 @@ def chain_product(n, d, k0):
     return chain_prefixes(n, d, k0)[-1]
 
 
-def chain_sweep(n, d, idx, values, k0):
+class _Workspace(threading.local):
+    """The complex columns of one sweep block, one set per thread.
+
+    Made by the thread's first sweep and kept: eleven complex columns of
+    ``_BLOCK_ROWS`` entries (704 KiB), two float and two bool columns (72
+    KiB). A block of m rows takes the first 4m entries as its running product
+    and the next 4m as the product's scratch, each one contiguous
+    ``(2, 2, m)`` array as a whole-grid one is, and ``terms`` for the swept
+    layer's three. Once the product is done, `stripcavity.tmm` forms the
+    block's coefficients in the seven ``scratch`` columns, which overlay the
+    scratch and ``terms``, and in ``real`` and ``flags``.
+    """
+
+    def __init__(self) -> None:
+        self.complex = None
+
+    def made(self) -> _Workspace:
+        if self.complex is None:
+            # aligned to 64 bytes, one AVX-512 vector: at numpy's 16, every
+            # vector of a column straddled two cache lines, and the kernel
+            # ran about 10% slower
+            raw = np.empty(11 * _BLOCK_ROWS + 3, np.complex128)
+            start = -raw.ctypes.data % 64 // 16
+            self.complex = raw[start : start + 11 * _BLOCK_ROWS]
+            self.real = np.empty((2, _BLOCK_ROWS))
+            self.flags = np.empty((2, _BLOCK_ROWS), bool)
+        return self
+
+    def product(self, m: int) -> np.ndarray:
+        return self.complex[: 4 * m].reshape(2, 2, m)
+
+    def product_scratch(self, m: int) -> np.ndarray:
+        return self.complex[4 * _BLOCK_ROWS : 4 * _BLOCK_ROWS + 4 * m].reshape(2, 2, m)
+
+    def terms(self, m: int) -> np.ndarray:
+        return self.complex[8 * _BLOCK_ROWS :].reshape(3, _BLOCK_ROWS)[:, :m]
+
+    def scratch(self, m: int) -> np.ndarray:
+        return self.complex[4 * _BLOCK_ROWS :].reshape(7, _BLOCK_ROWS)[:, :m]
+
+
+_WORKSPACE = _Workspace()
+_START = np.eye(2, dtype=np.complex128)[:, :, None]  # the identity as (a, b) columns
+
+
+def layer_terms(n, d, idx, k0) -> list:
+    """Each layer's ``(cosh(gd), s * n[j], s / n[j])`` with ``s = sinh(gd)``,
+    as 0-d arrays, computed once per distinct layer; None at the swept
+    ``idx``. ``c``, ``s * n[j]`` and ``s / n[j]`` are numpy-scalar results:
+    numpy rounds ``s * n`` over an array of layers differently from the
+    scalar product. A 0-d array takes a ufunc's dispatch faster than a
+    scalar, and multiplies bit for bit the same."""
+    terms, memo = [], {}
+    keys = zip(n.view(_INDEX_BITS).tolist(), d.view(_THICKNESS_BITS).tolist(), strict=True)
+    for j, key in enumerate(keys):
+        if j == idx:
+            terms.append(None)
+            continue
+        layer = memo.get(key)
+        if layer is None:
+            gd = 1j * k0 * n[j] * d[j]
+            s = np.sinh(gd)
+            layer = memo[key] = np.asarray(np.cosh(gd)), np.asarray(s * n[j]), np.asarray(s / n[j])
+        terms.append(layer)
+    return terms
+
+
+def chain_sweep(n, d, idx, values, k0, terms):
     """The chain product batched over the thicknesses ``values`` of layer ``idx``.
 
-    The running product is held as its two columns, ``a = (f11, f21)`` and
+    ``values`` is one block, at most ``_BLOCK_ROWS`` thicknesses, and
+    ``terms`` the chain's `layer_terms`, made once for all its blocks. The
+    running product is held as its two columns, ``a = (f11, f21)`` and
     ``b = (f12, f22)``, the two halves of one ``(2, 2, m)`` array ``ab``,
     updated in place through one scratch array of that shape: four ufunc
     calls per layer. Each element gets the same multiplies and additions as
     the entry-by-entry product, the addends of ``b`` in swapped order, which
-    IEEE addition does not see. ``c``, ``s * n[j]`` and ``s / n[j]`` are
-    numpy-scalar results, once per distinct layer (arrays at ``idx``, which
-    skips the memo): numpy rounds ``s * n`` over an array of layers
-    differently from the scalar product. The memo holds them as 0-d arrays,
-    which a ufunc takes with less dispatch than a scalar and multiplies by
-    bit for bit the same.
+    IEEE addition does not see. The swept layer's terms are the same
+    expressions over ``values``. The four entries returned are views of the
+    thread's workspace, which its next sweep block overwrites.
     """
-    ab = np.zeros((2, 2, values.shape[0]), np.complex128)
-    ab[0, 0] = 1.0
-    ab[1, 1] = 1.0
+    m = values.shape[0]
+    if m > _BLOCK_ROWS:
+        raise ValueError(f"a sweep block holds at most {_BLOCK_ROWS} thicknesses, got {m}")
+    ws = _WORKSPACE.made()
+    ab, t = ws.product(m), ws.product_scratch(m)
+    np.copyto(ab, _START)
     a, b = ab
-    t = np.empty_like(ab)
-    memo = {}
-    keys = zip(n.view(_INDEX_BITS).tolist(), d.view(_THICKNESS_BITS).tolist(), strict=True)
-    for j, key in enumerate(keys):
-        terms = memo.get(key) if j != idx else None
-        if terms is None:
-            gd = 1j * k0 * n[j] * (values if j == idx else d[j])
-            s = np.sinh(gd)
-            terms = np.asarray(np.cosh(gd)), np.asarray(s * n[j]), np.asarray(s / n[j])
-            if j != idx:
-                memo[key] = terms
-        c, g, h = terms
+    for j, layer in enumerate(terms):
+        if layer is None:
+            c, g, h = layer = ws.terms(m)
+            np.multiply(1j * k0 * n[j], values, out=h)  # gd
+            np.cosh(h, out=c)
+            np.sinh(h, out=h)  # s
+            np.multiply(h, n[j], out=g)
+            np.divide(h, n[j], out=h)
+        c, g, h = layer
         np.multiply(b, g, out=t[0])
         np.multiply(a, h, out=t[1])
         ab *= c

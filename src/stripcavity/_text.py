@@ -16,19 +16,23 @@ Each cell is six 4-byte words: the separator before it, the sign and the
 and the zeros after it; three words of fractional digits without trailing
 zeros. Unused bytes are nul and are dropped from the text.
 
-The columns are encoded in blocks of ``_BLOCK_ROWS`` rows. Each thread keeps
-the working arrays of one block (``_Workspace``), and every step writes into
-them with ``out=``: a warm call allocates no working array, only its text and
-the bytes it is cut from."""
+The columns are encoded in blocks of ``_BLOCK_ROWS`` rows, the blocks the
+sweep engine computes its curves in. Each thread keeps the working arrays of
+one block (``_Workspace``), and every step writes into them with ``out=``: a
+warm call allocates no working array. The text is handed out in pieces of
+``_BLOCK_ROWS`` cells, each cut from 96 KiB of words: below malloc's default
+128 KiB mmap threshold, so a warm process writes every piece in the same
+heap memory. A four-column block cut whole, 384 KiB, took fresh pages each
+time, about 400 page faults a 15k-row curve."""
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["encode_rows"]
+__all__ = ["encode_blocks", "encode_rows"]
 
 # Rows per block: the working arrays of a block stay in cache, and their
 # size, not the grid's, bounds the memory the encoder needs.
@@ -192,17 +196,19 @@ def _fixed_words(m: np.ndarray, x: np.ndarray, k: np.ndarray, p: np.ndarray,
     words[:, 5] = np.take(_GROUPS, np.add(f2, _TRAIL, out=f2), out=u, mode="clip")
 
 
-def encode_rows(columns: Sequence[np.ndarray]) -> str:
-    """CSV body of equal-length float columns, each row ending in a newline.
+def encode_blocks(columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """CSV body of equal-length float columns, each row ending in a newline,
+    as pieces of text to write in turn.
 
-    Every cell is exactly ``"%.12g" % float(v)``.
+    Every cell is exactly ``"%.12g" % float(v)``. A block is encoded when the
+    last piece of the one before has been taken, so the body is never held
+    whole.
     """
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
     ws = _WORKSPACE.sized(len(columns))
     # a cell opens with the byte before it: ',' or the '\n' ending a row
     separators = np.full(len(columns), _COMMA, np.uint32)
     separators[0] = _NEWLINE
-    parts = []
     for lo in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [column[lo : lo + _BLOCK_ROWS] for column in columns]
         n = len(block[0]) * len(columns)
@@ -212,5 +218,11 @@ def encode_rows(columns: Sequence[np.ndarray]) -> str:
         words[0, 0] ^= _NEWLINE
         ws.words[n] = 0
         ws.words[n, 0] = _NEWLINE
-        parts.append(ws.words[: n + 1].tobytes().translate(None, b"\0 ").decode("ascii"))
-    return "".join(parts)
+        words = ws.words[: n + 1]
+        for at in range(0, n + 1, _BLOCK_ROWS):
+            yield words[at : at + _BLOCK_ROWS].tobytes().translate(None, b"\0 ").decode("ascii")
+
+
+def encode_rows(columns: Sequence[np.ndarray]) -> str:
+    """The whole CSV body of `encode_blocks`."""
+    return "".join(encode_blocks(columns))

@@ -16,12 +16,13 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
 
 from . import __version__
-from ._text import encode_rows
+from ._text import encode_blocks
 from .design import (
     CAVITIES,
     SWEEP_DEFAULTS,
@@ -59,13 +60,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, chunks) -> None:
+    """Write the strings of ``chunks`` in turn to ``path``, or to stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(path, "w", newline="") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -130,9 +132,10 @@ def _json_safe(value):
 
 def _emit(args, csv_text, report) -> None:
     """Write the rendering that ``--format`` selects; each of ``csv_text``
-    and ``report`` builds one when called, so only the selected one is built."""
+    and ``report`` builds one when called, so only the selected one is built.
+    ``csv_text`` gives the CSV as strings to write in turn."""
     if args.format == "structured-report":
-        _write_text(args.out, json.dumps(_json_safe(report()), indent=2, allow_nan=False) + "\n")
+        _write_text(args.out, [json.dumps(_json_safe(report()), indent=2, allow_nan=False) + "\n"])
     else:
         _write_text(args.out, csv_text())
 
@@ -140,7 +143,7 @@ def _emit(args, csv_text, report) -> None:
 def _cmd_design(args) -> int:
     registry = load_registry(args.materials)
     report = run_design_flow(_spec_from(args), registry)
-    _emit(args, lambda: _csv_text(("key", "value"), _report_rows(report)), report.as_dict)
+    _emit(args, lambda: [_csv_text(("key", "value"), _report_rows(report))], report.as_dict)
     return 2 if report.warnings else 0
 
 
@@ -148,7 +151,8 @@ def _emit_curves(args, curves: CurveSet) -> None:
     columns = (curves.x_nm, curves.A_analytic, curves.A_tmm, curves.eta_ratio)
     _emit(
         args,
-        lambda: ",".join(_SWEEP_HEADER) + "\n" + encode_rows(columns),
+        # the columns are finished; their text is made as it is written
+        lambda: itertools.chain([",".join(_SWEEP_HEADER) + "\n"], encode_blocks(columns)),
         lambda: [dict(zip(_SWEEP_HEADER, row)) for row in zip(*(c.tolist() for c in columns))],
     )
 
@@ -221,9 +225,9 @@ def _cmd_table2(args) -> int:
     template = ",".join(_TABLE2_HEADER) + "\n" + _TABLE2_ROW * len(rows)
     _emit(
         args,
-        lambda: template % tuple(
+        lambda: [template % tuple(
             _fmt(cell) if cell is True or cell is False else cell for row in rows for cell in row
-        ),
+        )],
         lambda: [dict(zip(_TABLE2_HEADER, row)) for row in rows],
     )
     failed = sum(1 for c in report.cells if not (c.analytic_ok and c.oracle_ok))
@@ -240,7 +244,7 @@ def _cmd_mlc_convergence(args) -> int:
     rows = list(zip(range(1, len(report.A) + 1), report.A.tolist(), report.T.tolist()))
     # all numbers: csv.writer would quote no cell, and "%.12g" is _fmt's format
     template = ",".join(header) + "\n" + "%d,%.12g,%.12g\n" * len(rows)
-    _emit(args, lambda: template % tuple(v for row in rows for v in row), lambda: {
+    _emit(args, lambda: [template % tuple(v for row in rows for v in row)], lambda: {
         "rows": [dict(zip(header, row)) for row in rows],
         "converged_periods": report.converged_periods,
         "analytic_A": report.analytic_A,

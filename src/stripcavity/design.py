@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import analytic, tmm
+from ._text import _BLOCK_ROWS
 from .analytic import CavityContext, ValidityWarning
 from .materials import (
     InputError,
@@ -167,10 +168,8 @@ class DesignReport:
 @dataclass(frozen=True, eq=False)  # numpy columns have no single truth value for ==
 class CurveSet:
     """Columns of x, analytic A, exact A and |eta_in|/eta_i over one swept
-    variable; row i of the curve is element i of each column."""
+    thickness in nm; row i of the curve is element i of each column."""
 
-    variable: str
-    unit: str
     x_nm: np.ndarray
     A_analytic: np.ndarray
     A_tmm: np.ndarray
@@ -458,7 +457,7 @@ def sweep_curves(
         raise InputError(f"variable must be 'wire' or 'dielectric', got {variable!r}")
     if variable == "dielectric" and cavity.spacer_family is None:
         raise InputError("the multi-layer cavity has no free dielectric thickness")
-    xs = sweep_grid(lo_nm, hi_nm, step_nm)
+    columns = _grid_columns(lo_nm, hi_nm, step_nm)
 
     ctx = build_context(spec, registry)
     # At absurd wavelengths the closed forms overflow to inf or NaN; the exact
@@ -468,12 +467,11 @@ def sweep_curves(
         wire = _wire(spec, registry, cavity.wire_optimum(ctx).d_opt_nm)
         if variable == "wire":
             stack = _stack_on(spec, registry, wire, mirror_token="pec-surrogate")
-            idx = cavity.layout.wire_index
-            analytic_A = cavity.wire_family(xs, ctx)
+            idx, family = cavity.layout.wire_index, cavity.wire_family
         else:
             stack, idx = _stack_on(spec, registry, wire), cavity.layout.spacer_index
-            analytic_A = cavity.spacer_family(xs, ctx)
-    return _curves(variable, stack, idx, xs, spec.wavelength_nm, analytic_A)
+            family = cavity.spacer_family
+        return _curves(stack, idx, columns, spec.wavelength_nm, lambda x: family(x, ctx))
 
 
 def sweep_stack(config: StackConfig, variable: str, layer: int | None,
@@ -487,19 +485,42 @@ def sweep_stack(config: StackConfig, variable: str, layer: int | None,
         reason = ("a custom stack names no layer to sweep" if config.cavity == "custom"
                   else f"the {config.cavity} layout has no dielectric spacer")
         raise InputError(f"{reason}; --layer picks the swept layer")
+    return _curves(config.stack, layer, _grid_columns(lo_nm, hi_nm, step_nm),
+                   config.wavelength_nm)
+
+
+def _grid_columns(lo_nm: float, hi_nm: float, step_nm: float) -> np.ndarray:
+    """A curve's four columns as one ``(4, n)`` array: row 0 the
+    :func:`sweep_grid` thicknesses, copied in before the grid's own array is
+    dropped, and three rows for `_curves` to fill. A warm process gets one
+    such allocation back from malloc without new page faults; four separate
+    columns took about 90 a 15k-point curve."""
     xs = sweep_grid(lo_nm, hi_nm, step_nm)
-    return _curves("custom", config.stack, layer, xs, config.wavelength_nm)
+    columns = np.empty((4, len(xs)))
+    columns[0] = xs
+    return columns
 
 
-def _curves(variable: str, stack: Stack, index: int, xs: np.ndarray, wavelength_nm: float,
-            analytic_A: np.ndarray | None = None) -> CurveSet:
-    """Layer ``index`` of ``stack`` swept over ``xs``, the ratio taken to the
-    stack's input medium; no ``analytic_A`` is a NaN column."""
-    result = tmm.sweep(stack, index, xs, wavelength_nm)
-    if analytic_A is None:
-        analytic_A = np.full(len(xs), np.nan)
+def _curves(stack: Stack, index: int, columns: np.ndarray, wavelength_nm: float,
+            analytic=None) -> CurveSet:
+    """Layer ``index`` of ``stack`` swept over the thicknesses in row 0 of
+    `_grid_columns`' ``columns``, whose other rows it fills; the ratio is
+    taken to the stack's input medium. Each block of ``_BLOCK_ROWS`` rows is
+    finished in every column before the next starts, so only the four
+    columns span the grid. ``analytic`` maps a block of thicknesses to its
+    closed-form column; None is a NaN column."""
+    sweep_block = tmm.sweep_of_layer(stack, index, wavelength_nm)
     n_i = stack.input.material.optical_constant.n_re
-    return CurveSet(variable, "nm", xs, analytic_A, result.A, np.abs(result.eta_in) * n_i)
+    x_nm, A_analytic, A_tmm, eta_ratio = columns
+    if analytic is None:
+        A_analytic.fill(np.nan)
+    for lo in range(0, len(x_nm), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        if analytic is not None:
+            A_analytic[rows] = analytic(x_nm[rows])
+        *_, eta_in = sweep_block(x_nm[rows], A_tmm[rows])
+        np.multiply(np.abs(eta_in, out=eta_ratio[rows]), n_i, out=eta_ratio[rows])
+    return CurveSet(x_nm, A_analytic, A_tmm, eta_ratio)
 
 
 def reproduce_table2(registry: MaterialRegistry | None = None) -> Table2Report:

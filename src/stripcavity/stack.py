@@ -69,6 +69,16 @@ class StackConfigError(InputError):
     document = "stack config"
 
 
+def _check_thickness(thickness_nm: float) -> None:
+    if not thickness_nm > 0:
+        raise InputError(f"layer thickness must be > 0 nm, got {thickness_nm}")
+
+
+def _check_dielectric(part: Material, role: str) -> None:
+    if not part.optical_constant.is_lossless:
+        raise InputError(f"{role} {part.name!r} must be a lossless dielectric")
+
+
 @dataclass(frozen=True)
 class Layer:
     """A finite layer: a material reference and a thickness in nm."""
@@ -77,8 +87,7 @@ class Layer:
     thickness_nm: float
 
     def __post_init__(self) -> None:
-        if not self.thickness_nm > 0:
-            raise InputError(f"layer thickness must be > 0 nm, got {self.thickness_nm}")
+        _check_thickness(self.thickness_nm)
         if self.material.kind == PEC_TERMINAL:
             raise InputError(
                 "the ideal-mirror marker cannot form a finite layer; "
@@ -269,8 +278,7 @@ def _assemble(
     films = []  # (material, thickness) per part
     for part, nm, (_, default, role) in zip(parts, part_nm, layout.parts):
         part = part or registry.get(default)
-        if not part.optical_constant.is_lossless:
-            raise InputError(f"{role} {part.name!r} must be a lossless dielectric")
+        _check_dielectric(part, role)
         films.append((part, quarter_wave_thickness(part, wavelength_nm) if nm is None else nm))
     output = Medium(output or registry.get("Vacuum"))
     if layout.has_mirror:
@@ -464,13 +472,24 @@ def load_stack_config(
         raise _refusal(StackConfigError, "output",
                        "cannot be short in a standard cavity; use mirror: pec")
     parts = [values[key] for key, *_ in layout.parts]
+    part_nm = [values.get(key + "_nm") for key, *_ in layout.parts]
     wire = values["wire"]
     fill = registry.get("Vacuum") if layout.slit_fill is None else parts[layout.slit_fill]
     with _at_key(StackConfigError, "wire"):
         wire = WireGeometry(wire["line_nm"], wire["slit_nm"], wire["material"],
                             wire["slit_material"] or fill, wire["thickness_nm"])
+    # the builder's guards on the values given, run here to name their keys
+    for (key, _, role), part, nm in zip(layout.parts, parts, part_nm):
+        with _at_key(StackConfigError, key):
+            _check_dielectric(part, role)
+        if nm is not None:
+            with _at_key(StackConfigError, key + "_nm"):
+                _check_thickness(nm)
+    if layout.has_mirror and values["mirror"] is not EXACT_SHORT:
+        with _at_key(StackConfigError, "mirror_nm"):
+            _check_thickness(values["mirror_nm"])
     stack = layout.build(
-        wire, parts, [values.get(key + "_nm") for key, *_ in layout.parts], values.get("mirror"),
+        wire, parts, part_nm, values.get("mirror"),
         values.get("mirror_nm"), values.get("periods"), input, output, wavelength, registry,
     )
     return StackConfig(layout.name, stack, wavelength, layout.wire_index, layout.spacer_index)

@@ -22,6 +22,11 @@ anywhere here; those live in :mod:`stripcavity.analytic`.
 `ScatterResult` of columns over the layer counts. `scatter` is its one-count
 case, the whole stack, as Python numbers.
 
+`sweep_of_layer`, behind every curve, prepares the chain once and then
+evaluates blocks of at most ``_BLOCK_ROWS`` thicknesses in the thread's
+sweep workspace, so a curve's only whole-grid arrays are the ones its caller
+keeps. `sweep` is its blocks copied into columns of its own.
+
 `argmax_absorptance`, behind every design search, scans numpy's 256-point
 linspace grid of one layer's thickness in one array evaluation and refines
 the best point with Python floats; its fixed set-up per call is the chain
@@ -37,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._text import _BLOCK_ROWS
 from .materials import InputError
 from .stack import Stack
 
@@ -48,6 +54,7 @@ __all__ = [
     "scatter_truncations",
     "input_impedance",
     "sweep",
+    "sweep_of_layer",
     "absorptance_of_layer",
     "argmax_absorptance",
 ]
@@ -146,9 +153,10 @@ def _prepare(stack: Stack, wavelength_nm: float, layer_index: int | None = None)
 
 
 def _fraction(f11, f12, f21, f22, eta_i: float, eta_o: float):
-    """The numerator and denominator of r from chain entries, scalars or arrays.
+    """The numerator and denominator of r from chain entries.
 
-    eta_i is real, its own conjugate. The denominator is also t's.
+    eta_i is real, its own conjugate. The denominator is also t's. A sweep
+    block forms the same two expressions into its workspace.
     """
     num = f11 * eta_o + f12 - f21 * eta_i * eta_o - f22 * eta_i
     den = f11 * eta_o + f12 + f21 * eta_i * eta_o + f22 * eta_i
@@ -217,35 +225,82 @@ def input_impedance(stack: Stack, wavelength_nm: float) -> complex:
 def sweep(stack: Stack, layer_index: int, thicknesses_nm, wavelength_nm: float) -> SweepResult:
     """Scattering and input impedance with one layer's thickness swept.
 
-    One batched product over the prepared chain, a repeated layer's terms
-    computed once. Raises ValueError when the absorptance is not finite at
-    some thickness (a chain that overflows), naming the first such thickness.
+    `sweep_of_layer`'s blocks, copied into columns the result owns. Raises
+    ValueError when the absorptance is not finite at some thickness (a chain
+    that overflows), naming the first such thickness.
+    """
+    values = np.ascontiguousarray(thicknesses_nm, dtype=np.float64)
+    sweep_block = sweep_of_layer(stack, layer_index, wavelength_nm)
+    size = values.shape[0]
+    r, t, eta_in = (np.empty(size, np.complex128) for _ in range(3))
+    R, T, A = (np.empty(size) for _ in range(3))
+    for lo in range(0, size, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        r[rows], t[rows], R[rows], T[rows], eta_in[rows] = sweep_block(values[rows], A[rows])
+    return SweepResult(values, r, t, R, T, A, eta_in)
+
+
+def sweep_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
+    """The sweep of one layer's thickness as a function of one block of
+    thicknesses, the chain prepared and its fixed layers' terms made once,
+    here.
+
+    ``sweep_block(x, A)`` takes a contiguous float64 block of at most
+    ``_BLOCK_ROWS`` thicknesses, writes their absorptance into the float64
+    column ``A`` and returns (r, t, R, T, eta_in): views of the thread's
+    sweep workspace, which its next block overwrites. Each column is the
+    whole-grid expression of its block, every operation on the same operands
+    in the same order into a workspace column, so a grid's blocks give its
+    whole-grid bits: ``R = (conj(r) * r).real``, in which numpy's array
+    product rounds as the CSVs were recorded, and ``A = 1 - R - T``. It
+    raises ValueError when ``A`` is not finite (a chain that overflows),
+    naming the block's first such thickness, before ``eta_in`` is formed.
     """
     n, d, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm, layer_index)
-    values = np.ascontiguousarray(thicknesses_nm, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        f11, f12, f21, f22 = _kernels.chain_sweep(n, d, layer_index, values, k0)
-        r, t = _coefficients(*_fraction(f11, f12, f21, f22, eta_i, eta_o), eta_i, eta_o, short)
-        R = (np.conjugate(r) * r).real
-        T = (np.conjugate(t) * t).real
-    num = f11 * eta_o + f12
-    den = f21 * eta_o + f22
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta_in = np.where(
-            np.abs(den) <= _OPEN_CIRCUIT_EPS * np.maximum(1.0, np.abs(num)),
-            OPEN_CIRCUIT,
-            num / np.where(den == 0, 1.0, den),
-        )
-    result = SweepResult(values, r, np.asarray(t), R, T, 1.0 - R - T, eta_in)
-    # checked last: a column held across the eta_in temporaries measurably
-    # slows a 15k-point sweep
-    finite = np.isfinite(result.A)
-    if not finite.all():
-        raise InputError(
-            f"absorptance is not finite at {values[np.argmin(finite)]:.6g} nm of layer "
-            f"{layer_index}; the chain overflows"
-        )
-    return result
+    terms = _kernels.layer_terms(n, d, layer_index, k0)
+    t_num = 2.0 * math.sqrt(eta_i * eta_o)
+
+    def sweep_block(x, A):
+        m = x.shape[0]
+        # overflow is caught below; a zero eta_in denominator is an open circuit
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f11, f12, f21, f22 = _kernels.chain_sweep(n, d, layer_index, x, k0, terms)
+            ws = _kernels._WORKSPACE.made()
+            p, q, s, r, t, den = ws.scratch(m)[:6]
+            np.add(np.multiply(f11, eta_o, out=p), f12, out=p)  # f11 * eta_o + f12
+            np.multiply(np.multiply(f21, eta_i, out=q), eta_o, out=q)
+            np.multiply(f22, eta_i, out=s)
+            np.subtract(np.subtract(p, q, out=r), s, out=r)  # _fraction's numerator
+            np.add(np.add(p, q, out=t), s, out=t)  # and its denominator
+            np.divide(r, t, out=r)
+            if short:
+                t.fill(0.0)
+            else:
+                np.divide(t_num, t, out=t)
+            R = np.multiply(np.conjugate(r, out=q), r, out=q).real
+            T = np.multiply(np.conjugate(t, out=s), t, out=s).real
+            np.subtract(np.subtract(1.0, R, out=A), T, out=A)
+            finite = np.isfinite(A, out=ws.flags[0, :m])
+            if not finite.all():
+                raise InputError(
+                    f"absorptance is not finite at {x[np.argmin(finite)]:.6g} nm of layer "
+                    f"{layer_index}; the chain overflows"
+                )
+            # eta_in = (f11 * eta_o + f12) / (f21 * eta_o + f22), open where
+            # the denominator vanishes
+            np.add(np.multiply(f21, eta_o, out=den), f22, out=den)
+            size, limit = ws.real[:, :m]
+            np.abs(den, out=size)
+            np.maximum(1.0, np.abs(p, out=limit), out=limit)
+            np.multiply(_OPEN_CIRCUIT_EPS, limit, out=limit)
+            is_open, is_zero = ws.flags[:, :m]
+            np.less_equal(size, limit, out=is_open)
+            np.copyto(den, 1.0, where=np.equal(den, 0, out=is_zero))
+            eta_in = np.divide(p, den, out=p)
+            np.copyto(eta_in, OPEN_CIRCUIT, where=is_open)
+        return r, t, R, T, eta_in
+
+    return sweep_block
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> float:

@@ -77,6 +77,17 @@ def test_traced_run_counts_work(tracer, tmp_path):
     assert summary["kernels.layer_points"] - design_points == len(stack.layers) * 30
 
 
+def test_sweep_large_pass_counts_every_block(monkeypatch, tracer, tmp_path):
+    # A curve runs chain_sweep once per block; the tracer must still count
+    # every layer-point of the three curves of a sweep-large pass.
+    workloads = _load(monkeypatch, "workloads")
+    commands = next(workloads.WORKLOADS["sweep-large"].passes(seed=1))
+    with tracer.Tracer() as trace:
+        for i, command in enumerate(commands):
+            assert main(command.argv(str(tmp_path / f"out{i}.csv"))) == 0
+    assert trace.counters["kernels.layer_points"] == 3 * 14_501 + 4 * 15_001 + 13 * 14_501
+
+
 def test_runner_reads_existing_kernel_attributes():
     text = (PERFBENCH / "run.py").read_text()
     for name in sorted(set(re.findall(r"\b_kernels\.(\w+)", text))):

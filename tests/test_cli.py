@@ -486,10 +486,17 @@ def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
      "stack config: 'wire': wire thickness must be > 0 nm, got -2.0"),
     ("cavity: mlc\nwire: {line_nm: 0, thickness_nm: 6}\n",
      "stack config: 'wire': line width must be > 0 nm, got 0.0"),
+    ("cavity: ssc\nwire: {thickness_nm: 8}\ndielectric_nm: -3\n",
+     "stack config: 'dielectric_nm': layer thickness must be > 0 nm, got -3.0"),
+    ("cavity: ssc\nwire: {thickness_nm: 8}\nmirror_nm: -3\n",
+     "stack config: 'mirror_nm': layer thickness must be > 0 nm, got -3.0"),
+    ("cavity: ssc\nwire: {thickness_nm: 8}\ndielectric: NbN\n",
+     "stack config: 'dielectric': spacer dielectric 'NbN' must be a lossless dielectric"),
 ], ids=["top-level-list", "empty-layers", "layer-not-mapping", "non-numeric", "huge-int",
         "non-string-key", "no-wire", "wire-not-mapping", "short-output", "fractional-periods",
         "over-4300-digits", "layer-without-material", "null-wire-material", "missing-file",
-        "directory", "negative-layer", "marker-layer", "negative-wire", "zero-line-width"])
+        "directory", "negative-layer", "marker-layer", "negative-wire", "zero-line-width",
+        "negative-spacer", "negative-mirror", "lossy-spacer"])
 def test_stack_config_errors_are_one_error_line(tmp_path, capsys, config, message):
     path = write_config(tmp_path, config)
     err = one_error_line(capsys, ["sweep", "--stack", str(path), "--layer", "0"])

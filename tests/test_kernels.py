@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stripcavity import _kernels
+from stripcavity._text import _BLOCK_ROWS
 from stripcavity.design import DesignSpec, sweep_curves
 
 K0 = 2 * np.pi / 1550.0
@@ -22,7 +23,7 @@ def test_sweep_consistent_with_single_point():
     rng = np.random.default_rng(5)
     n, d = random_stack(rng, 5)
     values = np.linspace(2.0, 20.0, 7)
-    swept = _kernels.chain_sweep(n, d, 2, values, K0)
+    swept = _kernels.chain_sweep(n, d, 2, values, K0, _kernels.layer_terms(n, d, 2, K0))
     for p, value in enumerate(values):
         d_mod = d.copy()
         d_mod[2] = value
@@ -138,7 +139,7 @@ def test_chain_sweep_is_bitwise_the_per_layer_loop():
     checked = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for n, d, idx, values in sweep_cases():
-            got = _kernels.chain_sweep(n, d, idx, values, K0)
+            got = _kernels.chain_sweep(n, d, idx, values, K0, _kernels.layer_terms(n, d, idx, K0))
             want = per_layer_loop_sweep(n, d, idx, values, K0)
             for name, x, y in zip(("f11", "f12", "f21", "f22"), got, want):
                 assert same_bits(x, y), (name, len(n), idx, values.shape[0])
@@ -148,7 +149,7 @@ def test_chain_sweep_is_bitwise_the_per_layer_loop():
 
 
 # The curves the benchmark's sweep-large and deep-reflector workloads draw,
-# with the (layers, points) each hands to `chain_sweep`.
+# with the (layers, points) each hands to `chain_sweep` in its blocks.
 BENCHMARK_SWEEPS = {
     "ssc-wire": (DesignSpec(cavity="ssc"), "wire", (1.0, 30.0, 0.002), (3, 14501)),
     "dsc-dielectric": (DesignSpec(cavity="dsc"), "dielectric", (150.0, 300.0, 0.01), (4, 15001)),
@@ -162,7 +163,7 @@ BENCHMARK_SWEEPS = {
 
 @pytest.mark.parametrize("case", BENCHMARK_SWEEPS)
 def test_chain_sweep_is_bitwise_the_per_layer_loop_at_benchmark_shapes(monkeypatch, case):
-    spec, variable, grid, shape = BENCHMARK_SWEEPS[case]
+    spec, variable, grid, (layers, points) = BENCHMARK_SWEEPS[case]
     kernel, calls = _kernels.chain_sweep, []
 
     def recording(*args):
@@ -170,13 +171,17 @@ def test_chain_sweep_is_bitwise_the_per_layer_loop_at_benchmark_shapes(monkeypat
         return kernel(*args)
 
     monkeypatch.setattr(_kernels, "chain_sweep", recording)
-    sweep_curves(spec, variable, *grid)
-    [(n, d, idx, values, k0)] = calls
-    assert (len(n), len(values)) == shape
-    got = kernel(n, d, idx, values, k0)
-    want = per_layer_loop_sweep(n, d, idx, values, k0)
-    for name, x, y in zip(("f11", "f12", "f21", "f22"), got, want):
-        assert same_bits(x, y), name
+    curves = sweep_curves(spec, variable, *grid)
+    # one call per block of the grid, in order
+    assert len(calls) == -(-points // _BLOCK_ROWS)
+    assert np.array_equal(np.concatenate([args[3] for args in calls]), curves.x_nm)
+    for args in calls:
+        n, d, idx, values, k0 = args[:5]
+        assert len(n) == layers
+        got = [x.copy() for x in kernel(*args)]
+        want = per_layer_loop_sweep(n, d, idx, values, k0)
+        for name, x, y in zip(("f11", "f12", "f21", "f22"), got, want):
+            assert same_bits(x, y), (name, len(values))
 
 
 def numpy_scalar_prefixes(n, d, k0):
