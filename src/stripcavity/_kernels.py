@@ -39,7 +39,7 @@ import threading
 
 import numpy as np
 
-from ._text import _BLOCK_ROWS
+from ._text import _BLOCK_ROWS, _aligned
 from .materials import InputError
 
 # The engine is numpy only; benchmark provenance records still read this flag.
@@ -117,12 +117,9 @@ class _Workspace(threading.local):
 
     def made(self) -> _Workspace:
         if self.complex is None:
-            # aligned to 64 bytes, one AVX-512 vector: at numpy's 16, every
-            # vector of a column straddled two cache lines, and the kernel
-            # ran about 10% slower
-            raw = np.empty(11 * _BLOCK_ROWS + 3, np.complex128)
-            start = -raw.ctypes.data % 64 // 16
-            self.complex = raw[start : start + 11 * _BLOCK_ROWS]
+            # at numpy's 16-byte alignment every vector of a column
+            # straddled two cache lines, and the kernel ran about 10% slower
+            self.complex = _aligned(11 * _BLOCK_ROWS, np.complex128)
             self.real = np.empty((2, _BLOCK_ROWS))
             self.flags = np.empty((2, _BLOCK_ROWS), bool)
         return self

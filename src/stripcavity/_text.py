@@ -48,6 +48,17 @@ _POW10 = 10.0 ** np.arange(16)  # 10**k is an exact double for k <= 22
 _IPOW10 = 10 ** np.arange(13, dtype=np.int64)
 
 
+def _aligned(shape, dtype=np.float64) -> np.ndarray:
+    """An empty C-ordered array starting on a 64-byte boundary, one AVX-512
+    vector; numpy aligns only to 16, and a vector that straddles two cache
+    lines is slower to load and store."""
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape)) * dtype.itemsize
+    raw = np.empty(size + 63, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + size].view(dtype).reshape(shape)
+
+
 def _word(text: bytes) -> np.uint32:
     return np.frombuffer(text.ljust(4, b"\0"), np.uint32)[0]
 
@@ -102,11 +113,11 @@ class _Workspace(threading.local):
             self.cells = cells = columns * _BLOCK_ROWS
             # the stacked cells and four 8-byte working columns, viewed as
             # float64, int64 or uint32 as each step needs
-            self.wide = np.empty((5, cells))
+            self.wide = _aligned((5, cells))
             self.flags = np.empty((3, cells), bool)
             self.gather = np.empty(cells, np.uint32)
             # one more cell for the newline that ends the block
-            self.words = np.empty((cells + 1, _WORDS), np.uint32)
+            self.words = _aligned((cells + 1, _WORDS), np.uint32)
         return self
 
 

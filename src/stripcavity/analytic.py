@@ -23,10 +23,11 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
+from ._record import Record
 from .materials import InputError
 
 __all__ = [
@@ -65,24 +66,22 @@ _DETUNING_LIMIT = 0.5
 FloatOrArray = float | np.ndarray
 
 
-@dataclass(frozen=True)
-class CavityContext:
+class CavityContext(Record, namedtuple(
+    "CavityContext", "eps_w n_i n_c n_c1 n_c2 n_m wavelength_nm",
+    defaults=(1.0, None, None, None, None, 1550.0),
+)):
     """Inputs shared by the closed-form expressions.
 
-    eps_w is the effective wire-layer permittivity; n_c is the single-spacer
-    index, n_c1/n_c2 the lower/upper (or reflector pair) indices, and n_m the
-    complex mirror index (None means the ideal-mirror limit).
+    eps_w is the effective wire-layer permittivity; n_i the input index
+    (default 1.0); n_c is the single-spacer index, n_c1/n_c2 the lower/upper
+    (or reflector pair) indices, and n_m the complex mirror index (None means
+    the ideal-mirror limit); the wavelength defaults to 1550 nm.
     """
 
-    eps_w: complex
-    n_i: float = 1.0
-    n_c: float | None = None
-    n_c1: float | None = None
-    n_c2: float | None = None
-    n_m: complex | None = None
-    wavelength_nm: float = 1550.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # "not x > 0" also rejects NaN
         if not self.n_i > 0:
             raise InputError(f"input index must be > 0, got {self.n_i}")
@@ -97,6 +96,7 @@ class CavityContext:
             raise InputError("Im(n_m) must be <= 0 under the package sign convention")
         if self.eps_w == 0:
             raise InputError("wire permittivity must be nonzero")
+        return self
 
     @property
     def k0(self) -> float:
@@ -107,23 +107,19 @@ class CavityContext:
         return 1.0 / self.n_i
 
 
-@dataclass(frozen=True)
-class OptimumPoint:
+class OptimumPoint(Record, namedtuple("OptimumPoint", "d_opt_nm A_opt dphi", defaults=(None,))):
     """A closed-form optimum: thickness, peak absorptance, and (when the
-    optimum is phrased as a quarter-wave detuning) the detuning in radians."""
+    optimum is phrased as a quarter-wave detuning) the detuning in radians,
+    else None."""
 
-    d_opt_nm: float
-    A_opt: float
-    dphi: float | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QwtResult:
-    """Quarter-wave-transformer view of the layer below the wire."""
+class QwtResult(Record, namedtuple("QwtResult", "eta_qwt n_qwt d_w_implied_nm")):
+    """Quarter-wave-transformer view of the layer below the wire: the complex
+    impedance and real index it calls for, and the wire thickness implied."""
 
-    eta_qwt: complex
-    n_qwt: float
-    d_w_implied_nm: float
+    __slots__ = ()
 
 
 def _warn_wire(d_w: FloatOrArray, wavelength_nm: float) -> None:

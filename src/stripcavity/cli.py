@@ -12,14 +12,13 @@ line on stderr prefixed with ``error:``.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
 import itertools
-import json
 import math
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from ._text import encode_blocks
@@ -41,13 +40,6 @@ from .stack import load_stack_config
 __all__ = ["main"]
 
 _SWEEP_HEADER = ("x_nm", "A_analytic", "A_tmm", "eta_ratio")
-
-
-class _Parser(argparse.ArgumentParser):
-    # exit code 2 is reserved for validity-warning-only runs, so argument
-    # errors must not use argparse's default SystemExit(2)
-    def error(self, message):
-        raise InputError(message)
 
 
 def _fmt(value) -> str:
@@ -108,7 +100,8 @@ def _spec_from(args) -> DesignSpec:
             raise InputError("give either --slit-nm or --f, not both")
         if not 0 < args.f <= 1:
             raise InputError(f"--f must lie in (0, 1], got {args.f}")
-        kwargs["slit_nm"] = kwargs.get("line_nm", DesignSpec.line_nm) * (1.0 - args.f) / args.f
+        line_nm = kwargs.get("line_nm", DesignSpec._field_defaults["line_nm"])
+        kwargs["slit_nm"] = line_nm * (1.0 - args.f) / args.f
     return DesignSpec(cavity=args.cavity, **kwargs)
 
 
@@ -135,6 +128,8 @@ def _emit(args, csv_text, report) -> None:
     and ``report`` builds one when called, so only the selected one is built.
     ``csv_text`` gives the CSV as strings to write in turn."""
     if args.format == "structured-report":
+        import json  # only a structured report pays for the encoder
+
         _write_text(args.out, [json.dumps(_json_safe(report()), indent=2, allow_nan=False) + "\n"])
     else:
         _write_text(args.out, csv_text())
@@ -266,8 +261,10 @@ def _cavity(required: bool):
     return _flag("--cavity", choices=CAVITIES, required=required)
 
 
-# An absent spec flag sets no attribute, so the DesignSpec default holds.
-_spec_flag = functools.partial(_flag, default=argparse.SUPPRESS)
+# An absent spec flag sets no attribute, so the DesignSpec default holds; the
+# argparse tree reads this default as argparse.SUPPRESS.
+_ABSENT = object()
+_spec_flag = functools.partial(_flag, default=_ABSENT)
 _SPEC_FLAGS = (
     _spec_flag("--wavelength-nm", float),
     _spec_flag("--line-nm", float),
@@ -315,6 +312,14 @@ _COMMANDS = {
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only help, version and errors build the tree
+
+    class _Parser(argparse.ArgumentParser):
+        # exit code 2 is reserved for validity-warning-only runs, so argument
+        # errors must not use argparse's default SystemExit(2)
+        def error(self, message):
+            raise InputError(message)
+
     parser = _Parser(
         prog="stripcavity",
         description="Design and analyse optical cavities for superconducting strip single-photon detectors.",
@@ -324,17 +329,20 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (help_text, func, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for option, kwargs in flags:
+            if kwargs["default"] is _ABSENT:
+                kwargs = {**kwargs, "default": argparse.SUPPRESS}
             command.add_argument(option, **kwargs)
         command.set_defaults(func=func)
     return parser
 
 
-def _read(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace argparse would make of ``argv`` when every token after
-    the command is an exact ``--flag value`` pair that converts and lies in
-    its choices; None for anything else (help, version, abbreviations,
-    ``--flag=value``, a value starting with ``-``, every error), which
-    argparse then parses, so its text stays the only help and error text."""
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """A namespace holding what argparse's would hold for ``argv``, without
+    importing argparse, when every token after the command is an exact
+    ``--flag value`` pair that converts and lies in its choices; None for
+    anything else (help, version, abbreviations, ``--flag=value``, a value
+    starting with ``-``, every error), which argparse then parses, so its
+    text stays the only help and error text."""
     if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
         return None
     _, func, flags = _COMMANDS[argv[0]]
@@ -354,9 +362,9 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
         values[option] = value
     if any(spec["required"] and option not in values for option, spec in flags):
         return None
-    args = argparse.Namespace(command=argv[0], func=func)
+    args = SimpleNamespace(command=argv[0], func=func)
     for option, spec in flags:
-        if option in values or spec["default"] is not argparse.SUPPRESS:
+        if option in values or spec["default"] is not _ABSENT:
             setattr(args, option[2:].replace("-", "_"), values.get(option, spec["default"]))
     return args
 

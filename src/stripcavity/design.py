@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import analytic, tmm
+from ._record import ColumnRecord, Record
 from ._text import _BLOCK_ROWS
 from .analytic import CavityContext, ValidityWarning
 from .materials import (
@@ -99,28 +99,36 @@ SWEEP_DEFAULTS = {"wire": (1.0, 30.0, 0.1), "dielectric": (150.0, 300.0, 0.5)}
 _TABLE2_WINDOWS = (SWEEP_DEFAULTS["wire"][:2], SWEEP_DEFAULTS["dielectric"][:2])
 
 
-@dataclass(frozen=True)
-class DesignSpec:
-    """Everything needed to design one cavity."""
+# The fields of a DesignSpec after ``cavity``, with their defaults.
+_SPEC_DEFAULTS = {
+    "wavelength_nm": 1550.0,
+    "line_nm": 80.0,
+    "slit_nm": 80.0,
+    "wire_material": "NbN",
+    "slit_material": None,          # per-cavity default when None
+    "dielectric": "SiO",            # single-side spacer
+    "lower_dielectric": "SiO2",     # double-side, input side
+    "upper_dielectric": "SiO",      # double-side, mirror side
+    "low_index": "SiO2",            # reflector pair, wire side
+    "high_index": "Ta2O5",
+    "periods": 6,
+    "mirror": "Ag",                 # 'pec' | 'pec-surrogate' | material name
+    "mirror_nm": 130.0,
+    "input_medium": None,           # Vacuum, or Si for the double-side type
+    "output_medium": "Vacuum",
+}
 
-    cavity: str
-    wavelength_nm: float = 1550.0
-    line_nm: float = 80.0
-    slit_nm: float = 80.0
-    wire_material: str = "NbN"
-    slit_material: str | None = None  # per-cavity default when None
-    dielectric: str = "SiO"           # single-side spacer
-    lower_dielectric: str = "SiO2"    # double-side, input side
-    upper_dielectric: str = "SiO"     # double-side, mirror side
-    low_index: str = "SiO2"           # reflector pair, wire side
-    high_index: str = "Ta2O5"
-    periods: int = 6
-    mirror: str = "Ag"                # 'pec' | 'pec-surrogate' | material name
-    mirror_nm: float = 130.0
-    input_medium: str | None = None   # Vacuum, or Si for the double-side type
-    output_medium: str = "Vacuum"
 
-    def __post_init__(self) -> None:
+class DesignSpec(Record, namedtuple(
+    "DesignSpec", ("cavity", *_SPEC_DEFAULTS), defaults=_SPEC_DEFAULTS.values()
+)):
+    """Everything needed to design one cavity: the cavity type, then the
+    fields of ``_SPEC_DEFAULTS``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.cavity not in CAVITIES:
             raise InputError(f"cavity must be one of {CAVITIES}, got {self.cavity!r}")
         if self.periods < 1:
@@ -134,80 +142,66 @@ class DesignSpec:
         ):
             if not math.isfinite(value):
                 raise InputError(f"{label} must be a finite number of nm, got {value}")
+        return self
 
     @property
     def f(self) -> float:
         return filling_factor(self.line_nm, self.slit_nm)
 
 
-@dataclass(frozen=True)
-class DesignReport:
-    """Closed-form and oracle design values side by side."""
+class DesignReport(Record, namedtuple(
+    "DesignReport",
+    "cavity wavelength_nm filling_factor wire_analytic_nm wire_oracle_nm absorptance_analytic "
+    "absorptance_oracle dielectric_analytic_nm dielectric_oracle_nm dphi_dsc_max "
+    "impedance_match_ratio qwt_index qwt_index_target warnings",
+    defaults=((),),
+)):
+    """Closed-form and oracle design values side by side. The dielectric,
+    ``dphi_dsc_max`` and qwt fields are None where the cavity has no such
+    value; ``warnings`` is a tuple of messages."""
 
-    cavity: str
-    wavelength_nm: float
-    filling_factor: float
-    wire_analytic_nm: float
-    wire_oracle_nm: float
-    absorptance_analytic: float
-    absorptance_oracle: float
-    dielectric_analytic_nm: float | None
-    dielectric_oracle_nm: float | None
-    dphi_dsc_max: float | None
-    impedance_match_ratio: float
-    qwt_index: float | None
-    qwt_index_target: float | None
-    warnings: tuple[str, ...] = ()
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        data = {field.name: getattr(self, field.name) for field in fields(self)}
+        data = self._asdict()
         data["warnings"] = list(self.warnings)
         return data
 
 
-@dataclass(frozen=True, eq=False)  # numpy columns have no single truth value for ==
-class CurveSet:
+class CurveSet(ColumnRecord, namedtuple("CurveSet", "x_nm A_analytic A_tmm eta_ratio")):
     """Columns of x, analytic A, exact A and |eta_in|/eta_i over one swept
     thickness in nm; row i of the curve is element i of each column."""
 
-    x_nm: np.ndarray
-    A_analytic: np.ndarray
-    A_tmm: np.ndarray
-    eta_ratio: np.ndarray
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Table2Cell:
-    cavity: str
-    quantity: str  # 'wire' | 'dielectric'
-    slit_nm: float
-    analytic_nm: float
-    oracle_nm: float
-    target_nm: float
-    analytic_ok: bool
-    oracle_ok: bool
-    oracle_rel_dev: float
+class Table2Cell(Record, namedtuple(
+    "Table2Cell",
+    "cavity quantity slit_nm analytic_nm oracle_nm target_nm analytic_ok oracle_ok oracle_rel_dev",
+)):
+    """One reference-table cell; ``quantity`` is 'wire' or 'dielectric'."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Table2Report:
-    cells: tuple[Table2Cell, ...]
+class Table2Report(Record, namedtuple("Table2Report", "cells")):
+    """The reference-table cells, a tuple of Table2Cell."""
+
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
         return all(c.analytic_ok and c.oracle_ok for c in self.cells)
 
 
-@dataclass(frozen=True, eq=False)  # numpy columns, as in CurveSet
-class ConvergenceReport:
+class ConvergenceReport(ColumnRecord, namedtuple(
+    "ConvergenceReport", "A T converged_periods analytic_A d_w_nm"
+)):
     """Columns of exact A and residual T over the reflector's period count,
-    entry p - 1 at p periods."""
+    entry p - 1 at p periods; the first period count that converged, or
+    None; the closed-form A and the wire thickness."""
 
-    A: np.ndarray
-    T: np.ndarray
-    converged_periods: int | None
-    analytic_A: float
-    d_w_nm: float
+    __slots__ = ()
 
 
 # The design facts of one cavity type on top of its stack layout. ``part_fields``
@@ -624,7 +618,7 @@ def mlc_convergence(
             ) from None
 
     # Layers are wire | (c1, c2) * n_max: p periods are the first 1 + 2p.
-    stack = _stack_on(replace(spec, periods=n_max), registry, _wire(spec, registry, d_w_nm))
+    stack = _stack_on(spec._replace(periods=n_max), registry, _wire(spec, registry, d_w_nm))
     result = tmm.scatter_truncations(stack, range(3, 2 * n_max + 2, 2), spec.wavelength_nm)
     finite = np.isfinite(result.A) & np.isfinite(result.T)
     if not finite.all():

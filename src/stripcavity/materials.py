@@ -15,16 +15,20 @@ config file can add or (with an explicit override flag) replace entries.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
+
+from ._record import Record
 
 __all__ = [
     "DIELECTRIC",
     "METAL",
     "PEC_TERMINAL",
+    "INDEX_RANGE",
     "OpticalConstant",
     "Material",
     "MaterialRegistry",
@@ -43,6 +47,12 @@ METAL = "metal"
 PEC_TERMINAL = "pec-terminal"
 
 _KINDS = (DIELECTRIC, METAL, PEC_TERMINAL)
+
+# The index magnitudes |n| an optical constant may have: every built-in
+# constant lies inside, from Vacuum's 1 to the ideal mirror's surrogate
+# 1000. Inside it a product or quotient of a few indices, as the closed
+# forms take them, stays far from a float's underflow and overflow.
+INDEX_RANGE = (1e-3, 1e4)
 
 
 class InputError(ValueError):
@@ -64,22 +74,31 @@ class MaterialConfigError(InputError):
     document = "material config"
 
 
-@dataclass(frozen=True)
-class OpticalConstant:
+class OpticalConstant(Record, namedtuple("OpticalConstant", "n_re n_im")):
     """Complex refractive index split into real part and extinction magnitude.
 
-    The stored pair (n_re, n_im) encodes n = n_re - i*n_im. When an instance
-    is produced from a permittivity (see :func:`refractive_index`), the exact
-    source value is memoised so the round trip back to eps is lossless.
+    The stored pair (n_re, n_im) encodes n = n_re - i*n_im, with n_im >= 0
+    and the magnitude |n| inside `INDEX_RANGE`. When an instance is produced
+    from a permittivity (see :func:`refractive_index`), the exact source
+    value is memoised as ``_eps`` so the round trip back to eps is lossless;
+    ``_eps`` takes no part in equality, hash or repr.
     """
 
-    n_re: float
-    n_im: float = 0.0
-    _eps: complex | None = field(default=None, repr=False, compare=False)
+    _eps = None  # the instance's own, when given, is in its __dict__
 
-    def __post_init__(self) -> None:
-        if self.n_im < 0:
-            raise InputError(f"extinction magnitude must be >= 0, got {self.n_im}")
+    def __new__(cls, n_re: float, n_im: float = 0.0, _eps: complex | None = None):
+        if n_im < 0:
+            raise InputError(f"extinction magnitude must be >= 0, got {n_im}")
+        lo, hi = INDEX_RANGE
+        magnitude = math.hypot(n_re, n_im)
+        if not lo <= magnitude <= hi:  # NaN fails too
+            raise InputError(
+                f"index magnitude |n| must lie in [{lo:g}, {hi:g}], got {magnitude:.12g}"
+            )
+        self = tuple.__new__(cls, (n_re, n_im))
+        if _eps is not None:
+            self.__dict__["_eps"] = _eps
+        return self
 
     @property
     def n(self) -> complex:
@@ -125,8 +144,7 @@ def effective_wire_permittivity(eps_metal: complex, eps_slit: complex, f: float)
     return complex(eps_metal) * f + complex(eps_slit) * (1.0 - f)
 
 
-@dataclass(frozen=True)
-class Material:
+class Material(Record, namedtuple("Material", "name optical_constant kind")):
     """A named material with one complex optical constant.
 
     kind is one of ``dielectric`` (must be lossless), ``metal``, or
@@ -135,18 +153,17 @@ class Material:
     layer it acts through its surrogate index -1000i.
     """
 
-    name: str
-    optical_constant: OpticalConstant
-    kind: str = DIELECTRIC
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise InputError(f"unknown material kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == DIELECTRIC and not self.optical_constant.is_lossless:
+    def __new__(cls, name: str, optical_constant: OpticalConstant, kind: str = DIELECTRIC):
+        if kind not in _KINDS:
+            raise InputError(f"unknown material kind {kind!r}; expected one of {_KINDS}")
+        if kind == DIELECTRIC and not optical_constant.is_lossless:
             raise InputError(
-                f"dielectric {self.name!r} must be lossless (n_im = 0), "
-                f"got n_im = {self.optical_constant.n_im}"
+                f"dielectric {name!r} must be lossless (n_im = 0), "
+                f"got n_im = {optical_constant.n_im}"
             )
+        return tuple.__new__(cls, (name, optical_constant, kind))
 
     @property
     def n(self) -> complex:

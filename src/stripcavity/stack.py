@@ -10,11 +10,11 @@ permittivity mixes wire and slit material by the filling factor.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
+from ._record import Record
 from .materials import (
     _REQUIRED,
     DIELECTRIC,
@@ -79,35 +79,34 @@ def _check_dielectric(part: Material, role: str) -> None:
         raise InputError(f"{role} {part.name!r} must be a lossless dielectric")
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(Record, namedtuple("Layer", "material thickness_nm")):
     """A finite layer: a material reference and a thickness in nm."""
 
-    material: Material
-    thickness_nm: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_thickness(self.thickness_nm)
-        if self.material.kind == PEC_TERMINAL:
+    def __new__(cls, material: Material, thickness_nm: float):
+        _check_thickness(thickness_nm)
+        if material.kind == PEC_TERMINAL:
             raise InputError(
                 "the ideal-mirror marker cannot form a finite layer; "
                 "use its -1000i surrogate material instead"
             )
+        return tuple.__new__(cls, (material, thickness_nm))
 
 
-@dataclass(frozen=True)
-class Medium:
+class Medium(Record, namedtuple("Medium", "material")):
     """A semi-infinite medium, or the exact short-circuit terminal (material None).
 
     The ideal-mirror marker material normalises to the short terminal: as an
     output medium it means zero impedance, not a film of its surrogate index.
     """
 
-    material: Material | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.material is not None and self.material.kind == PEC_TERMINAL:
-            object.__setattr__(self, "material", None)
+    def __new__(cls, material: Material | None = None):
+        if material is not None and material.kind == PEC_TERMINAL:
+            material = None
+        return tuple.__new__(cls, (material,))
 
     @property
     def is_short(self) -> bool:
@@ -117,24 +116,22 @@ class Medium:
 EXACT_SHORT = Medium(None)
 
 
-@dataclass(frozen=True)
-class Stack:
-    """Input medium | ordered finite layers | output medium."""
+class Stack(Record, namedtuple("Stack", "input layers output")):
+    """Input medium | ordered finite layers (a tuple) | output medium."""
 
-    input: Medium
-    layers: tuple[Layer, ...]
-    output: Medium
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if self.input.is_short:
+    def __new__(cls, input: Medium, layers, output: Medium):
+        layers = tuple(layers)
+        if input.is_short:
             raise InputError("the short-circuit terminal is only allowed as the output medium")
-        oc = self.input.material.optical_constant
+        oc = input.material.optical_constant
         if not oc.is_lossless:
             raise InputError(
-                f"input medium {self.input.material.name!r} must be lossless; "
+                f"input medium {input.material.name!r} must be lossless; "
                 "the scattering formulas discard input/output absorption"
             )
+        return tuple.__new__(cls, (input, layers, output))
 
 
 def filling_factor(line_nm: float, slit_nm: float) -> float:
@@ -146,20 +143,19 @@ def filling_factor(line_nm: float, slit_nm: float) -> float:
     return line_nm / (line_nm + slit_nm)
 
 
-@dataclass(frozen=True)
-class WireGeometry:
+class WireGeometry(
+    Record, namedtuple("WireGeometry", "line_nm slit_nm wire_material slit_material thickness_nm")
+):
     """Geometry of the patterned wire layer: widths, materials, thickness."""
 
-    line_nm: float
-    slit_nm: float
-    wire_material: Material
-    slit_material: Material
-    thickness_nm: float
+    # no __slots__: the cached layer lives in the instance's __dict__
 
-    def __post_init__(self) -> None:
-        filling_factor(self.line_nm, self.slit_nm)
-        if not self.thickness_nm > 0:
-            raise InputError(f"wire thickness must be > 0 nm, got {self.thickness_nm}")
+    def __new__(cls, line_nm: float, slit_nm: float, wire_material: Material,
+                slit_material: Material, thickness_nm: float):
+        filling_factor(line_nm, slit_nm)
+        if not thickness_nm > 0:
+            raise InputError(f"wire thickness must be > 0 nm, got {thickness_nm}")
+        return tuple.__new__(cls, (line_nm, slit_nm, wire_material, slit_material, thickness_nm))
 
     @property
     def f(self) -> float:
@@ -184,7 +180,10 @@ def wire_permittivity(wire: WireGeometry) -> complex:
 def effective_wire_material(wire: WireGeometry) -> Material:
     """Synthetic material carrying the effective wire-layer permittivity."""
     eps = wire_permittivity(wire)
-    oc = refractive_index(eps)
+    try:
+        oc = refractive_index(eps)
+    except InputError as exc:  # wire and slit permittivities that (nearly) cancel
+        raise InputError(f"the wire grating's effective index: {exc}") from None
     kind = METAL if oc.n_im > 0 else DIELECTRIC
     name = f"{wire.wire_material.name}/{wire.slit_material.name} grating (f={wire.f:.6g})"
     return Material(name, oc, kind)
@@ -359,15 +358,14 @@ MLC = Layout(
 LAYOUTS = {SSC.name: SSC, DSC.name: DSC, MLC.name: MLC}
 
 
-@dataclass(frozen=True)
-class StackConfig:
-    """Parsed stack config: the concrete stack plus its evaluation wavelength."""
+class StackConfig(Record, namedtuple(
+    "StackConfig", "cavity stack wavelength_nm wire_layer_index dielectric_layer_index",
+    defaults=(None, None),
+)):
+    """Parsed stack config: the concrete stack plus its evaluation wavelength,
+    and the indices of its wire and dielectric layers (None where it has none)."""
 
-    cavity: str
-    stack: Stack
-    wavelength_nm: float
-    wire_layer_index: int | None = None
-    dielectric_layer_index: int | None = None
+    __slots__ = ()
 
 
 def resolve_mirror(token: str, registry: MaterialRegistry) -> Material | Medium:
@@ -478,6 +476,7 @@ def load_stack_config(
     with _at_key(StackConfigError, "wire"):
         wire = WireGeometry(wire["line_nm"], wire["slit_nm"], wire["material"],
                             wire["slit_material"] or fill, wire["thickness_nm"])
+        wire.layer  # made here, so a refusal of the grating's index names its key
     # the builder's guards on the values given, run here to name their keys
     for (key, _, role), part, nm in zip(layout.parts, parts, part_nm):
         with _at_key(StackConfigError, key):

@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from . import _kernels
+from ._record import Record
 from ._text import _BLOCK_ROWS
 from .materials import InputError
 from .stack import Stack
@@ -80,17 +81,12 @@ _REFINE_TOL_NM = 0.01
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ScatterResult:
+class ScatterResult(Record, namedtuple("ScatterResult", "r t R T A")):
     """Complex reflection/transmission coefficients and the power balance:
     Python numbers from `scatter`, arrays over the layer counts from
     `scatter_truncations`."""
 
-    r: complex | np.ndarray
-    t: complex | np.ndarray
-    R: float | np.ndarray
-    T: float | np.ndarray
-    A: float | np.ndarray
+    __slots__ = ()
 
     @classmethod
     def from_coefficients(cls, r, t) -> "ScatterResult":
@@ -105,17 +101,11 @@ class ScatterResult:
         return cls(r, t, R, T, 1.0 - R - T)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Per-point scattering and input impedance along one swept thickness."""
+class SweepResult(Record, namedtuple("SweepResult", "thicknesses_nm r t R T A eta_in")):
+    """Per-point scattering and input impedance along one swept thickness:
+    one numpy column each."""
 
-    thicknesses_nm: np.ndarray
-    r: np.ndarray
-    t: np.ndarray
-    R: np.ndarray
-    T: np.ndarray
-    A: np.ndarray
-    eta_in: np.ndarray
+    __slots__ = ()
 
 
 def _prepare(stack: Stack, wavelength_nm: float, layer_index: int | None = None):

@@ -535,10 +535,20 @@ def test_stack_config_errors_are_one_error_line(tmp_path, capsys, config, messag
     ("materials: [{name: MgF2, n_re: 1.37}, {name: nbn, n_re: 5.0, n_im: 4.0}]\n",
      "material config: 'materials[1].name' is 'nbn', a name already registered; "
      "set override: true to replace it"),
+    # an index this small once underflowed the ssc spacer's closed form to a
+    # ZeroDivisionError traceback (with --wire-material Tiny --slit-material Tiny)
+    ("materials: [{name: Tiny, n_re: 1.0e-150, n_im: 1.0e-150},"
+     " {name: SiO, n_re: 1.0e-150, override: true}]\n",
+     "material config: 'materials[0]': index magnitude |n| must lie in [0.001, 10000], "
+     "got 1.41421356237e-150"),
+    ("materials: [{name: X, n_re: 6000, n_im: 8001}]\n",
+     "material config: 'materials[0]': index magnitude |n| must lie in [0.001, 10000], "
+     "got 10000.800018"),
 ], ids=["top-level-list", "materials-not-list", "entry-not-mapping", "non-numeric-n_im",
         "huge-int", "non-boolean-override", "lossy-dielectric", "non-string-entry-key",
         "non-string-key", "negative-spacer-index", "over-4300-digits", "out-of-range-date",
-        "entry-without-name", "missing-file", "directory", "negative-n_im", "duplicate-name"])
+        "entry-without-name", "missing-file", "directory", "negative-n_im", "duplicate-name",
+        "tiny-index", "huge-index"])
 def test_material_config_errors_are_one_error_line(tmp_path, capsys, config, message):
     path = write_config(tmp_path, config)
     err = one_error_line(capsys, ["design", "--cavity", "ssc", "--materials", str(path)])
@@ -715,7 +725,8 @@ class TestInputBounds:
     ], ids=["zero-wavelength", "negative-wavelength", "input", "output"])
     def test_stack_config_refused_by_the_engine(self, tmp_path, capsys, config, message):
         materials, path = tmp_path / "materials.yaml", tmp_path / "stack.yaml"
-        materials.write_text("materials:\n  - {name: Z, n_re: 0}\n")
+        # a negative index: the range of index magnitudes refuses 0 at the config
+        materials.write_text("materials:\n  - {name: Z, n_re: -1}\n")
         path.write_text("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}]\n" + config)
         err = one_error_line(capsys, [
             "sweep", "--stack", str(path), "--layer", "0", "--materials", str(materials),
@@ -753,12 +764,34 @@ class TestInputBounds:
     ])
     def test_zero_wire_permittivity(self, tmp_path, capsys, command, cavity):
         materials = tmp_path / "materials.yaml"
-        materials.write_text("materials:\n  - {name: Z, n_re: 0}\n")
+        # eps = -1 half and half with the vacuum slit: the range of index
+        # magnitudes refuses an index of 0 at the config
+        materials.write_text("materials:\n  - {name: Z, n_re: 0, n_im: 1}\n")
         err = one_error_line(capsys, [
             command, "--cavity", cavity, "--materials", str(materials),
-            "--wire-material", "Z", "--f", "1",
+            "--wire-material", "Z", "--f", "0.5",
         ])
         assert err == "error: wire permittivity must be nonzero\n"
+
+    def test_effective_wire_index_below_the_range(self, tmp_path, capsys):
+        # nearly cancelling permittivities: the grating's index, not a config
+        # entry, falls below the range of index magnitudes
+        materials = tmp_path / "materials.yaml"
+        materials.write_text("materials:\n  - {name: Z, n_re: 0, n_im: 1}\n")
+        err = one_error_line(capsys, [
+            "design", "--cavity", "ssc", "--materials", str(materials),
+            "--wire-material", "Z", "--f", "0.5000000001",
+        ])
+        assert err == ("error: the wire grating's effective index: index magnitude |n| must "
+                       "lie in [0.001, 10000], got 1.41421362088e-05\n")
+        config = tmp_path / "stack.yaml"
+        config.write_text("cavity: ssc\nwire: {material: Z, line_nm: 80.0000001, slit_nm: 80, "
+                          "thickness_nm: 6}\n")
+        err = one_error_line(capsys, [
+            "sweep", "--stack", str(config), "--materials", str(materials),
+        ])
+        assert err == ("error: stack config: 'wire': the wire grating's effective index: index "
+                       "magnitude |n| must lie in [0.001, 10000], got 2.50000010343e-05\n")
 
     # every material lookup of a stack config, named by its key: a custom
     # layer, the media, the wire, a layout part and the mirror; a YAML number
@@ -807,13 +840,16 @@ class TestInputBounds:
 
 
 def test_import_leaves_yaml_unloaded():
-    # a fresh interpreter: only --materials and --stack parse YAML
+    # a fresh interpreter: only --materials and --stack parse YAML, only help,
+    # version and errors build argparse, only a structured report encodes
+    # JSON, and the records are namedtuples, not dataclasses
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
-        [sys.executable, "-c", "import stripcavity.cli, sys; print('yaml' in sys.modules)"],
+        [sys.executable, "-c", "import stripcavity.cli, sys; "
+         "print([m for m in ('yaml', 'argparse', 'json', 'dataclasses') if m in sys.modules])"],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 def _fields(args):

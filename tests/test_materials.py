@@ -3,6 +3,7 @@ import pytest
 
 from stripcavity.materials import (
     DIELECTRIC,
+    INDEX_RANGE,
     METAL,
     PEC_TERMINAL,
     InputError,
@@ -78,6 +79,20 @@ class TestRefractiveIndex:
     def test_negative_extinction_rejected(self):
         with pytest.raises(ValueError):
             OpticalConstant(1.0, -0.1)
+
+    def test_index_magnitude_range(self):
+        lo, hi = INDEX_RANGE
+        # every built-in constant lies inside, the -1000i surrogate included
+        assert all(lo <= abs(m.n) <= hi for m in builtin_registry())
+        for n_re, n_im in ((lo, 0.0), (-lo, 0.0), (0.0, lo), (hi, 0.0), (0.6 * hi, 0.8 * hi)):
+            OpticalConstant(n_re, n_im)
+        for n_re, n_im in ((0.0, 0.0), (0.999 * lo, 0.0), (hi, 1.0), (1.0, float("nan")),
+                           (float("inf"), 0.0)):
+            with pytest.raises(InputError, match="index magnitude"):
+                OpticalConstant(n_re, n_im)
+        # a permittivity whose index falls outside is refused too
+        with pytest.raises(InputError, match="index magnitude"):
+            refractive_index(1e-300)
 
 
 class TestEffectiveWirePermittivity:

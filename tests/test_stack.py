@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -354,7 +353,7 @@ def test_recorded_stack_case(case):
 
 def test_spec_part_defaults_match_layouts():
     # DesignSpec repeats each layout part's default material as a field default
-    defaults = {field.name: field.default for field in dataclasses.fields(design.DesignSpec)}
+    defaults = design.DesignSpec._field_defaults
     for cavity in design._TABLE.values():
         for (field, _), part in zip(cavity.part_fields, cavity.layout.parts, strict=True):
             assert defaults[field] == part[1], (cavity.layout.name, field)

@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -537,12 +536,12 @@ class TestAgainstReferenceEngine:
             mixed = [3 % (size + 1), 0, 1, 0, size, 1, size // 2, size, 0]
             for counts in (every, mixed, []):
                 got = scatter_truncations(stack, counts, LAMBDA)
-                assert all(np.shape(field) == (len(counts),) for field in astuple(got))
+                assert all(np.shape(field) == (len(counts),) for field in got)
                 assert same_bits(result_bits(got), reference_truncations(stack, counts))
             for count in every[:: max(1, len(every) // 40)] + [size]:
                 truncated = Stack(stack.input, stack.layers[:count], stack.output)
                 got = scatter(truncated, LAMBDA)
-                assert [type(field) for field in astuple(got)] == [complex, complex, float, float, float]
+                assert [type(field) for field in got] == [complex, complex, float, float, float]
                 assert same_bits(result_bits(got), reference_truncations(truncated, [count]))
         assert not np.isfinite(result_bits(got)).all()  # the last chain overflows
 
