@@ -6,7 +6,6 @@ from .analytic import (
     CavityContext,
     OptimumPoint,
     QwtResult,
-    ValidityWarning,
     absorptance_dsc,
     absorptance_dsc_dielectric,
     absorptance_mlc,
@@ -14,6 +13,7 @@ from .analytic import (
     absorptance_ssc_dielectric,
     combine_dsc_detunings,
     detuning_from_thickness,
+    detuning_strain,
     dielectric_optimum_dsc,
     dielectric_optimum_ssc,
     max_absorptance,
@@ -23,6 +23,7 @@ from .analytic import (
     wire_optimum_dsc,
     wire_optimum_mlc,
     wire_optimum_ssc,
+    wire_strain,
 )
 from .design import (
     CurveSet,

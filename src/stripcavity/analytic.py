@@ -14,15 +14,16 @@ leading terms -4*Im(eps_w)*... are positive.
 
 The absorptance families, :func:`detuning_from_thickness` and
 :func:`combine_dsc_detunings` are element-wise: a numpy array of thicknesses
-or detunings gives an array back, a float gives a float. A validity check
-fires once per call when any element strains the approximation.
+or detunings gives an array back, a float gives a float. They are pure: the
+validity checks :func:`wire_strain` and :func:`detuning_strain` are separate
+calls that return one message for a whole array when any element strains the
+approximation, else None.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "CavityContext",
     "OptimumPoint",
     "QwtResult",
-    "ValidityWarning",
     "detuning_from_thickness",
     "thickness_from_detuning",
     "combine_dsc_detunings",
@@ -51,11 +51,9 @@ __all__ = [
     "absorptance_dsc_dielectric",
     "dielectric_optimum_dsc",
     "qwt_relations",
+    "wire_strain",
+    "detuning_strain",
 ]
-
-
-class ValidityWarning(UserWarning):
-    """An input strains the approximations behind a closed-form expression."""
 
 
 # Thin-wire assumption strains once the wire approaches this wavelength fraction.
@@ -122,27 +120,29 @@ class QwtResult(Record, namedtuple("QwtResult", "eta_qwt n_qwt d_w_implied_nm"))
     __slots__ = ()
 
 
-def _warn_wire(d_w: FloatOrArray, wavelength_nm: float) -> None:
+def wire_strain(d_w: FloatOrArray, wavelength_nm: float) -> str | None:
+    """The thin-wire check: a message naming the thickest wire when any
+    element of ``d_w`` exceeds 1/50 of the wavelength, else None."""
     limit = wavelength_nm * _WIRE_FRACTION
-    if np.any(d_w > limit):
-        warnings.warn(
-            f"wire thickness {np.nanmax(d_w):.3g} nm exceeds {limit:.3g} nm; "
-            "the thin-wire expansion is strained",
-            ValidityWarning,
-            stacklevel=3,
-        )
+    if not np.any(d_w > limit):
+        return None
+    return (
+        f"wire thickness {np.nanmax(d_w):.3g} nm exceeds {limit:.3g} nm; "
+        "the thin-wire expansion is strained"
+    )
 
 
-def _warn_detuning(dphi: FloatOrArray) -> None:
+def detuning_strain(dphi: FloatOrArray) -> str | None:
+    """The quarter-wave check: a message naming the largest detuning when any
+    element of ``dphi`` exceeds 0.5 rad in magnitude, else None."""
     magnitude = np.abs(dphi)
-    if np.any(magnitude > _DETUNING_LIMIT):
-        worst = np.ravel(dphi)[np.nanargmax(magnitude)]
-        warnings.warn(
-            f"detuning {worst:.3g} rad exceeds {_DETUNING_LIMIT} rad; "
-            "the linearised spacer matrix is strained",
-            ValidityWarning,
-            stacklevel=3,
-        )
+    if not np.any(magnitude > _DETUNING_LIMIT):
+        return None
+    worst = np.ravel(dphi)[np.nanargmax(magnitude)]
+    return (
+        f"detuning {worst:.3g} rad exceeds {_DETUNING_LIMIT} rad; "
+        "the linearised spacer matrix is strained"
+    )
 
 
 def detuning_from_thickness(d_nm: FloatOrArray, n: float, wavelength_nm: float) -> FloatOrArray:
@@ -213,7 +213,6 @@ def max_absorptance_detuned(eps_w: complex) -> float:
 def absorptance_ssc(d_w: FloatOrArray, ctx: CavityContext) -> FloatOrArray:
     """Absorptance of the single-side cavity vs wire thickness (ideal mirror,
     quarter-wave spacer). Depends only on n_i, eps_w, and d_w."""
-    _warn_wire(d_w, ctx.wavelength_nm)
     k0 = ctx.k0
     e = ctx.eps_w
     num = -4.0 * k0 * e.imag * ctx.n_i * d_w
@@ -242,7 +241,6 @@ def absorptance_ssc_dielectric(dphi_c: FloatOrArray, ctx: CavityContext) -> Floa
     ideal-mirror limit where that term vanishes.
     """
     _need(ctx, "n_c")
-    _warn_detuning(dphi_c)
     e = ctx.eps_w
     mag = abs(e)
     mirror = 0.0
@@ -281,7 +279,6 @@ def absorptance_dsc(d_w: FloatOrArray, ctx: CavityContext) -> FloatOrArray:
     """Absorptance of the double-side cavity vs wire thickness (ideal mirror,
     quarter-wave dielectrics). The lower dielectric rescales the optimum."""
     _need(ctx, "n_c1")
-    _warn_wire(d_w, ctx.wavelength_nm)
     e = ctx.eps_w
     u = ctx.k0 * ctx.n_i * d_w / ctx.n_c1**2
     return -4.0 * u * e.imag / ((u * e.imag - 1.0) ** 2 + (u * e.real) ** 2)
@@ -299,7 +296,6 @@ def absorptance_dsc_dielectric(dphi_dsc: FloatOrArray, ctx: CavityContext) -> Fl
     """Double-side absorptance vs the combined detuning of both dielectrics,
     wire fixed at its optimum. See :func:`combine_dsc_detunings`."""
     _need(ctx, "n_c1", "n_c2")
-    _warn_detuning(dphi_dsc)
     e = ctx.eps_w
     mag = abs(e)
     mirror = 0.0

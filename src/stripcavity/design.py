@@ -15,7 +15,6 @@ the final design use the actual metal mirror.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import analytic, tmm
 from ._record import ColumnRecord, Record
 from ._text import _BLOCK_ROWS
-from .analytic import CavityContext, ValidityWarning
+from .analytic import CavityContext
 from .materials import (
     InputError,
     Material,
@@ -207,26 +206,25 @@ class ConvergenceReport(ColumnRecord, namedtuple(
 # The design facts of one cavity type on top of its stack layout. ``part_fields``
 # pairs each layout part with the DesignSpec field naming its material and the
 # CavityContext field taking its index. The families give A over wire
-# thickness (ideal mirror) and over spacer thickness (wire at its optimum);
-# ``reports_qwt`` reports the quarter-wave-transformer fields and the combined
-# detuning.
+# thickness (ideal mirror) and over the detuning that ``spacer_detuning``
+# makes of a spacer thickness (wire at its optimum); ``reports_qwt`` reports
+# the quarter-wave-transformer fields and the combined detuning.
 _Cavity = namedtuple(
     "_Cavity",
-    "layout part_fields wire_optimum wire_family spacer_optimum spacer_family reports_qwt",
-    defaults=(None, None, False),
+    "layout part_fields wire_optimum wire_family "
+    "spacer_optimum spacer_detuning spacer_family reports_qwt",
+    defaults=(None, None, None, False),
 )
 
 
-def _ssc_spacer_family(d_c, ctx: CavityContext):
-    dphi = analytic.detuning_from_thickness(d_c, ctx.n_c, ctx.wavelength_nm)
-    return analytic.absorptance_ssc_dielectric(dphi, ctx)
+def _ssc_spacer_detuning(d_c, ctx: CavityContext):
+    return analytic.detuning_from_thickness(d_c, ctx.n_c, ctx.wavelength_nm)
 
 
-def _dsc_spacer_family(d_c, ctx: CavityContext):
+def _dsc_spacer_detuning(d_c, ctx: CavityContext):
     # Lower dielectric pinned at exact quarter-wave, so only the upper detunes.
     dphi_c2 = analytic.detuning_from_thickness(d_c, ctx.n_c2, ctx.wavelength_nm)
-    dphi_dsc = analytic.combine_dsc_detunings(0.0, dphi_c2, ctx)
-    return analytic.absorptance_dsc_dielectric(dphi_dsc, ctx)
+    return analytic.combine_dsc_detunings(0.0, dphi_c2, ctx)
 
 
 # Table order is the CLI's order.
@@ -235,12 +233,14 @@ _TABLE = {
     for entry in (
         _Cavity(
             SSC, (("dielectric", "n_c"),), analytic.wire_optimum_ssc, analytic.absorptance_ssc,
-            analytic.dielectric_optimum_ssc, _ssc_spacer_family,
+            analytic.dielectric_optimum_ssc, _ssc_spacer_detuning,
+            analytic.absorptance_ssc_dielectric,
         ),
         _Cavity(
             DSC, (("lower_dielectric", "n_c1"), ("upper_dielectric", "n_c2")),
             analytic.wire_optimum_dsc, analytic.absorptance_dsc,
-            analytic.dielectric_optimum_dsc, _dsc_spacer_family, reports_qwt=True,
+            analytic.dielectric_optimum_dsc, _dsc_spacer_detuning,
+            analytic.absorptance_dsc_dielectric, reports_qwt=True,
         ),
         _Cavity(
             MLC, (("low_index", "n_c1"), ("high_index", "n_c2")),
@@ -351,8 +351,9 @@ def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) 
 
     Closed-form wire and spacer optima come first; the exact engine then
     refines both and evaluates the impedance match of the designed stack.
-    Validity warnings raised by the closed forms are collected in the report
-    rather than surfaced.
+    The report's warnings are the thin-wire check at the closed-form wire,
+    the detuning check at the closed-form spacer, then any oracle
+    disagreement.
     """
     registry = _registry(registry)
     cavity = _TABLE[spec.cavity]
@@ -362,12 +363,11 @@ def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) 
     )
     spacer_nm = None if spacer_opt is None else spacer_opt.d_opt_nm
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ValidityWarning)
-        absorptance_analytic = cavity.wire_family(wire_opt.d_opt_nm, ctx)
-        if spacer_opt is not None:
-            cavity.spacer_family(spacer_nm, ctx)
-    collected = [str(w.message) for w in caught if issubclass(w.category, ValidityWarning)]
+    absorptance_analytic = cavity.wire_family(wire_opt.d_opt_nm, ctx)
+    checks = [analytic.wire_strain(wire_opt.d_opt_nm, ctx.wavelength_nm)]
+    if spacer_opt is not None:
+        checks.append(analytic.detuning_strain(cavity.spacer_detuning(spacer_nm, ctx)))
+    collected = [message for message in checks if message is not None]
     collected += _disagreements(
         ("wire", wire_opt.d_opt_nm, wire_oracle_nm), ("dielectric", spacer_nm, spacer_oracle_nm)
     )
@@ -404,14 +404,16 @@ def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) 
 def sweep_grid(lo_nm: float, hi_nm: float, step_nm: float) -> np.ndarray:
     """Thicknesses lo, lo + step, ... up to hi (within half a step).
 
-    A zero-length range gives the single point lo. Non-finite bounds or step,
-    and grids beyond MAX_SWEEP_POINTS, are rejected before anything is
-    allocated.
+    A zero-length range gives the single point lo, and lo = 0 is the
+    no-layer limit. Non-finite bounds or step, a negative lo, and grids
+    beyond MAX_SWEEP_POINTS are rejected before anything is allocated.
     """
     if not all(math.isfinite(v) for v in (lo_nm, hi_nm, step_nm)):
         raise InputError(
             f"sweep bounds and step must be finite, got [{lo_nm}, {hi_nm}] step {step_nm}"
         )
+    if lo_nm < 0:
+        raise InputError(f"need lo >= 0 nm, got [{lo_nm}, {hi_nm}]")
     if lo_nm > hi_nm:
         raise InputError(f"need lo <= hi, got [{lo_nm}, {hi_nm}]")
     if step_nm <= 0:
@@ -442,8 +444,8 @@ def sweep_curves(
     ``variable`` is 'wire' or 'dielectric'. Wire sweeps run on the
     ideal-mirror layout the wire formulas assume; dielectric sweeps hold the
     wire at its closed-form optimum on the actual mirror. The thicknesses come
-    from :func:`sweep_grid`. Validity warnings are suppressed: probing beyond
-    the formulas' comfort zone is exactly what a sweep is for.
+    from :func:`sweep_grid`. No validity check runs: probing beyond the
+    formulas' comfort zone is exactly what a sweep is for.
     """
     registry = _registry(registry)
     cavity = _TABLE[spec.cavity]
@@ -456,16 +458,15 @@ def sweep_curves(
     ctx = build_context(spec, registry)
     # At absurd wavelengths the closed forms overflow to inf or NaN; the exact
     # column below then refuses the sweep with one error, so no numpy warning.
-    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-        warnings.simplefilter("ignore", ValidityWarning)
+    with np.errstate(over="ignore", invalid="ignore"):
         wire = _wire(spec, registry, cavity.wire_optimum(ctx).d_opt_nm)
         if variable == "wire":
             stack = _stack_on(spec, registry, wire, mirror_token="pec-surrogate")
-            idx, family = cavity.layout.wire_index, cavity.wire_family
-        else:
-            stack, idx = _stack_on(spec, registry, wire), cavity.layout.spacer_index
-            family = cavity.spacer_family
-        return _curves(stack, idx, columns, spec.wavelength_nm, lambda x: family(x, ctx))
+            return _curves(stack, cavity.layout.wire_index, columns, spec.wavelength_nm,
+                           lambda x: cavity.wire_family(x, ctx))
+        return _curves(_stack_on(spec, registry, wire), cavity.layout.spacer_index, columns,
+                       spec.wavelength_nm,
+                       lambda x: cavity.spacer_family(cavity.spacer_detuning(x, ctx), ctx))
 
 
 def sweep_stack(config: StackConfig, variable: str, layer: int | None,
@@ -526,20 +527,16 @@ def reproduce_table2(registry: MaterialRegistry | None = None) -> Table2Report:
     """
     registry = _registry(registry)
     cells: list[Table2Cell] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        for slit in (80.0, 120.0, 160.0):
-            for name in CAVITIES:
-                spec = DesignSpec(cavity=name, slit_nm=slit)
-                ctx = build_context(spec, registry)
-                wire_opt, (wire_nm, _), spacer_opt, spacer_nm, _ = _optima(
-                    spec, registry, ctx, _TABLE2_WINDOWS
-                )
-                cells.append(_make_cell(name, "wire", slit, wire_opt.d_opt_nm, wire_nm))
-                if spacer_opt is not None:
-                    cells.append(
-                        _make_cell(name, "dielectric", slit, spacer_opt.d_opt_nm, spacer_nm)
-                    )
+    for slit in (80.0, 120.0, 160.0):
+        for name in CAVITIES:
+            spec = DesignSpec(cavity=name, slit_nm=slit)
+            ctx = build_context(spec, registry)
+            wire_opt, (wire_nm, _), spacer_opt, spacer_nm, _ = _optima(
+                spec, registry, ctx, _TABLE2_WINDOWS
+            )
+            cells.append(_make_cell(name, "wire", slit, wire_opt.d_opt_nm, wire_nm))
+            if spacer_opt is not None:
+                cells.append(_make_cell(name, "dielectric", slit, spacer_opt.d_opt_nm, spacer_nm))
     cells.sort(key=lambda c: (CAVITIES.index(c.cavity), c.quantity, c.slit_nm))
     return Table2Report(tuple(cells))
 
@@ -606,16 +603,14 @@ def mlc_convergence(
         raise InputError(f"need n_max <= {MAX_PERIODS}, got {n_max}")
     registry = _registry(registry)
     ctx = build_context(spec, registry)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        if d_w_nm is None:
-            d_w_nm = analytic.wire_optimum_mlc(ctx).d_opt_nm
-        try:
-            analytic_A = analytic.absorptance_mlc(d_w_nm, ctx)
-        except OverflowError:  # a float ** overflows where numpy gives inf
-            raise InputError(
-                f"the closed-form absorptance overflows at a {d_w_nm:.6g} nm wire"
-            ) from None
+    if d_w_nm is None:
+        d_w_nm = analytic.wire_optimum_mlc(ctx).d_opt_nm
+    try:
+        analytic_A = analytic.absorptance_mlc(d_w_nm, ctx)
+    except OverflowError:  # a float ** overflows where numpy gives inf
+        raise InputError(
+            f"the closed-form absorptance overflows at a {d_w_nm:.6g} nm wire"
+        ) from None
 
     # Layers are wire | (c1, c2) * n_max: p periods are the first 1 + 2p.
     stack = _stack_on(spec._replace(periods=n_max), registry, _wire(spec, registry, d_w_nm))

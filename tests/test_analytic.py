@@ -6,7 +6,6 @@ import pytest
 
 from stripcavity.analytic import (
     CavityContext,
-    ValidityWarning,
     absorptance_dsc,
     absorptance_dsc_dielectric,
     absorptance_mlc,
@@ -14,6 +13,7 @@ from stripcavity.analytic import (
     absorptance_ssc_dielectric,
     combine_dsc_detunings,
     detuning_from_thickness,
+    detuning_strain,
     dielectric_optimum_dsc,
     dielectric_optimum_ssc,
     max_absorptance,
@@ -22,6 +22,7 @@ from stripcavity.analytic import (
     wire_optimum_dsc,
     wire_optimum_mlc,
     wire_optimum_ssc,
+    wire_strain,
 )
 
 EPS_NBN = complex(4.905**2 - 4.293**2, -2 * 4.905 * 4.293)
@@ -253,20 +254,29 @@ class TestQwtRelations:
 
 class TestValidityWarnings:
     def test_thick_wire_warns(self):
-        with pytest.warns(ValidityWarning):
-            absorptance_ssc(32.0, ctx_ssc())
+        assert wire_strain(32.0, LAMBDA).startswith("wire thickness 32 nm exceeds 31 nm")
 
     def test_large_detuning_warns(self):
-        with pytest.warns(ValidityWarning):
-            absorptance_ssc_dielectric(0.6, ctx_ssc())
+        assert detuning_strain(0.6).startswith("detuning 0.6 rad exceeds 0.5 rad")
 
     def test_quiet_in_comfort_zone(self):
-        import warnings
+        assert wire_strain(11.6, LAMBDA) is None
+        assert detuning_strain(-0.24) is None
+        assert wire_strain(math.nan, LAMBDA) is None
+        assert detuning_strain(math.nan) is None
+        assert wire_strain(np.array([11.6, math.nan]), LAMBDA) is None
+        assert detuning_strain(np.array([-0.24, math.nan])) is None
 
+    def test_families_emit_no_warning(self):
+        # the checks are separate calls: a family at a bad value only computes
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ValidityWarning)
-            absorptance_ssc(11.6, ctx_ssc())
-            absorptance_ssc_dielectric(-0.24, ctx_ssc())
+            warnings.simplefilter("error")
+            for name, (fn, grid, bad) in ELEMENTWISE.items():
+                if bad is not None:
+                    values = grid.copy()
+                    values[0] = bad
+                    fn(bad)
+                    fn(values)
 
 
 # name -> (closed form of one swept argument, in-range grid, an out-of-range
@@ -299,14 +309,22 @@ ELEMENTWISE = {
 }
 
 
+# the validity check of each checked form's swept argument
+CHECKS = {
+    "absorptance_ssc": lambda x: wire_strain(x, LAMBDA),
+    "absorptance_mlc": lambda x: wire_strain(x, LAMBDA),
+    "absorptance_dsc": lambda x: wire_strain(x, LAMBDA),
+    "absorptance_ssc_dielectric": detuning_strain,
+    "absorptance_dsc_dielectric": detuning_strain,
+}
+
+
 class TestElementwise:
     @pytest.mark.parametrize("name", ELEMENTWISE)
     def test_array_matches_scalar_calls(self, name):
         fn, grid, _ = ELEMENTWISE[name]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ValidityWarning)
-            column = fn(grid)
-            reference = np.array([fn(float(x)) for x in grid])
+        column = fn(grid)
+        reference = np.array([fn(float(x)) for x in grid])
         assert isinstance(column, np.ndarray) and column.shape == grid.shape
         np.testing.assert_allclose(column, reference, rtol=1e-15, atol=0.0)
 
@@ -320,30 +338,26 @@ class TestElementwise:
         fn, grid, bad = ELEMENTWISE[name]
         values = grid.copy()
         values[len(values) // 2] = bad
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fn(values)
-        assert [w.category for w in caught] == [ValidityWarning]
-        assert f"{bad:.3g}" in str(caught[0].message)
+        check = CHECKS[name]
+        assert check(grid) is None
+        message = check(values)
+        assert isinstance(message, str) and f"{bad:.3g}" in message
 
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: absorptance_ssc(32.0, ctx_ssc()),
+            (lambda: wire_strain(32.0, LAMBDA),
              "wire thickness 32 nm exceeds 31 nm; the thin-wire expansion is strained"),
-            (lambda: absorptance_dsc(40.25, ctx_dsc()),
+            (lambda: wire_strain(40.25, LAMBDA),
              "wire thickness 40.2 nm exceeds 31 nm; the thin-wire expansion is strained"),
-            (lambda: absorptance_ssc_dielectric(0.6, ctx_ssc()),
+            (lambda: detuning_strain(0.6),
              "detuning 0.6 rad exceeds 0.5 rad; the linearised spacer matrix is strained"),
-            (lambda: absorptance_dsc_dielectric(-0.75, ctx_dsc()),
+            (lambda: detuning_strain(-0.75),
              "detuning -0.75 rad exceeds 0.5 rad; the linearised spacer matrix is strained"),
         ],
     )
     def test_scalar_warning_text(self, call, message):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            call()
-        assert [str(w.message) for w in caught] == [message]
+        assert call() == message
 
 
 class TestContextValidation:

@@ -227,6 +227,9 @@ class TestSweep:
             ["--step", "nan"],
             ["--step", "inf"],
             ["--range", "1:1e308", "--step", "1e-308"],
+            # no layer has a negative thickness; "--range -5:-3" is a usage error
+            ["--range=-5:-3"],
+            ["--range=-1:30"],
         ],
     )
     @pytest.mark.parametrize("custom", [False, True], ids=["builtin", "stack"])
@@ -445,6 +448,10 @@ def test_stack_sweep_agrees_with_builtin_sweep(tmp_path, cavity, keys, variable,
     # the closed-form spacer overflows to inf before any stack is built
     (["design", "--cavity", "ssc", "--wavelength-nm", "1e308", "--slit-material", "Ag"],
      "the closed-form spacer is inf nm: not a finite thickness at a 1e+308 nm wavelength"),
+    (["sweep", "--cavity", "mlc", "--variable", "dielectric"],
+     "the multi-layer cavity has no free dielectric thickness"),
+    (["sweep", "--cavity", "ssc", "--step", "0"], "step must be > 0 nm, got 0.0"),
+    (["mlc-convergence", "--cavity", "mlc", "--max-periods", "1"], "need n_max >= 2, got 1"),
 ])
 def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     stack, mlc = write_custom_stack(tmp_path), tmp_path / "mlc.yaml"

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -164,6 +166,43 @@ def test_property_every_out_of_band_oracle_warns(cavity, wavelength, line, slit,
         assert (quantity in flagged) == outside, (quantity, report)
 
 
+def test_concurrent_designs_keep_their_warnings(capfd):
+    # The checks are values in the report, and no call touches the process's
+    # warning filters: designs racing sweeps and period studies in other
+    # threads all get the single-thread report. A short switch interval makes
+    # the threads interleave inside each call.
+    spec = DesignSpec(cavity="ssc", wire_material="SiO", slit_material="Ag")
+    expected = run_design_flow(spec)
+    assert [w.split()[0] for w in expected.warnings] == ["detuning", "oracle-disagrees:"]
+    filters = list(warnings.filters)
+    reports = []
+
+    def designs():
+        for _ in range(400):
+            reports.append(run_design_flow(spec))
+
+    def studies():
+        for _ in range(200):
+            sweep_curves(DesignSpec(cavity="ssc"), "wire", 1.0, 30.0, 1.0)
+            mlc_convergence(DesignSpec(cavity="mlc"), 8)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for run in (designs, designs, studies, studies)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(reports) == 800
+    assert all(report == expected for report in reports)
+    assert warnings.filters == filters
+    assert capfd.readouterr().err == ""
+
+
 class TestSweepCurves:
     def test_wire_sweep_peaks(self):
         curves = sweep_curves(DesignSpec(cavity="ssc"), "wire", 1.0, 30.0, 0.25)
@@ -196,6 +235,9 @@ class TestSweepCurves:
         assert len(curves.x_nm) == 1
         assert curves.x_nm[0] == 11.6
 
+    def test_zero_lower_bound_is_the_no_layer_limit(self):
+        assert design.sweep_grid(0.0, 2.0, 1.0).tolist() == [0.0, 1.0, 2.0]
+
     def test_span_lost_to_rounding(self):
         # stop - lo rounds to 0 at 1e20 nm, so arange is empty: the grid is lo
         assert design.sweep_grid(1e20, 1e20, 1e-10).tolist() == [1e20]
@@ -219,6 +261,8 @@ class TestSweepCurves:
             (1.0, math.inf, 0.1),
             (1.0, 30.0, math.nan),
             (1.0, 30.0, 1e-9),  # 2.9e10 points
+            (-5.0, -3.0, 1.0),  # no layer has a negative thickness
+            (-1.0, 30.0, 1.0),
         ):
             with pytest.raises(ValueError):
                 sweep_curves(spec, "wire", lo, hi, step)
@@ -250,9 +294,7 @@ class TestSweepCurves:
             dphi = analytic.combine_dsc_detunings(0.0, dphi_c2, ctx)
             return analytic.absorptance_dsc_dielectric(dphi, ctx)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", analytic.ValidityWarning)
-            reference = [one_point(float(x)) for x in curves.x_nm]
+        reference = [one_point(float(x)) for x in curves.x_nm]
         assert len(curves.A_tmm) == len(curves.eta_ratio) == len(reference)
         np.testing.assert_allclose(curves.A_analytic, reference, rtol=1e-15, atol=0.0)
 
