@@ -40,6 +40,7 @@ from .stack import (
     Stack,
     StackConfig,
     WireGeometry,
+    _check_periods,
     filling_factor,
     resolve_mirror,
 )
@@ -98,6 +99,54 @@ SWEEP_DEFAULTS = {"wire": (1.0, 30.0, 0.1), "dielectric": (150.0, 300.0, 0.5)}
 _TABLE2_WINDOWS = (SWEEP_DEFAULTS["wire"][:2], SWEEP_DEFAULTS["dielectric"][:2])
 
 
+# The design facts of one cavity type on top of its stack layout. ``part_fields``
+# pairs each layout part with the DesignSpec field naming its material and the
+# CavityContext field taking its index. The families give A over wire
+# thickness (ideal mirror) and over the detuning that ``spacer_detuning``
+# makes of a spacer thickness (wire at its optimum); ``reports_qwt`` reports
+# the quarter-wave-transformer fields and the combined detuning.
+_Cavity = namedtuple(
+    "_Cavity",
+    "layout part_fields wire_optimum wire_family "
+    "spacer_optimum spacer_detuning spacer_family reports_qwt",
+    defaults=(None, None, None, False),
+)
+
+
+def _ssc_spacer_detuning(d_c, ctx: CavityContext):
+    return analytic.detuning_from_thickness(d_c, ctx.n_c, ctx.wavelength_nm)
+
+
+def _dsc_spacer_detuning(d_c, ctx: CavityContext):
+    # Lower dielectric pinned at exact quarter-wave, so only the upper detunes.
+    dphi_c2 = analytic.detuning_from_thickness(d_c, ctx.n_c2, ctx.wavelength_nm)
+    return analytic.combine_dsc_detunings(0.0, dphi_c2, ctx)
+
+
+# Table order is the CLI's order.
+_TABLE = {
+    entry.layout.name: entry
+    for entry in (
+        _Cavity(
+            SSC, (("dielectric", "n_c"),), analytic.wire_optimum_ssc, analytic.absorptance_ssc,
+            analytic.dielectric_optimum_ssc, _ssc_spacer_detuning,
+            analytic.absorptance_ssc_dielectric,
+        ),
+        _Cavity(
+            DSC, (("lower_dielectric", "n_c1"), ("upper_dielectric", "n_c2")),
+            analytic.wire_optimum_dsc, analytic.absorptance_dsc,
+            analytic.dielectric_optimum_dsc, _dsc_spacer_detuning,
+            analytic.absorptance_dsc_dielectric, reports_qwt=True,
+        ),
+        _Cavity(
+            MLC, (("low_index", "n_c1"), ("high_index", "n_c2")),
+            analytic.wire_optimum_mlc, analytic.absorptance_mlc,
+        ),
+    )
+}
+CAVITIES = tuple(_TABLE)
+
+
 # The fields of a DesignSpec after ``cavity``, with their defaults.
 _SPEC_DEFAULTS = {
     "wavelength_nm": 1550.0,
@@ -105,11 +154,9 @@ _SPEC_DEFAULTS = {
     "slit_nm": 80.0,
     "wire_material": "NbN",
     "slit_material": None,          # per-cavity default when None
-    "dielectric": "SiO",            # single-side spacer
-    "lower_dielectric": "SiO2",     # double-side, input side
-    "upper_dielectric": "SiO",      # double-side, mirror side
-    "low_index": "SiO2",            # reflector pair, wire side
-    "high_index": "Ta2O5",
+    # each cavity's dielectrics, at its layout parts' default materials
+    **{field: default for cavity in _TABLE.values()
+       for (field, _), (_, default, _) in zip(cavity.part_fields, cavity.layout.parts)},
     "periods": 6,
     "mirror": "Ag",                 # 'pec' | 'pec-surrogate' | material name
     "mirror_nm": 130.0,
@@ -130,10 +177,7 @@ class DesignSpec(Record, namedtuple(
         self = super().__new__(cls, *args, **kwargs)
         if self.cavity not in CAVITIES:
             raise InputError(f"cavity must be one of {CAVITIES}, got {self.cavity!r}")
-        if self.periods < 1:
-            raise InputError(f"period count must be >= 1, got {self.periods}")
-        if self.periods > MAX_PERIODS:
-            raise InputError(f"period count must be <= {MAX_PERIODS}, got {self.periods}")
+        _check_periods(self.periods)
         for label, value in (
             ("wavelength", self.wavelength_nm),
             ("line width", self.line_nm),
@@ -201,54 +245,6 @@ class ConvergenceReport(ColumnRecord, namedtuple(
     None; the closed-form A and the wire thickness."""
 
     __slots__ = ()
-
-
-# The design facts of one cavity type on top of its stack layout. ``part_fields``
-# pairs each layout part with the DesignSpec field naming its material and the
-# CavityContext field taking its index. The families give A over wire
-# thickness (ideal mirror) and over the detuning that ``spacer_detuning``
-# makes of a spacer thickness (wire at its optimum); ``reports_qwt`` reports
-# the quarter-wave-transformer fields and the combined detuning.
-_Cavity = namedtuple(
-    "_Cavity",
-    "layout part_fields wire_optimum wire_family "
-    "spacer_optimum spacer_detuning spacer_family reports_qwt",
-    defaults=(None, None, None, False),
-)
-
-
-def _ssc_spacer_detuning(d_c, ctx: CavityContext):
-    return analytic.detuning_from_thickness(d_c, ctx.n_c, ctx.wavelength_nm)
-
-
-def _dsc_spacer_detuning(d_c, ctx: CavityContext):
-    # Lower dielectric pinned at exact quarter-wave, so only the upper detunes.
-    dphi_c2 = analytic.detuning_from_thickness(d_c, ctx.n_c2, ctx.wavelength_nm)
-    return analytic.combine_dsc_detunings(0.0, dphi_c2, ctx)
-
-
-# Table order is the CLI's order.
-_TABLE = {
-    entry.layout.name: entry
-    for entry in (
-        _Cavity(
-            SSC, (("dielectric", "n_c"),), analytic.wire_optimum_ssc, analytic.absorptance_ssc,
-            analytic.dielectric_optimum_ssc, _ssc_spacer_detuning,
-            analytic.absorptance_ssc_dielectric,
-        ),
-        _Cavity(
-            DSC, (("lower_dielectric", "n_c1"), ("upper_dielectric", "n_c2")),
-            analytic.wire_optimum_dsc, analytic.absorptance_dsc,
-            analytic.dielectric_optimum_dsc, _dsc_spacer_detuning,
-            analytic.absorptance_dsc_dielectric, reports_qwt=True,
-        ),
-        _Cavity(
-            MLC, (("low_index", "n_c1"), ("high_index", "n_c2")),
-            analytic.wire_optimum_mlc, analytic.absorptance_mlc,
-        ),
-    )
-}
-CAVITIES = tuple(_TABLE)
 
 
 def _slit_material(spec: DesignSpec, registry: MaterialRegistry) -> Material:
@@ -414,6 +410,7 @@ def sweep_grid(lo_nm: float, hi_nm: float, step_nm: float) -> np.ndarray:
         )
     if lo_nm < 0:
         raise InputError(f"need lo >= 0 nm, got [{lo_nm}, {hi_nm}]")
+    lo_nm = abs(lo_nm)  # -0.0 passes as 0, and its grid starts at 0, not -0
     if lo_nm > hi_nm:
         raise InputError(f"need lo <= hi, got [{lo_nm}, {hi_nm}]")
     if step_nm <= 0:

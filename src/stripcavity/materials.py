@@ -27,7 +27,6 @@ from ._record import Record
 __all__ = [
     "DIELECTRIC",
     "METAL",
-    "PEC_TERMINAL",
     "INDEX_RANGE",
     "OpticalConstant",
     "Material",
@@ -44,9 +43,8 @@ __all__ = [
 
 DIELECTRIC = "dielectric"
 METAL = "metal"
-PEC_TERMINAL = "pec-terminal"
 
-_KINDS = (DIELECTRIC, METAL, PEC_TERMINAL)
+_KINDS = (DIELECTRIC, METAL)
 
 # The index magnitudes |n| an optical constant may have: every built-in
 # constant lies inside, from Vacuum's 1 to the ideal mirror's surrogate
@@ -147,10 +145,7 @@ def effective_wire_permittivity(eps_metal: complex, eps_slit: complex, f: float)
 class Material(Record, namedtuple("Material", "name optical_constant kind")):
     """A named material with one complex optical constant.
 
-    kind is one of ``dielectric`` (must be lossless), ``metal``, or
-    ``pec-terminal``. The last marks the ideal-mirror entry: used as an
-    output medium it means an exact short circuit, while built into a finite
-    layer it acts through its surrogate index -1000i.
+    kind is ``dielectric`` (must be lossless) or ``metal``.
     """
 
     __slots__ = ()
@@ -177,7 +172,7 @@ _BUILTIN = (
     Material("SiO", OpticalConstant(1.551), DIELECTRIC),
     Material("SiO2", OpticalConstant(1.444), DIELECTRIC),
     Material("Ta2O5", OpticalConstant(2.15), DIELECTRIC),
-    Material("PEC", OpticalConstant(0.0, 1000.0), PEC_TERMINAL),
+    Material("PEC", OpticalConstant(0.0, 1000.0), METAL),  # the ideal mirror's surrogate
     Material("Ag", OpticalConstant(0.322, 10.99), METAL),
 )
 

@@ -19,7 +19,6 @@ from .materials import (
     _REQUIRED,
     DIELECTRIC,
     METAL,
-    PEC_TERMINAL,
     InputError,
     Material,
     MaterialRegistry,
@@ -74,6 +73,14 @@ def _check_thickness(thickness_nm: float) -> None:
         raise InputError(f"layer thickness must be > 0 nm, got {thickness_nm}")
 
 
+def _check_periods(periods: int) -> None:
+    """Refuse a reflector period count outside 1..MAX_PERIODS."""
+    if periods < 1:
+        raise InputError(f"period count must be >= 1, got {periods}")
+    if periods > MAX_PERIODS:
+        raise InputError(f"period count must be <= {MAX_PERIODS}, got {periods}")
+
+
 def _check_dielectric(part: Material, role: str) -> None:
     if not part.optical_constant.is_lossless:
         raise InputError(f"{role} {part.name!r} must be a lossless dielectric")
@@ -86,27 +93,13 @@ class Layer(Record, namedtuple("Layer", "material thickness_nm")):
 
     def __new__(cls, material: Material, thickness_nm: float):
         _check_thickness(thickness_nm)
-        if material.kind == PEC_TERMINAL:
-            raise InputError(
-                "the ideal-mirror marker cannot form a finite layer; "
-                "use its -1000i surrogate material instead"
-            )
         return tuple.__new__(cls, (material, thickness_nm))
 
 
-class Medium(Record, namedtuple("Medium", "material")):
-    """A semi-infinite medium, or the exact short-circuit terminal (material None).
-
-    The ideal-mirror marker material normalises to the short terminal: as an
-    output medium it means zero impedance, not a film of its surrogate index.
-    """
+class Medium(Record, namedtuple("Medium", "material", defaults=(None,))):
+    """A semi-infinite medium, or the exact short-circuit terminal (material None)."""
 
     __slots__ = ()
-
-    def __new__(cls, material: Material | None = None):
-        if material is not None and material.kind == PEC_TERMINAL:
-            material = None
-        return tuple.__new__(cls, (material,))
 
     @property
     def is_short(self) -> bool:
@@ -190,8 +183,15 @@ def effective_wire_material(wire: WireGeometry) -> Material:
 
 
 def quarter_wave_thickness(material: Material, wavelength_nm: float) -> float:
-    """Quarter of the wavelength scaled by the material's real index."""
-    return wavelength_nm / (4.0 * material.optical_constant.n_re)
+    """Quarter of the wavelength scaled by the material's real index; both
+    must be positive."""
+    n_re = material.optical_constant.n_re
+    if not (wavelength_nm > 0 and n_re > 0):
+        raise InputError(
+            f"a quarter-wave layer of {material.name!r} needs a positive wavelength and real "
+            f"index, got a {wavelength_nm} nm wavelength and n_re = {n_re}"
+        )
+    return wavelength_nm / (4.0 * n_re)
 
 
 def build_ssc(
@@ -288,8 +288,6 @@ def _assemble(
                 raise InputError("a Medium mirror must be the exact short terminal")
             end, output = [], EXACT_SHORT
         else:
-            if mirror.kind == PEC_TERMINAL:
-                mirror = Material(f"{mirror.name} film", mirror.optical_constant, METAL)
             end = [Layer(mirror, d_m_nm)]
     else:
         (low, _), (high, _) = films[-2:]
@@ -299,10 +297,7 @@ def _assemble(
                 f"index, got n({low.name}) = {low.optical_constant.n_re} >= "
                 f"n({high.name}) = {high.optical_constant.n_re}"
             )
-        if periods < 1:
-            raise InputError(f"period count must be >= 1, got {periods}")
-        if periods > MAX_PERIODS:
-            raise InputError(f"period count must be <= {MAX_PERIODS}, got {periods}")
+        _check_periods(periods)
         end = [Layer(part, nm) for part, nm in films[-2:]] * periods  # frozen: one shared pair
         del films[-2:]
     layers = [Layer(part, nm) for part, nm in films]

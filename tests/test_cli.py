@@ -486,9 +486,6 @@ def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     # values the library guards of Layer and WireGeometry refuse, named by their key
     ("cavity: custom\nlayers: [{material: NbN, thickness_nm: -3}]\n",
      "stack config: 'layers[0]': layer thickness must be > 0 nm, got -3.0"),
-    ("cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}, {material: PEC, thickness_nm: 9}]\n",
-     "stack config: 'layers[1]': the ideal-mirror marker cannot form a finite layer; "
-     "use its -1000i surrogate material instead"),
     ("cavity: ssc\nwire: {thickness_nm: -2}\n",
      "stack config: 'wire': wire thickness must be > 0 nm, got -2.0"),
     ("cavity: mlc\nwire: {line_nm: 0, thickness_nm: 6}\n",
@@ -499,15 +496,40 @@ def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
      "stack config: 'mirror_nm': layer thickness must be > 0 nm, got -3.0"),
     ("cavity: ssc\nwire: {thickness_nm: 8}\ndielectric: NbN\n",
      "stack config: 'dielectric': spacer dielectric 'NbN' must be a lossless dielectric"),
+    # the quarter-wave spacer of a negative wavelength
+    ("cavity: ssc\nwire: {thickness_nm: 8}\nwavelength_nm: -5\n",
+     "a quarter-wave layer of 'SiO' needs a positive wavelength and real index, "
+     "got a -5.0 nm wavelength and n_re = 1.551"),
+    # PEC is a material, the -1000i surrogate, so it cannot be an output half-space;
+    # the short is `output: short`, refused beside a mirror
+    ("cavity: ssc\nwire: {thickness_nm: 10}\nmirror: Ag\noutput: PEC\n",
+     "output medium must have a positive real index; "
+     "use the short-circuit terminal for an ideal mirror"),
+    ("cavity: mlc\nwire: {thickness_nm: 10}\noutput: PEC\n",
+     "output medium must have a positive real index; "
+     "use the short-circuit terminal for an ideal mirror"),
 ], ids=["top-level-list", "empty-layers", "layer-not-mapping", "non-numeric", "huge-int",
         "non-string-key", "no-wire", "wire-not-mapping", "short-output", "fractional-periods",
         "over-4300-digits", "layer-without-material", "null-wire-material", "missing-file",
-        "directory", "negative-layer", "marker-layer", "negative-wire", "zero-line-width",
-        "negative-spacer", "negative-mirror", "lossy-spacer"])
+        "directory", "negative-layer", "negative-wire", "zero-line-width",
+        "negative-spacer", "negative-mirror", "lossy-spacer", "quarter-wave-wavelength",
+        "ssc-output-pec", "mlc-output-pec"])
 def test_stack_config_errors_are_one_error_line(tmp_path, capsys, config, message):
     path = write_config(tmp_path, config)
     err = one_error_line(capsys, ["sweep", "--stack", str(path), "--layer", "0"])
     assert err == f"error: {message.replace('{path}', str(path))}\n"
+
+
+def test_stack_config_pec_layer_sweeps(tmp_path, capsys):
+    # PEC is a metal, the ideal mirror's -1000i surrogate, so it forms a custom layer
+    path = write_config(tmp_path, "cavity: custom\nlayers: [{material: NbN, thickness_nm: 6}, "
+                                  "{material: PEC, thickness_nm: 9}]\n")
+    assert main(["sweep", "--stack", str(path), "--layer", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert rows[0] == SWEEP_HEADER and len(rows) == 292  # the default 1:30 step 0.1
+    assert all(0 < float(row[2]) < 1 for row in rows[1:])
 
 
 # Every error branch of a material config, as `design --materials` reaches it;

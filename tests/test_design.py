@@ -238,6 +238,14 @@ class TestSweepCurves:
     def test_zero_lower_bound_is_the_no_layer_limit(self):
         assert design.sweep_grid(0.0, 2.0, 1.0).tolist() == [0.0, 1.0, 2.0]
 
+    def test_negative_zero_lower_bound_is_zero(self):
+        # -0.0 is not < 0; its curve holds the bytes of the one from 0, with no -0 cell
+        spec = DesignSpec(cavity="ssc")
+        assert not np.signbit(design.sweep_grid(-0.0, 2.0, 1.0)).any()
+        from_minus, from_zero = (sweep_curves(spec, "wire", lo, 2.0, 1.0) for lo in (-0.0, 0.0))
+        for column, expected in zip(from_minus, from_zero, strict=True):
+            assert column.tobytes() == expected.tobytes()
+
     def test_span_lost_to_rounding(self):
         # stop - lo rounds to 0 at 1e20 nm, so arange is empty: the grid is lo
         assert design.sweep_grid(1e20, 1e20, 1e-10).tolist() == [1e20]

@@ -5,7 +5,6 @@ from stripcavity.materials import (
     DIELECTRIC,
     INDEX_RANGE,
     METAL,
-    PEC_TERMINAL,
     InputError,
     Material,
     MaterialConfigError,
@@ -145,7 +144,7 @@ class TestRegistry:
         assert reg.get("Ta2O5").n == 2.15
         assert reg.get("Ag").n == complex(0.322, -10.99)
         assert reg.get("PEC").n == complex(0.0, -1000.0)
-        assert reg.get("PEC").kind == PEC_TERMINAL
+        assert reg.get("PEC").kind == METAL
 
     def test_dielectrics_are_lossless(self):
         for mat in builtin_registry():

@@ -48,12 +48,10 @@ REFUSALS = [
     (lambda: OpticalConstant(1e4, 1.0),
      "index magnitude |n| must lie in [0.001, 10000], got 10000.00005"),
     (lambda: Material("X", OpticalConstant(1.5), "plasma"),
-     "unknown material kind 'plasma'; expected one of ('dielectric', 'metal', 'pec-terminal')"),
+     "unknown material kind 'plasma'; expected one of ('dielectric', 'metal')"),
     (lambda: Material("X", OpticalConstant(1.5, 0.2)),
      "dielectric 'X' must be lossless (n_im = 0), got n_im = 0.2"),
     (lambda: Layer(SIO, 0.0), "layer thickness must be > 0 nm, got 0.0"),
-    (lambda: Layer(PEC, 10.0), "the ideal-mirror marker cannot form a finite layer; "
-                               "use its -1000i surrogate material instead"),
     (lambda: Stack(Medium(None), [], Medium(SIO)),
      "the short-circuit terminal is only allowed as the output medium"),
     (lambda: Stack(Medium(LOSSY), [], Medium(SIO)), "input medium 'lossy' must be lossless; "
@@ -104,8 +102,8 @@ def test_records_keep_the_value_semantics():
     assert stack.StackConfig("custom", None, 1550.0)[3:] == (None, None)
     assert Material("X", OpticalConstant(1.5)).kind == "dielectric"
     assert OpticalConstant(1.5).n_im == 0.0 and Medium().material is None
-    # normalised and converted fields
-    assert Medium(PEC).material is None
+    # kept and converted fields
+    assert Medium(PEC).material is PEC
     assert type(Stack(Medium(SIO), [Layer(SIO, 1.0)], Medium(SIO)).layers) is tuple
 
     # every check, with its message, also on the copy with a change

@@ -5,7 +5,7 @@ import pytest
 
 from stripcavity import design
 from stripcavity import stack as stack_module
-from stripcavity.materials import METAL, builtin_registry
+from stripcavity.materials import METAL, InputError, builtin_registry, load_registry
 from stripcavity.stack import (
     EXACT_SHORT,
     MAX_PERIODS,
@@ -52,8 +52,6 @@ class TestLayerMedium:
     def test_layer_guards(self):
         with pytest.raises(ValueError):
             Layer(REG.get("SiO"), 0.0)
-        with pytest.raises(ValueError, match="surrogate"):
-            Layer(REG.get("PEC"), 130.0)
 
     @pytest.mark.parametrize("thickness", [float("nan"), -0.0, float("-inf")])
     def test_non_positive_or_nan_thickness_rejected(self, thickness):
@@ -62,8 +60,10 @@ class TestLayerMedium:
         with pytest.raises(ValueError, match="wire thickness"):
             make_wire(thickness_nm=thickness)
 
-    def test_pec_medium_normalises_to_short(self):
-        assert Medium(REG.get("PEC")).is_short
+    def test_pec_is_a_material_not_the_short(self):
+        # the exact short is EXACT_SHORT alone; PEC is the -1000i surrogate film
+        assert not Medium(REG.get("PEC")).is_short
+        assert build_ssc(make_wire()).layers[-1] == Layer(REG.get("PEC"), 130.0)
 
     def test_short_input_rejected(self):
         with pytest.raises(ValueError, match="output"):
@@ -199,6 +199,22 @@ class TestEffectiveWireMaterial:
     def test_quarter_wave_helper(self):
         assert quarter_wave_thickness(REG.get("SiO2"), 1550.0) == pytest.approx(268.3518, abs=1e-3)
 
+    # a non-positive wavelength or index is named as such, not as a layer
+    # thickness; test_cli has the config's negative wavelength
+    @pytest.mark.parametrize("build, name, wavelength, n_re", [
+        (lambda: build_ssc(make_wire(), wavelength_nm=-5.0), "SiO", -5.0, 1.551),
+        (lambda: load_stack_config(
+            {"cavity": "ssc", "wire": {"thickness_nm": 6}, "dielectric": "X"},
+            load_registry({"materials": [{"name": "X", "n_re": -1.5}]})), "X", 1550.0, -1.5),
+    ], ids=["builder-wavelength", "config-spacer-index"])
+    def test_quarter_wave_of_non_positive_input(self, build, name, wavelength, n_re):
+        with pytest.raises(InputError) as caught:
+            build()
+        assert str(caught.value) == (
+            f"a quarter-wave layer of {name!r} needs a positive wavelength and real index, "
+            f"got a {wavelength} nm wavelength and n_re = {n_re}"
+        )
+
 
 class TestStackConfig:
     def test_ssc_roundtrip(self):
@@ -280,7 +296,7 @@ class TestStackConfig:
             load_stack_config(doc)
 
     def test_lossy_part_refused_before_its_quarter_wave(self):
-        # the ideal-mirror marker has n_re = 0: its quarter-wave would divide by zero
+        # PEC has n_re = 0, which its quarter-wave would refuse: the lossy check comes first
         doc = {"cavity": "ssc", "wire": {"thickness_nm": 6}, "dielectric": "PEC"}
         with pytest.raises(ValueError, match="spacer dielectric 'PEC' must be a lossless"):
             load_stack_config(doc)
@@ -352,7 +368,7 @@ def test_recorded_stack_case(case):
 
 
 def test_spec_part_defaults_match_layouts():
-    # DesignSpec repeats each layout part's default material as a field default
+    # DesignSpec takes each layout part's default material as its field's default
     defaults = design.DesignSpec._field_defaults
     for cavity in design._TABLE.values():
         for (field, _), part in zip(cavity.part_fields, cavity.layout.parts, strict=True):

@@ -197,7 +197,8 @@ class TestScatter:
 
     def test_passivity_registry_stacks(self):
         rng = np.random.default_rng(13)
-        finite = [m for m in REG if m.kind != "pec-terminal"]
+        # two 100 nm films of PEC's -1000i already overflow the chain to NaN
+        finite = [m for m in REG if m.name != "PEC"]
         lossless = [m for m in REG if m.kind == "dielectric"]
         for _ in range(200):
             layers = []
