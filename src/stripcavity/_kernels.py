@@ -15,8 +15,11 @@ with g = i*k0*n and eta = 1/n per layer. Two shapes of work use it:
 - ``chain_sweep``: one layer swept over a block of at most ``_BLOCK_ROWS``
   thicknesses, the whole chain multiplied left to right for every point, the
   running product held as one ``(2, 2, m)`` array of its two columns and
-  updated in place, in the thread's ``_Workspace``. Curves keep this order
-  and these per-layer scalars so their CSV digits do not move.
+  updated in place, in a ``_Workspace`` of views of the thread's one block
+  arena (`stripcavity._text`, 1.1 MiB), which the CSV encoder's blocks use
+  too. Its results last until the thread's next sweep block or encoded
+  block. Curves keep this order and these per-layer scalars so their CSV
+  digits do not move.
 
 Both compute each distinct layer's terms once and reuse them wherever it
 repeats, so an N-period reflector costs three layers' cosh and sinh; a
@@ -35,11 +38,10 @@ calculations", arXiv:1603.02720.
 from __future__ import annotations
 
 import cmath
-import threading
 
 import numpy as np
 
-from ._text import _BLOCK_ROWS, _aligned
+from ._text import _BLOCK_ROWS, _arena_views
 from .materials import InputError
 
 # The engine is numpy only; benchmark provenance records still read this flag.
@@ -99,30 +101,29 @@ def chain_product(n, d, k0):
     return chain_prefixes(n, d, k0)[-1]
 
 
-class _Workspace(threading.local):
-    """The complex columns of one sweep block, one set per thread.
+class _Workspace:
+    """The columns of one sweep block, views of the thread's block arena
+    (1.1 MiB): eleven complex columns of ``_BLOCK_ROWS`` entries (704 KiB),
+    two float and two bool columns (72 KiB), 776 KiB in all. Each block
+    takes them afresh, so none outlives an arena that an encoded block of
+    more columns replaced, and they last until the thread's next sweep block
+    or encoded block.
 
-    Made by the thread's first sweep and kept: eleven complex columns of
-    ``_BLOCK_ROWS`` entries (704 KiB), two float and two bool columns (72
-    KiB). A block of m rows takes the first 4m entries as its running product
-    and the next 4m as the product's scratch, each one contiguous
-    ``(2, 2, m)`` array as a whole-grid one is, and ``terms`` for the swept
-    layer's three. Once the product is done, `stripcavity.tmm` forms the
-    block's coefficients in the seven ``scratch`` columns, which overlay the
-    scratch and ``terms``, and in ``real`` and ``flags``.
+    A block of m rows takes the first 4m entries of ``complex`` as its
+    running product and the 4m from ``4 * _BLOCK_ROWS`` as the product's
+    scratch, each one contiguous ``(2, 2, m)`` array as a whole-grid one is,
+    and ``terms`` for the swept layer's three. Once the product is done,
+    `stripcavity.tmm` forms the block's coefficients in the seven ``scratch``
+    columns, which overlay the scratch and ``terms``, and in ``real`` and
+    ``flags``. Every column starts on a 64-byte boundary: at numpy's 16-byte
+    alignment every vector of a column straddled two cache lines, and the
+    kernel ran about 10% slower.
     """
 
     def __init__(self) -> None:
-        self.complex = None
-
-    def made(self) -> _Workspace:
-        if self.complex is None:
-            # at numpy's 16-byte alignment every vector of a column
-            # straddled two cache lines, and the kernel ran about 10% slower
-            self.complex = _aligned(11 * _BLOCK_ROWS, np.complex128)
-            self.real = np.empty((2, _BLOCK_ROWS))
-            self.flags = np.empty((2, _BLOCK_ROWS), bool)
-        return self
+        self.complex, self.real, self.flags = _arena_views(
+            ((11 * _BLOCK_ROWS,), np.complex128), ((2, _BLOCK_ROWS), np.float64),
+            ((2, _BLOCK_ROWS), bool))
 
     def product(self, m: int) -> np.ndarray:
         return self.complex[: 4 * m].reshape(2, 2, m)
@@ -137,7 +138,6 @@ class _Workspace(threading.local):
         return self.complex[4 * _BLOCK_ROWS :].reshape(7, _BLOCK_ROWS)[:, :m]
 
 
-_WORKSPACE = _Workspace()
 _START = np.eye(2, dtype=np.complex128)[:, :, None]  # the identity as (a, b) columns
 
 
@@ -175,12 +175,13 @@ def chain_sweep(n, d, idx, values, k0, terms):
     the entry-by-entry product, the addends of ``b`` in swapped order, which
     IEEE addition does not see. The swept layer's terms are the same
     expressions over ``values``. The four entries returned are views of the
-    thread's workspace, which its next sweep block overwrites.
+    thread's block arena, which its next sweep block or encoded block
+    overwrites.
     """
     m = values.shape[0]
     if m > _BLOCK_ROWS:
         raise ValueError(f"a sweep block holds at most {_BLOCK_ROWS} thicknesses, got {m}")
-    ws = _WORKSPACE.made()
+    ws = _Workspace()
     ab, t = ws.product(m), ws.product_scratch(m)
     np.copyto(ab, _START)
     a, b = ab

@@ -17,16 +17,20 @@ and the zeros after it; three words of fractional digits without trailing
 zeros. Unused bytes are nul and are dropped from the text.
 
 The columns are encoded in blocks of ``_BLOCK_ROWS`` rows, the blocks the
-sweep engine computes its curves in. Each thread keeps the working arrays of
-one block (``_Workspace``), and every step writes into them with ``out=``: a
-warm call allocates no working array. The text is handed out in pieces of
-``_BLOCK_ROWS`` cells, each cut from 96 KiB of words: below malloc's default
-128 KiB mmap threshold, so a warm process writes every piece in the same
-heap memory. A four-column block cut whole, 384 KiB, took fresh pages each
-time, about 400 page faults a 15k-row curve."""
+sweep engine computes its curves in. A block's working arrays
+(``_Workspace``) are views of the thread's one block arena (``_ARENA``,
+1.1 MiB), which the sweep kernel's blocks use too, and every step writes
+into them with ``out=``: a warm call allocates no working array. They last
+until the thread's next sweep block or encoded block. The text is handed
+out in pieces of ``_BLOCK_ROWS`` cells, each cut from 96 KiB of words:
+below malloc's default 128 KiB mmap threshold, so a warm process writes
+every piece in the same heap memory. A four-column block cut whole,
+384 KiB, took fresh pages each time, about 400 page faults a 15k-row
+curve."""
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Iterator, Sequence
 
@@ -96,32 +100,79 @@ def _items(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))[:, 0]
 
 
-class _Workspace(threading.local):
-    """The working arrays of one block of cells, one set per thread.
+def _encoder_layout(columns: int) -> tuple:
+    """The ``(shape, dtype)`` of each working array of an encoded block of
+    ``columns`` columns: the stacked cells and four 8-byte working columns,
+    viewed as float64, int64 or uint32 as each step needs, three bool and one
+    uint32 working column, and the words, with one more cell for the newline
+    that ends the block. 71 bytes a cell, and 24 for the newline cell."""
+    cells = columns * _BLOCK_ROWS
+    return (((5, cells), np.float64), ((3, cells), bool), ((cells,), np.uint32),
+            ((cells + 1, _WORDS), np.uint32))
 
-    They are made for the first call and grown only for a call with more
-    columns, so a warm call makes none. Each block writes every
-    array before it reads it. For 4 columns they take 1.1 MiB: 71 bytes a
-    cell, and 24 more for the newline cell.
+
+def _spans(columns) -> tuple[list, int]:
+    """Where each ``(shape, dtype)`` in ``columns`` lies in an arena that lays
+    them end to end, each from a 64-byte boundary: their ``(start, stop)``
+    bytes and the arena's size."""
+    spans, end = [], 0
+    for shape, dtype in columns:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        spans.append((end, end + size))
+        end += -(-size // 64) * 64
+    return spans, end
+
+
+class _Arena(threading.local):
+    """One block's working memory, one 64-byte-aligned uint8 array per thread.
+
+    A sweep block (`stripcavity._kernels`) and an encoded block take their
+    working arrays from it in turn, never at once: a curve's columns are
+    finished before its first line of text is made. The thread's first block
+    makes it, 1.1 MiB, the size of a curve's four-column encoded block, which
+    also holds a 776 KiB sweep block; only a wider encoded block grows it. A
+    block's views last until the thread's next sweep block or encoded block.
     """
 
     def __init__(self) -> None:
-        self.cells = 0
-
-    def sized(self, columns: int) -> _Workspace:
-        if columns * _BLOCK_ROWS > self.cells:
-            self.cells = cells = columns * _BLOCK_ROWS
-            # the stacked cells and four 8-byte working columns, viewed as
-            # float64, int64 or uint32 as each step needs
-            self.wide = _aligned((5, cells))
-            self.flags = np.empty((3, cells), bool)
-            self.gather = np.empty(cells, np.uint32)
-            # one more cell for the newline that ends the block
-            self.words = _aligned((cells + 1, _WORDS), np.uint32)
-        return self
+        # this runs in the importing thread at import, so the arena itself
+        # waits for the thread's first block
+        self.bytes = np.empty(0, np.uint8)
+        self.views = {}  # the views of each layout, made once per arena
+        self.turns = 0  # views taken, so that an encoded block can tell it was overtaken
 
 
-_WORKSPACE = _Workspace()
+_ARENA = _Arena()
+
+
+def _arena_views(*columns) -> list[np.ndarray]:
+    """Views of the thread's arena, one per ``(shape, dtype)`` in ``columns``,
+    laid out by `_spans`. The arena is made, at least a four-column encoded
+    block's size, or grown, never shrunk, to hold them."""
+    _ARENA.turns += 1
+    views = _ARENA.views.get(columns)
+    if views is None:
+        spans, size = _spans(columns)
+        if _ARENA.bytes.size < size:
+            size = max(size, _spans(_encoder_layout(4))[1])
+            _ARENA.bytes, _ARENA.views = _aligned(size, np.uint8), {}
+        arena = _ARENA.bytes
+        views = _ARENA.views[columns] = [
+            arena[start:stop].view(dtype).reshape(shape)
+            for (start, stop), (shape, dtype) in zip(spans, columns)]
+    return views
+
+
+class _Workspace:
+    """The working arrays of an encoded block of ``columns`` columns
+    (`_encoder_layout`), views of the thread's arena, which last until the
+    thread's next sweep block or encoded block. Each block writes every
+    array before it reads it. For 4 columns they take 1.1 MiB, the whole
+    arena."""
+
+    def __init__(self, columns: int) -> None:
+        layout = _encoder_layout(columns)
+        self.wide, self.flags, self.gather, self.words = _arena_views(*layout)
 
 
 def _cell_words(ws: _Workspace, n: int, separators: np.ndarray) -> np.ndarray:
@@ -213,14 +264,17 @@ def encode_blocks(columns: Sequence[np.ndarray]) -> Iterator[str]:
 
     Every cell is exactly ``"%.12g" % float(v)``. A block is encoded when the
     last piece of the one before has been taken, so the body is never held
-    whole.
+    whole. Its pieces are cut from the thread's arena, so a sweep block, or
+    another encoded block, that the thread runs between a block's first
+    piece and its last raises RuntimeError where the text would be wrong.
     """
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
-    ws = _WORKSPACE.sized(len(columns))
     # a cell opens with the byte before it: ',' or the '\n' ending a row
     separators = np.full(len(columns), _COMMA, np.uint32)
     separators[0] = _NEWLINE
     for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        ws = _Workspace(len(columns))
+        turn = _ARENA.turns
         block = [column[lo : lo + _BLOCK_ROWS] for column in columns]
         n = len(block[0]) * len(columns)
         np.stack(block, axis=1, out=ws.wide[0, :n].reshape(-1, len(columns)))
@@ -231,6 +285,9 @@ def encode_blocks(columns: Sequence[np.ndarray]) -> Iterator[str]:
         ws.words[n, 0] = _NEWLINE
         words = ws.words[: n + 1]
         for at in range(0, n + 1, _BLOCK_ROWS):
+            if _ARENA.turns != turn:
+                raise RuntimeError("the thread's block arena was taken by another block "
+                                   "while this encoded block was being cut")
             yield words[at : at + _BLOCK_ROWS].tobytes().translate(None, b"\0 ").decode("ascii")
 
 

@@ -461,9 +461,15 @@ def load_stack_config(
         stack = Stack(Medium(input or registry.get("Vacuum")), layers, output)
         return StackConfig("custom", stack, wavelength)
 
+    # a short or an index-less half-space behind the stack would be an ideal
+    # mirror, which ssc and dsc spell as their mirror and mlc has no key for
+    advice = "; use mirror: pec" if layout.has_mirror else ""
     if output is EXACT_SHORT:
         raise _refusal(StackConfigError, "output",
-                       "cannot be short in a standard cavity; use mirror: pec")
+                       "cannot be short in a standard cavity" + advice)
+    if output is not None and (n_re := output.optical_constant.n_re) <= 0:
+        raise _refusal(StackConfigError, "output", "must have a positive real index, "
+                       f"got {output.name!r} with n_re = {n_re:g}" + advice)
     parts = [values[key] for key, *_ in layout.parts]
     part_nm = [values.get(key + "_nm") for key, *_ in layout.parts]
     wire = values["wire"]

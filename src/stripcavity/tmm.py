@@ -24,7 +24,7 @@ case, the whole stack, as Python numbers.
 
 `sweep_of_layer`, behind every curve, prepares the chain once and then
 evaluates blocks of at most ``_BLOCK_ROWS`` thicknesses in the thread's
-sweep workspace, so a curve's only whole-grid arrays are the ones its caller
+block arena, so a curve's only whole-grid arrays are the ones its caller
 keeps. `sweep` is its blocks copied into columns of its own.
 
 `argmax_absorptance`, behind every design search, scans numpy's 256-point
@@ -146,7 +146,7 @@ def _fraction(f11, f12, f21, f22, eta_i: float, eta_o: float):
     """The numerator and denominator of r from chain entries.
 
     eta_i is real, its own conjugate. The denominator is also t's. A sweep
-    block forms the same two expressions into its workspace.
+    block forms the same two expressions into the thread's block arena.
     """
     num = f11 * eta_o + f12 - f21 * eta_i * eta_o - f22 * eta_i
     den = f11 * eta_o + f12 + f21 * eta_i * eta_o + f22 * eta_i
@@ -238,9 +238,10 @@ def sweep_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
     ``sweep_block(x, A)`` takes a contiguous float64 block of at most
     ``_BLOCK_ROWS`` thicknesses, writes their absorptance into the float64
     column ``A`` and returns (r, t, R, T, eta_in): views of the thread's
-    sweep workspace, which its next block overwrites. Each column is the
+    one block arena (`stripcavity._text`, 1.1 MiB), valid until the
+    thread's next sweep block or encoded block. Each column is the
     whole-grid expression of its block, every operation on the same operands
-    in the same order into a workspace column, so a grid's blocks give its
+    in the same order into an arena column, so a grid's blocks give its
     whole-grid bits: ``R = (conj(r) * r).real``, in which numpy's array
     product rounds as the CSVs were recorded, and ``A = 1 - R - T``. It
     raises ValueError when ``A`` is not finite (a chain that overflows),
@@ -255,7 +256,7 @@ def sweep_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
         # overflow is caught below; a zero eta_in denominator is an open circuit
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f11, f12, f21, f22 = _kernels.chain_sweep(n, d, layer_index, x, k0, terms)
-            ws = _kernels._WORKSPACE.made()
+            ws = _kernels._Workspace()
             p, q, s, r, t, den = ws.scratch(m)[:6]
             np.add(np.multiply(f11, eta_o, out=p), f12, out=p)  # f11 * eta_o + f12
             np.multiply(np.multiply(f21, eta_i, out=q), eta_o, out=q)

@@ -1,6 +1,7 @@
-"""Sweeps run in blocks of `_BLOCK_ROWS` rows through one per-thread
-workspace. These tests hold the blocked curves to the whole-array evaluation
-bit for bit, and pin what a warm sweep allocates."""
+"""Sweeps run in blocks of `_BLOCK_ROWS` rows through one per-thread block
+arena, which the CSV encoder's blocks share. These tests hold the blocked
+curves to the whole-array evaluation bit for bit, and pin what a sweep
+allocates."""
 
 import math
 import threading
@@ -10,10 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from stripcavity import _kernels, design, tmm
+from stripcavity import _kernels, _text, design, tmm
 from stripcavity._text import _BLOCK_ROWS, encode_rows
 from stripcavity.cli import main
-from stripcavity.design import sweep_stack
+from stripcavity.design import DesignSpec, sweep_curves, sweep_stack
 from stripcavity.stack import load_stack_config
 
 from test_kernels import per_layer_loop_sweep, same_bits
@@ -130,10 +131,10 @@ def test_public_sweep_owns_the_whole_array_sweep():
     fields = (result.r, result.t, result.R, result.T, result.A, result.eta_in)
     for got, want in zip(fields, whole_array_sweep(stack, 1, xs, 1550.0)):
         assert same_bits(got, want)
-    workspace = _kernels._WORKSPACE.made()
+    arena = _text._ARENA.bytes
+    assert arena.size
     for field in fields:
-        for scratch in (workspace.complex, workspace.real):
-            assert not np.shares_memory(field, scratch)
+        assert not np.shares_memory(field, arena)
 
 
 def test_chain_sweep_takes_one_block():
@@ -143,24 +144,27 @@ def test_chain_sweep_takes_one_block():
 
 
 def test_threads_sweep_at_once():
-    """Each thread has its own sweep workspace, so threads sweeping at the
-    same time each get the curve that one thread alone gets."""
+    """Each thread has its own block arena, which its sweep kernel and its
+    encoder share, so threads sweeping and encoding at the same time each get
+    the curve and the text that one thread alone gets."""
     stack = load_stack_config({"cavity": "mlc", "wire": {"thickness_nm": 11.6}})
     jobs = [(stack, 0, 1.0, 30.0, 0.004), (stack, 2, 100.0, 400.0, 0.05),
             (stack, 0, 5.0, 9.0, 0.001)]
 
-    def columns(job):
+    def curve(job):
         curves = sweep_stack(job[0], "wire", *job[1:])
-        return np.stack([curves.A_tmm, curves.eta_ratio])
+        columns = np.stack([curves.A_tmm, curves.eta_ratio])
+        return columns, "".join(_text.encode_blocks(curves))
 
-    alone = [columns(job) for job in jobs]
+    alone = [curve(job) for job in jobs]
     start = threading.Barrier(len(jobs))
     same = []
 
     def run(job, want):
         start.wait()
         for _ in range(10):
-            same.append(same_bits(columns(job), want))
+            columns, text = curve(job)
+            same.append(same_bits(columns, want[0]) and text == want[1])
 
     threads = [threading.Thread(target=run, args=pair) for pair in zip(jobs, alone)]
     for thread in threads:
@@ -187,3 +191,51 @@ def test_warm_sweep_allocates_its_four_columns(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "curve.csv").read_text().count("\n") == points + 1
     assert peak <= 4 * 8 * points + (1 << 20), peak
+
+
+def test_a_thread_holds_one_arena_for_its_sweep_and_its_text():
+    """A curve's sweep blocks and its encoded blocks share the thread's one
+    arena: a fresh thread's sweep and text peak at the four columns, one
+    arena and less than 512 KiB beyond, the closed-form blocks and the text
+    pieces. Two workspaces, 776 KiB for the kernel besides the encoder's
+    1.1 MiB, peaked at 2622 KiB where one arena peaks at 1846 KiB."""
+    peaks = []
+
+    def run():
+        tracemalloc.start()
+        try:
+            curves = sweep_curves(DesignSpec("ssc"), "wire", 1.0, 30.0, 0.002)
+            for _ in _text.encode_blocks(curves):
+                pass
+            peaks.append((tracemalloc.get_traced_memory()[1], curves.x_nm.size,
+                          _text._ARENA.bytes.nbytes))
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    [(peak, points, arena)] = peaks
+    assert points == 14_501
+    assert peak <= 4 * 8 * points + arena + (512 << 10), peak
+
+
+def test_a_sweep_inside_an_encoded_block_raises():
+    """An encoded block's pieces are cut from the thread's arena, so a sweep
+    block run between two of them raises where the text would be wrong; one
+    run between two encoded blocks changes nothing."""
+    stack = load_stack_config({"cavity": "ssc", "wire": {"thickness_nm": 11.6}}).stack
+    xs = np.linspace(1.0, 30.0, _BLOCK_ROWS + 1)
+    columns = [xs, np.sqrt(xs)]
+    text = encode_rows(columns)
+    # two columns: a block is 2 * _BLOCK_ROWS cells, cut in three pieces
+    pieces = _text.encode_blocks(columns)
+    first = [next(pieces) for _ in range(3)]
+    tmm.sweep(stack, 1, xs, 1550.0)
+    assert "".join(first) + "".join(pieces) == text
+    pieces = _text.encode_blocks(columns)
+    next(pieces)
+    tmm.sweep(stack, 1, xs, 1550.0)
+    with pytest.raises(RuntimeError, match="taken by another block"):
+        next(pieces)

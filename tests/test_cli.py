@@ -474,6 +474,9 @@ def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
     ("cavity: ssc\nwire: 5\n", "stack config: 'wire' must be a mapping, got int"),
     ("cavity: ssc\nwire: {thickness_nm: 8}\noutput: short\n",
      "stack config: 'output' cannot be short in a standard cavity; use mirror: pec"),
+    # mlc has no mirror key, so its refusals give no mirror advice
+    ("cavity: mlc\nwire: {thickness_nm: 8}\noutput: short\n",
+     "stack config: 'output' cannot be short in a standard cavity"),
     ("cavity: mlc\nwire: {thickness_nm: 8}\nperiods: 2.5\n",
      "stack config: 'periods' must be an integer, got 2.5"),
     ("cavity: custom\nlayers:\n  - {material: SiO, thickness_nm: " + "1" * 5001 + "}\n",
@@ -501,19 +504,25 @@ def test_engine_failures_are_one_error_line(tmp_path, capsys, argv, message):
      "a quarter-wave layer of 'SiO' needs a positive wavelength and real index, "
      "got a -5.0 nm wavelength and n_re = 1.551"),
     # PEC is a material, the -1000i surrogate, so it cannot be an output half-space;
-    # the short is `output: short`, refused beside a mirror
+    # a standard config refuses it under its key, a custom one in the engine
     ("cavity: ssc\nwire: {thickness_nm: 10}\nmirror: Ag\noutput: PEC\n",
-     "output medium must have a positive real index; "
-     "use the short-circuit terminal for an ideal mirror"),
+     "stack config: 'output' must have a positive real index, got 'PEC' with n_re = 0; "
+     "use mirror: pec"),
+    ("cavity: dsc\nwire: {thickness_nm: 10}\noutput: PEC\n",
+     "stack config: 'output' must have a positive real index, got 'PEC' with n_re = 0; "
+     "use mirror: pec"),
     ("cavity: mlc\nwire: {thickness_nm: 10}\noutput: PEC\n",
+     "stack config: 'output' must have a positive real index, got 'PEC' with n_re = 0"),
+    ("cavity: custom\nlayers: [{material: SiO, thickness_nm: 5}]\noutput: PEC\n",
      "output medium must have a positive real index; "
      "use the short-circuit terminal for an ideal mirror"),
 ], ids=["top-level-list", "empty-layers", "layer-not-mapping", "non-numeric", "huge-int",
-        "non-string-key", "no-wire", "wire-not-mapping", "short-output", "fractional-periods",
+        "non-string-key", "no-wire", "wire-not-mapping", "short-output", "mlc-short-output",
+        "fractional-periods",
         "over-4300-digits", "layer-without-material", "null-wire-material", "missing-file",
         "directory", "negative-layer", "negative-wire", "zero-line-width",
         "negative-spacer", "negative-mirror", "lossy-spacer", "quarter-wave-wavelength",
-        "ssc-output-pec", "mlc-output-pec"])
+        "ssc-output-pec", "dsc-output-pec", "mlc-output-pec", "custom-output-pec"])
 def test_stack_config_errors_are_one_error_line(tmp_path, capsys, config, message):
     path = write_config(tmp_path, config)
     err = one_error_line(capsys, ["sweep", "--stack", str(path), "--layer", "0"])
