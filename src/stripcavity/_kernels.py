@@ -21,11 +21,14 @@ with g = i*k0*n and eta = 1/n per layer. Two shapes of work use it:
   block. Curves keep this order and these per-layer scalars so their CSV
   digits do not move.
 
-Both compute each distinct layer's terms once and reuse them wherever it
-repeats, so an N-period reflector costs three layers' cosh and sinh; a
-curve's blocks share one ``layer_terms``. ``chain_prefixes`` runs its
-product, and a distinct layer's terms but one numpy division, in Python
-complex; an empty chain is the identity at once, without the memo's keys.
+A prepared chain comes with its ``codes``, one per layer, from
+`stripcavity.tmm._prepare`: layers of one code have the same index and
+thickness bits. ``chain_prefixes`` and ``layer_terms`` compute each code's
+terms once, into the chain's one distinct-layer table, and look every layer
+up there by its code, so an N-period reflector costs three layers' cosh and
+sinh. ``chain_sweep`` takes the per-layer list of ``layer_terms``, which a
+curve's blocks share. ``chain_prefixes`` runs its product, and the table's
+terms but one numpy division, in Python complex.
 
 The argmax search calls ``chain_product`` for the layers on either side of
 the swept one, often none, and does the rest in
@@ -49,43 +52,45 @@ NUMBA_ENABLED = False
 
 _IDENTITY = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
-# A layer's memo key: the bits of its complex128 index and float64 thickness,
-# which unlike ``==`` keep 0.0 and -0.0 apart. Equal keys give equal terms.
-_INDEX_BITS = np.dtype((np.void, 16))
-_THICKNESS_BITS = np.dtype((np.void, 8))
+
+def _positions(codes) -> dict:
+    """Each distinct code, in order of first appearance, with the position
+    of a layer that has it."""
+    return dict(zip(codes, range(len(codes))))
 
 
-def chain_prefixes(n, d, k0) -> list[tuple[complex, complex, complex, complex]]:
+def chain_prefixes(n, d, codes, k0) -> list[tuple[complex, complex, complex, complex]]:
     """Running products of the chain: entry j multiplies layers 0..j-1.
 
-    Entry 0 is the identity and entry len(n) is the whole chain. The product
-    runs in Python complex, whose ``*`` and ``+`` round as numpy's scalar
-    ones do. So do a distinct layer's terms, but for ``s / n``, a numpy
-    division made Python complex: CPython divides complex numbers otherwise.
+    Entry 0 is the identity and entry len(n) is the whole chain; an empty
+    chain is the identity at once. The chain's distinct-layer table holds
+    each code's terms, computed once from one layer of that code, in order
+    of first appearance, so an overflow names the first layer that
+    overflows; the product looks every layer's terms up by its code. It runs
+    in Python complex, whose ``*`` and ``+`` round as numpy's scalar ones
+    do. So do the table's terms, but for ``s / n``, a numpy division made
+    Python complex: CPython divides complex numbers otherwise.
     """
     out = [_IDENTITY]
-    if not n.shape[0]:
+    if not codes:
         return out
-    f11, f12, f21, f22 = _IDENTITY
-    memo = {}
+    table = {}
     ik0 = 1j * k0
-    keys = zip(n.view(_INDEX_BITS).tolist(), d.view(_THICKNESS_BITS).tolist(), strict=True)
-    for j, key in enumerate(keys):
-        terms = memo.get(key)
-        if terms is None:
-            nj = n[j]
-            index = complex(nj)
-            gd = ik0 * index * float(d[j])
-            try:
-                c = cmath.cosh(gd)
-                s = cmath.sinh(gd)
-            except OverflowError:
-                raise InputError(
-                    f"a {d[j]:.6g} nm layer of index {index:.6g} overflows the "
-                    "transfer matrix at this wavelength"
-                ) from None
-            terms = memo[key] = c, s * index, complex(s / nj)
-        c, g, b = terms
+    for code, j in _positions(codes).items():
+        nj = n[j]
+        index = complex(nj)
+        gd = ik0 * index * float(d[j])
+        try:
+            c = cmath.cosh(gd)
+            s = cmath.sinh(gd)
+        except OverflowError:
+            raise InputError(
+                f"a {d[j]:.6g} nm layer of index {index:.6g} overflows the "
+                "transfer matrix at this wavelength"
+            ) from None
+        table[code] = c, s * index, complex(s / nj)
+    f11, f12, f21, f22 = _IDENTITY
+    for c, g, b in map(table.__getitem__, codes):
         f11, f12, f21, f22 = (
             f11 * c + f12 * g,
             f11 * b + f12 * c,
@@ -96,9 +101,9 @@ def chain_prefixes(n, d, k0) -> list[tuple[complex, complex, complex, complex]]:
     return out
 
 
-def chain_product(n, d, k0):
+def chain_product(n, d, codes, k0):
     """Ordered product of the layer matrices, input side first."""
-    return chain_prefixes(n, d, k0)[-1]
+    return chain_prefixes(n, d, codes, k0)[-1]
 
 
 class _Workspace:
@@ -141,61 +146,62 @@ class _Workspace:
 _START = np.eye(2, dtype=np.complex128)[:, :, None]  # the identity as (a, b) columns
 
 
-def layer_terms(n, d, idx, k0) -> list:
+def layer_terms(n, d, codes, idx, k0) -> list:
     """Each layer's ``(cosh(gd), s * n[j], s / n[j])`` with ``s = sinh(gd)``,
-    as 0-d arrays, computed once per distinct layer; None at the swept
-    ``idx``. ``c``, ``s * n[j]`` and ``s / n[j]`` are numpy-scalar results:
-    numpy rounds ``s * n`` over an array of layers differently from the
-    scalar product. A 0-d array takes a ufunc's dispatch faster than a
-    scalar, and multiplies bit for bit the same."""
-    terms, memo = [], {}
-    keys = zip(n.view(_INDEX_BITS).tolist(), d.view(_THICKNESS_BITS).tolist(), strict=True)
-    for j, key in enumerate(keys):
-        if j == idx:
-            terms.append(None)
-            continue
-        layer = memo.get(key)
-        if layer is None:
-            gd = 1j * k0 * n[j] * d[j]
-            s = np.sinh(gd)
-            layer = memo[key] = np.asarray(np.cosh(gd)), np.asarray(s * n[j]), np.asarray(s / n[j])
-        terms.append(layer)
-    return terms
+    as 0-d arrays: the chain's distinct-layer table, one entry per code of a
+    fixed layer, looked up by code, so every repeat of a layer holds the one
+    same tuple. None at the swept ``idx``; its code gets an entry only where
+    a fixed layer shares it. ``c``, ``s * n[j]`` and ``s / n[j]`` are
+    numpy-scalar results: numpy rounds ``s * n`` over an array of layers
+    differently from the scalar product. A 0-d array takes a ufunc's
+    dispatch faster than a scalar, and multiplies bit for bit the same."""
+    fixed = list(codes)
+    fixed[idx] = None
+    positions = _positions(fixed)
+    del positions[None]
+    table = {}
+    for code, j in positions.items():
+        gd = 1j * k0 * n[j] * d[j]
+        s = np.sinh(gd)
+        table[code] = np.asarray(np.cosh(gd)), np.asarray(s * n[j]), np.asarray(s / n[j])
+    return list(map(table.get, fixed))
 
 
 def chain_sweep(n, d, idx, values, k0, terms):
     """The chain product batched over the thicknesses ``values`` of layer ``idx``.
 
     ``values`` is one block, at most ``_BLOCK_ROWS`` thicknesses, and
-    ``terms`` the chain's `layer_terms`, made once for all its blocks. The
+    ``terms`` the chain's `layer_terms`, made once for all its blocks: every
+    repeat of a layer brings its one entry of the distinct-layer table. The
     running product is held as its two columns, ``a = (f11, f21)`` and
     ``b = (f12, f22)``, the two halves of one ``(2, 2, m)`` array ``ab``,
-    updated in place through one scratch array of that shape: four ufunc
-    calls per layer. Each element gets the same multiplies and additions as
-    the entry-by-entry product, the addends of ``b`` in swapped order, which
-    IEEE addition does not see. The swept layer's terms are the same
-    expressions over ``values``. The four entries returned are views of the
-    thread's block arena, which its next sweep block or encoded block
-    overwrites.
+    updated in place through one scratch array ``t`` of that shape: four
+    ufunc calls per layer, their outputs passed by position. Each element
+    gets the same multiplies and additions as the entry-by-entry product,
+    the addends of ``b`` in swapped order, which IEEE addition does not see.
+    The swept layer's terms are the same expressions over ``values``. The
+    four entries returned are views of the thread's block arena, which its
+    next sweep block or encoded block overwrites.
     """
     m = values.shape[0]
     if m > _BLOCK_ROWS:
         raise ValueError(f"a sweep block holds at most {_BLOCK_ROWS} thicknesses, got {m}")
     ws = _Workspace()
     ab, t = ws.product(m), ws.product_scratch(m)
+    t0, t1 = t
     np.copyto(ab, _START)
     a, b = ab
-    for j, layer in enumerate(terms):
+    for layer in terms:
         if layer is None:
             c, g, h = layer = ws.terms(m)
-            np.multiply(1j * k0 * n[j], values, out=h)  # gd
+            np.multiply(1j * k0 * n[idx], values, out=h)  # gd
             np.cosh(h, out=c)
             np.sinh(h, out=h)  # s
-            np.multiply(h, n[j], out=g)
-            np.divide(h, n[j], out=h)
+            np.multiply(h, n[idx], out=g)
+            np.divide(h, n[idx], out=h)
         c, g, h = layer
-        np.multiply(b, g, out=t[0])
-        np.multiply(a, h, out=t[1])
-        ab *= c
-        ab += t
+        np.multiply(b, g, t0)
+        np.multiply(a, h, t1)
+        np.multiply(ab, c, ab)
+        np.add(ab, t, ab)
     return a[0], b[0], a[1], b[1]

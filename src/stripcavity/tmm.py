@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from collections import namedtuple
 
 import numpy as np
@@ -75,6 +76,10 @@ _OPEN_CIRCUIT_EPS = 1e-12
 # ties resolve to the lowest thickness so degenerate sweeps are deterministic.
 _TIE_EPS = 1e-12
 
+# A distinct layer's key: the bits of its complex128 index and float64
+# thickness, which unlike ``==`` keep 0.0 and -0.0 apart.
+_LAYER_BITS = struct.Struct("3d")
+
 _GRID_POINTS = 256
 _RAMP = np.arange(float(_GRID_POINTS))  # linspace's ramp, 0, 1, ..., 255
 _REFINE_TOL_NM = 0.01
@@ -109,11 +114,16 @@ class SweepResult(Record, namedtuple("SweepResult", "thicknesses_nm r t R T A et
 
 
 def _prepare(stack: Stack, wavelength_nm: float, layer_index: int | None = None):
-    """(n, d, k0, eta_i, eta_o, short): the checked stack as the kernels take it.
+    """(n, d, codes, k0, eta_i, eta_o, short): the checked stack as the kernels take it.
 
     The input is lossless by Stack construction, so eta_i is real; the output
-    medium enters through the real part of its index only. Each distinct
-    `Layer` object's index is read once: a reflector repeats one shared pair.
+    medium enters through the real part of its index only. ``codes`` numbers
+    each layer's entry in the chain's one distinct-layer table, from which
+    every kernel takes its terms. Each distinct `Layer` object is read once
+    and keyed on the bits of its complex128 index and float64 thickness:
+    equal layers share a code, even as two objects, while 0.0 and -0.0,
+    equal under ``==``, keep two. ``n`` and ``d`` index the distinct layers'
+    arrays by code: a reflector repeats one shared pair.
     """
     if wavelength_nm <= 0:
         raise InputError(f"wavelength must be > 0 nm, got {wavelength_nm}")
@@ -132,14 +142,23 @@ def _prepare(stack: Stack, wavelength_nm: float, layer_index: int | None = None)
                 "use the short-circuit terminal for an ideal mirror"
             )
         eta_o = 1.0 / n_o
-    index, indices = {}, []
+    by_id, by_bits, indices, thicknesses, codes = {}, {}, [], [], []
     for layer in layers:
-        if id(layer) not in index:
-            index[id(layer)] = layer.material.optical_constant.n
-        indices.append(index[id(layer)])
-    n = np.array(indices, dtype=np.complex128)
-    d = np.array([layer.thickness_nm for layer in layers], dtype=np.float64)
-    return n, d, 2.0 * math.pi / wavelength_nm, 1.0 / n_i, eta_o, stack.output.is_short
+        code = by_id.get(id(layer))
+        if code is None:  # a Layer object not seen before
+            index, thickness = layer.material.optical_constant.n, layer.thickness_nm
+            bits = _LAYER_BITS.pack(index.real, index.imag, thickness)
+            code = by_id[id(layer)] = by_bits.setdefault(bits, len(by_bits))
+            if code == len(indices):  # and a distinct layer
+                indices.append(index)
+                thicknesses.append(thickness)
+        codes.append(code)
+    n = np.array(indices, np.complex128)
+    d = np.array(thicknesses, np.float64)
+    if len(indices) < len(codes):  # a repeat; else codes are the positions
+        at = np.array(codes, np.intp)
+        n, d = n[at], d[at]
+    return n, d, codes, 2.0 * math.pi / wavelength_nm, 1.0 / n_i, eta_o, stack.output.is_short
 
 
 def _fraction(f11, f12, f21, f22, eta_i: float, eta_o: float):
@@ -180,12 +199,12 @@ def scatter_truncations(stack: Stack, layer_counts, wavelength_nm: float) -> Sca
     Entry k of each field is bit-identical to `scatter` of the stack cut
     after ``layer_counts[k]`` layers, which is this with one count.
     """
-    n, d, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm)
+    n, d, codes, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm)
     counts = list(layer_counts)
     # A deep chain can overflow; its results are then inf or NaN for the
     # caller to reject, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        prefixes = _kernels.chain_prefixes(n, d, k0)
+        prefixes = _kernels.chain_prefixes(n, d, codes, k0)
         fractions = [_fraction(*prefixes[count], eta_i, eta_o) for count in counts]
         num, den = np.array(fractions, np.complex128).reshape(len(counts), 2).T
         r, t = _coefficients(num, den, eta_i, eta_o, short)
@@ -202,8 +221,8 @@ def input_impedance(stack: Stack, wavelength_nm: float) -> complex:
     :data:`OPEN_CIRCUIT` when the denominator vanishes (for example a
     lossless quarter-wave layer on a short terminal).
     """
-    n, d, k0, _, eta_o, _ = _prepare(stack, wavelength_nm)
-    f11, f12, f21, f22 = _kernels.chain_product(n, d, k0)
+    n, d, codes, k0, _, eta_o, _ = _prepare(stack, wavelength_nm)
+    f11, f12, f21, f22 = _kernels.chain_product(n, d, codes, k0)
     # numpy values: abs() of an overflow is inf, and / rounds as numpy's
     num = np.complex128(f11 * eta_o + f12)
     den = np.complex128(f21 * eta_o + f22)
@@ -247,8 +266,8 @@ def sweep_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
     raises ValueError when ``A`` is not finite (a chain that overflows),
     naming the block's first such thickness, before ``eta_in`` is formed.
     """
-    n, d, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm, layer_index)
-    terms = _kernels.layer_terms(n, d, layer_index, k0)
+    n, d, codes, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm, layer_index)
+    terms = _kernels.layer_terms(n, d, codes, layer_index, k0)
     t_num = 2.0 * math.sqrt(eta_i * eta_o)
 
     def sweep_block(x, A):
@@ -334,12 +353,12 @@ def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
     arrays once, here. The result agrees with `sweep` to rounding (the
     product is grouped differently).
     """
-    ns, ds, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm, layer_index)
+    ns, ds, codes, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm, layer_index)
     i = layer_index
     # Python complex constants keep the scalar calls of a golden-section search cheap.
     n = complex(ns[i])
-    p11, p12, p21, p22 = _kernels.chain_product(ns[:i], ds[:i], k0)
-    q11, q12, q21, q22 = _kernels.chain_product(ns[i + 1:], ds[i + 1:], k0)
+    p11, p12, p21, p22 = _kernels.chain_product(ns[:i], ds[:i], codes[:i], k0)
+    q11, q12, q21, q22 = _kernels.chain_product(ns[i + 1:], ds[i + 1:], codes[i + 1:], k0)
     # eta_i is real: the input medium is lossless
     xn1, xn2 = p11 - eta_i * p21, p12 - eta_i * p22
     xd1, xd2 = p11 + eta_i * p21, p12 + eta_i * p22

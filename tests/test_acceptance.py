@@ -221,7 +221,7 @@ def test_property_suite():
     for _ in range(1000):
         oc = OpticalConstant(rng.uniform(1.0, 6.0), rng.uniform(0.0, 10.0))
         d = rng.uniform(1e-9, LAMBDA)
-        f11, f12, f21, f22 = _kernels.chain_product(np.array([oc.n]), np.array([d]), K0)
+        f11, f12, f21, f22 = _kernels.chain_product(np.array([oc.n]), np.array([d]), range(1), K0)
         scale = max(1.0, abs(f11 * f22), abs(f12 * f21))
         worst_det = max(worst_det, abs(f11 * f22 - f12 * f21 - 1.0) / scale)
     if worst_det >= 1e-12:
@@ -262,7 +262,8 @@ def test_property_suite():
     # quarter-wave pair collapses to the impedance-ratio diagonal
     n1, n2 = 1.444, 2.15
     pair = _kernels.chain_product(
-        np.array([n1, n2], np.complex128), np.array([LAMBDA / (4 * n1), LAMBDA / (4 * n2)]), K0
+        np.array([n1, n2], np.complex128), np.array([LAMBDA / (4 * n1), LAMBDA / (4 * n2)]),
+        range(2), K0,
     )
     expected = (-(n2 / n1), 0.0j, 0.0j, -(n1 / n2))
     if max(abs(got - want) for got, want in zip(pair, expected)) >= 1e-12:

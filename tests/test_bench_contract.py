@@ -77,6 +77,21 @@ def test_traced_run_counts_work(tracer, tmp_path):
     assert summary["kernels.layer_points"] - design_points == len(stack.layers) * 30
 
 
+def test_traced_deep_chain_counts_every_layer(tracer, tmp_path):
+    # The tracer reads layers from argument 0 of chain_product and
+    # chain_sweep, and points from argument 3 of chain_sweep; on a 161-layer
+    # reflector a signature that moved either would miscount.
+    reflector = ["--cavity", "mlc", "--periods", "80", "--c1", "SiO2", "--c2", "SiO"]
+    with tracer.Tracer() as trace:
+        assert main(["impedance", *reflector, "--range", "1:30", "--step", "0.02",
+                     "--out", str(tmp_path / "impedance.csv")]) == 0
+        assert trace.counters["kernels.layer_points"] == 161 * 1451
+        assert main(["design", *reflector, "--out", str(tmp_path / "design.csv")]) == 0
+    # the wire search multiplies the 0 and 160 layers on either side of the
+    # wire, and the input impedance all 161
+    assert trace.counters["kernels.layer_points"] == 161 * 1451 + 0 + 160 + 161
+
+
 def test_sweep_large_pass_counts_every_block(monkeypatch, tracer, tmp_path):
     # A curve runs chain_sweep once per block; the tracer must still count
     # every layer-point of the three curves of a sweep-large pass.

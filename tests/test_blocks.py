@@ -32,7 +32,7 @@ CUSTOM_STACK = (
 def whole_array_sweep(stack, index, xs, wavelength_nm):
     """(r, t, R, T, A, eta_in) of every point at once: the entry-by-entry chain
     and the whole-grid expressions that the blocked sweep replaces."""
-    n, d, k0, eta_i, eta_o, short = tmm._prepare(stack, wavelength_nm, index)
+    n, d, _, k0, eta_i, eta_o, short = tmm._prepare(stack, wavelength_nm, index)
     with np.errstate(all="ignore"):
         f11, f12, f21, f22 = per_layer_loop_sweep(n, d, index, xs, k0)
         num = f11 * eta_o + f12 - f21 * eta_i * eta_o - f22 * eta_i

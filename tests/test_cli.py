@@ -627,6 +627,20 @@ def test_mlc_ignores_mirror(tmp_path, command):
     assert bogus.read_bytes() == plain.read_bytes()
 
 
+# README's mirror-token rule: `PEC` is an ordinary metal, the ideal mirror's
+# -1000i surrogate film as `pec-surrogate` is, and only the lower-case token
+# `pec` is the exact short, whatever the case of the material lookup.
+@pytest.mark.parametrize("token, oracle_nm", [
+    ("pec", "235.530754358"),
+    ("PEC", "235.280058531"),
+    ("Pec", "235.280058531"),
+    ("pec-surrogate", "235.280058531"),
+])
+def test_only_lower_case_pec_is_the_short(capsys, token, oracle_nm):
+    assert main(["design", "--cavity", "ssc", "--mirror", token]) == 0
+    assert f"dielectric_oracle_nm,{oracle_nm}" in capsys.readouterr().out.splitlines()
+
+
 def test_custom_sweep_needs_no_cavity(tmp_path):
     argv, digest = GOLDEN_SHA256["sweep-custom-stack"]
     argv = [arg.format(stack=write_custom_stack(tmp_path)) for arg in argv]

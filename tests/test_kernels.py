@@ -1,12 +1,15 @@
 import cmath
 import operator
+import types
 
 import numpy as np
 import pytest
 
-from stripcavity import _kernels
+from stripcavity import _kernels, tmm
 from stripcavity._text import _BLOCK_ROWS
-from stripcavity.design import DesignSpec, sweep_curves
+from stripcavity.design import DesignSpec, _stack_on, _wire, mlc_convergence, sweep_curves
+from stripcavity.materials import Material, OpticalConstant, builtin_registry
+from stripcavity.stack import Layer, Medium, Stack, load_stack_config
 
 K0 = 2 * np.pi / 1550.0
 
@@ -23,11 +26,11 @@ def test_sweep_consistent_with_single_point():
     rng = np.random.default_rng(5)
     n, d = random_stack(rng, 5)
     values = np.linspace(2.0, 20.0, 7)
-    swept = _kernels.chain_sweep(n, d, 2, values, K0, _kernels.layer_terms(n, d, 2, K0))
+    swept = _kernels.chain_sweep(n, d, 2, values, K0, _kernels.layer_terms(n, d, range(5), 2, K0))
     for p, value in enumerate(values):
         d_mod = d.copy()
         d_mod[2] = value
-        single = _kernels.chain_product(n, d_mod, K0)
+        single = _kernels.chain_product(n, d_mod, range(5), K0)
         for array, scalar in zip(swept, single):
             assert array[p] == pytest.approx(scalar, rel=1e-13)
 
@@ -35,16 +38,16 @@ def test_sweep_consistent_with_single_point():
 def test_empty_chain_is_identity():
     n = np.array([], dtype=np.complex128)
     d = np.array([], dtype=np.float64)
-    assert _kernels.chain_product(n, d, K0) == (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
+    assert _kernels.chain_product(n, d, range(0), K0) == (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
 def test_prefixes_are_the_products_of_each_truncation():
     rng = np.random.default_rng(6)
     n, d = random_stack(rng, 9)
-    prefixes = _kernels.chain_prefixes(n, d, K0)
+    prefixes = _kernels.chain_prefixes(n, d, range(9), K0)
     assert len(prefixes) == len(n) + 1
     for j, prefix in enumerate(prefixes):
-        assert prefix == _kernels.chain_product(n[:j], d[:j], K0)
+        assert prefix == _kernels.chain_product(n[:j], d[:j], range(j), K0)
 
 
 def test_overflowing_layer_is_a_value_error():
@@ -52,7 +55,14 @@ def test_overflowing_layer_is_a_value_error():
     n = np.array([1.5, -1000j], dtype=np.complex128)
     d = np.array([100.0, 130.0])
     with pytest.raises(ValueError, match="a 130 nm layer of index -?0-1000j overflows"):
-        _kernels.chain_product(n, d, 2 * np.pi / 400.0)
+        _kernels.chain_product(n, d, range(2), 2 * np.pi / 400.0)
+
+
+def bit_codes(n, d):
+    """Each layer's code as `stripcavity.tmm._prepare` numbers it: layers of
+    equal index and thickness bits share one, and 0.0 and -0.0 do not."""
+    first = {}
+    return [first.setdefault((x.tobytes(), y.tobytes()), len(first)) for x, y in zip(n, d)]
 
 
 def per_layer_loop_sweep(n, d, idx, values, k0):
@@ -139,7 +149,8 @@ def test_chain_sweep_is_bitwise_the_per_layer_loop():
     checked = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for n, d, idx, values in sweep_cases():
-            got = _kernels.chain_sweep(n, d, idx, values, K0, _kernels.layer_terms(n, d, idx, K0))
+            terms = _kernels.layer_terms(n, d, bit_codes(n, d), idx, K0)
+            got = _kernels.chain_sweep(n, d, idx, values, K0, terms)
             want = per_layer_loop_sweep(n, d, idx, values, K0)
             for name, x, y in zip(("f11", "f12", "f21", "f22"), got, want):
                 assert same_bits(x, y), (name, len(n), idx, values.shape[0])
@@ -187,7 +198,7 @@ def test_chain_sweep_is_bitwise_the_per_layer_loop_at_benchmark_shapes(monkeypat
 def numpy_scalar_prefixes(n, d, k0):
     """The running products with every layer's terms computed at its own
     position and the product in numpy scalars: the reference that
-    `chain_prefixes`, with its memoised terms and Python complex product,
+    `chain_prefixes`, with its distinct-layer table and Python complex product,
     must match bit for bit."""
     f11, f12, f21, f22 = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
     out = [(f11, f12, f21, f22)]
@@ -212,11 +223,11 @@ def test_chain_prefixes_is_bitwise_the_numpy_scalar_loop():
     cases = [*(random_stack(rng, m) for m in (0, 1, 2, 13, 200)), *periodic_stacks()]
     with np.errstate(over="ignore", invalid="ignore"):
         for n, d in cases:
-            got = np.array(_kernels.chain_prefixes(n, d, K0), dtype=np.complex128)
+            got = np.array(_kernels.chain_prefixes(n, d, bit_codes(n, d), K0), dtype=np.complex128)
             want = np.array(numpy_scalar_prefixes(n, d, K0), dtype=np.complex128)
             assert same_bits(got, want), (len(n), n[:3])
     assert not np.isfinite(got[-1]).all()  # the last chain overflows
-    assert all(type(entry) is complex for entry in _kernels.chain_product(n[:5], d[:5], K0))
+    assert all(type(entry) is complex for entry in _kernels.chain_product(n[:5], d[:5], range(5), K0))
 
 
 def test_scalar_complex_arithmetic_contract():
@@ -261,7 +272,7 @@ def test_scalar_complex_arithmetic_contract():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 1451, 14501])
 def test_zero_d_operand_multiplies_as_the_numpy_scalar(m):
-    """`chain_sweep` keeps each memoised layer term as a 0-d complex128 array,
+    """`chain_sweep` takes each distinct layer's terms as 0-d complex128 arrays,
     which numpy dispatches faster than its scalar. That keeps the kernel's bits
     only while ``np.multiply`` of a ``(2, m)`` array by the 0-d array rounds as
     by the numpy scalar, into a fresh array or the kernel's ``out=``."""
@@ -282,3 +293,83 @@ def test_zero_d_operand_multiplies_as_the_numpy_scalar(m):
             np.multiply(columns, scalar, out=out_scalar)
             np.multiply(columns, array, out=out_array)
             assert same_bits(out_array, out_scalar), z
+
+
+# The distinct-layer table: `tmm._prepare` gives every layer a code, and a
+# kernel computes each code's terms once.
+
+REFLECTOR = DesignSpec(cavity="mlc", low_index="SiO2", high_index="SiO", periods=80)
+
+
+@pytest.fixture
+def cosh_calls(monkeypatch):
+    """The arguments of every ``cmath.cosh`` that `_kernels` calls."""
+    calls = []
+
+    def cosh(z):
+        calls.append(z)
+        return cmath.cosh(z)
+
+    monkeypatch.setattr(_kernels, "cmath", types.SimpleNamespace(cosh=cosh, sinh=cmath.sinh))
+    return calls
+
+
+def test_deep_reflector_prefixes_compute_three_layers(monkeypatch, cosh_calls):
+    # mlc-convergence --max-periods 120: wire | (SiO2, SiO) * 120
+    chains = []
+    prefixes = _kernels.chain_prefixes
+
+    def recording(n, d, codes, k0):
+        chains.append(len(n))
+        return prefixes(n, d, codes, k0)
+
+    monkeypatch.setattr(_kernels, "chain_prefixes", recording)
+    mlc_convergence(REFLECTOR, 120)
+    assert chains == [241]
+    assert len(cosh_calls) == 3
+
+
+def test_reflector_repeats_share_one_terms_object():
+    registry = builtin_registry()
+    stack = _stack_on(REFLECTOR, registry, _wire(REFLECTOR, registry, 10.0))
+    n, d, codes, k0, *_ = tmm._prepare(stack, REFLECTOR.wavelength_nm, 0)
+    assert len(codes) == 161 and len(set(codes)) == 3
+    terms = _kernels.layer_terms(n, d, codes, 0, k0)
+    assert terms[0] is None
+    low, high = terms[1], terms[2]
+    assert low is not high
+    assert all(term is low for term in terms[1::2])
+    assert all(term is high for term in terms[2::2])
+
+
+def test_equal_layers_of_a_config_compute_their_terms_once(cosh_calls):
+    layers = [("NbN", 8), ("SiO", 230), ("SiO", 230.0), ("Ag", 120)]
+    stack = load_stack_config({
+        "cavity": "custom",
+        "layers": [{"material": name, "thickness_nm": nm} for name, nm in layers],
+    }).stack
+    assert stack.layers[1] is not stack.layers[2]
+    n, d, codes, k0, *_ = tmm._prepare(stack, 1550.0)
+    assert codes[1] == codes[2] and len(set(codes)) == 3
+    _kernels.chain_product(n, d, codes, k0)
+    assert len(cosh_calls) == 3
+    terms = _kernels.layer_terms(n, d, codes, 0, k0)
+    assert terms[1] is terms[2]
+
+
+def test_signed_zero_indices_keep_separate_terms():
+    # n_im = 0.0 gives the index 1.45-0j and n_im = -0.0 gives 1.45+0j:
+    # equal under ==, apart in their bits, which this lossless chain carries
+    # into its product
+    vacuum = Medium(Material("vac", OpticalConstant(1.0)))
+    glass = Layer(Material("g", OpticalConstant(1.5)), 10.0)
+    minus, plus = (Layer(Material("d", OpticalConstant(1.45, n_im)), 300.0) for n_im in (0.0, -0.0))
+    assert minus == plus
+    n, d, codes, k0, *_ = tmm._prepare(Stack(vacuum, (glass, minus, plus, minus, plus), vacuum), 1550.0)
+    assert codes == [0, 1, 2, 1, 2]
+    terms = _kernels.layer_terms(n, d, codes, 0, k0)
+    assert terms[1] is terms[3] and terms[2] is terms[4] and terms[1] is not terms[2]
+    want = np.array(numpy_scalar_prefixes(n, d, k0))
+    assert same_bits(np.array(_kernels.chain_prefixes(n, d, codes, k0)), want)
+    # one code for both would move the product's bits
+    assert not same_bits(np.array(_kernels.chain_prefixes(n, d, [0, 1, 1, 1, 1], k0)), want)

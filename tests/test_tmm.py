@@ -66,7 +66,7 @@ def layer_arrays(layers):
 
 def product(*layers):
     """The engine's chain product (f11, f12, f21, f22) of layers, input side first."""
-    return _kernels.chain_product(*layer_arrays(layers), K0)
+    return _kernels.chain_product(*layer_arrays(layers), range(len(layers)), K0)
 
 
 def rel_det_error(m) -> float:
@@ -115,7 +115,7 @@ class TestChain:
     def test_identity_pair(self):
         # a layer of zero thickness is exactly the identity
         n = np.array([1.444, 2.15], dtype=np.complex128)
-        assert _kernels.chain_product(n, np.zeros(2), K0) == (1.0, 0.0, 0.0, 1.0)
+        assert _kernels.chain_product(n, np.zeros(2), range(2), K0) == (1.0, 0.0, 0.0, 1.0)
 
     def test_quarter_wave_pair_diagonal(self):
         n1, n2 = 1.444, 2.15
@@ -389,7 +389,7 @@ def reference_chain(stack):
     """The engine's inputs with every layer's index read at its own position.
 
     These reference_* functions are the engine with numpy-scalar chain
-    entries, no memoised layer terms and ``conj(eta_i)``: the code that
+    entries, no distinct-layer table and ``conj(eta_i)``: the code that
     `tmm` must match bit for bit."""
     n, d = layer_arrays(stack.layers)
     short = stack.output.is_short
