@@ -32,7 +32,7 @@ terms but one numpy division, in Python complex.
 
 The argmax search calls ``chain_product`` for the layers on either side of
 the swept one, often none, and does the rest in
-`stripcavity.tmm.absorptance_of_layer`.
+`stripcavity.tmm._absorptance_constants` and the evaluations it feeds.
 
 The chain is the coherent 2x2 product of Byrnes, "Multilayer optical
 calculations", arXiv:1603.02720.

@@ -314,13 +314,15 @@ def _stack_on(
 
 
 def _optima(spec: DesignSpec, registry: MaterialRegistry, ctx: CavityContext, windows=None):
-    """Closed-form optima and their exact-engine refinements: (wire optimum,
-    (oracle wire nm, its absorptance), spacer optimum, oracle spacer nm, the
-    wire at its closed-form optimum), the spacer entries None when the layout
-    has none. The wire is refined on the ideal-mirror layout, the spacer on
-    the actual mirror. The searches span ``windows``, ((lo, hi) wire, (lo,
-    hi) spacer) in nm, or by default 0.3-3x the closed-form wire and 0.6-1.2x
-    the quarter-wave spacer."""
+    """Closed-form optima and the exact-engine searches that refine them:
+    (wire optimum, spacer optimum, the wire at its closed-form optimum,
+    searches), the spacer optimum None when the layout has none.
+    ``searches`` yields `tmm.argmax_absorptance`'s (stack, layer index, lo,
+    hi) of the wire, on the ideal-mirror layout built here, then of the
+    spacer, if any, on the actual mirror, built as it is drawn: after the
+    wire search's set-up, as when the searches ran one by one. The searches
+    span ``windows``, ((lo, hi) wire, (lo, hi) spacer) in nm, or by default
+    0.3-3x the closed-form wire and 0.6-1.2x the quarter-wave spacer."""
     cavity = _TABLE[spec.cavity]
     wire_opt = cavity.wire_optimum(ctx)
     d_w = wire_opt.d_opt_nm
@@ -329,17 +331,16 @@ def _optima(spec: DesignSpec, registry: MaterialRegistry, ctx: CavityContext, wi
     wire = _wire(spec, registry, d_w)
     stack = _stack_on(spec, registry, wire, mirror_token="pec-surrogate")
     lo, hi = windows[0] if windows else (0.3 * d_w, 3.0 * d_w)
-    wire_oracle = tmm.argmax_absorptance(
-        stack, cavity.layout.wire_index, lo, hi, spec.wavelength_nm
-    )
-    if spacer_opt is None:
-        return wire_opt, wire_oracle, None, None, wire
-    designed = _stack_on(spec, registry, wire)
-    index = cavity.layout.spacer_index
-    qw = designed.layers[index].thickness_nm
-    lo, hi = windows[1] if windows else (0.6 * qw, 1.2 * qw)
-    spacer_oracle_nm, _ = tmm.argmax_absorptance(designed, index, lo, hi, spec.wavelength_nm)
-    return wire_opt, wire_oracle, spacer_opt, spacer_oracle_nm, wire
+
+    def searches():
+        yield stack, cavity.layout.wire_index, lo, hi
+        if spacer_opt is not None:
+            designed = _stack_on(spec, registry, wire)
+            index = cavity.layout.spacer_index
+            qw = designed.layers[index].thickness_nm
+            yield designed, index, *(windows[1] if windows else (0.6 * qw, 1.2 * qw))
+
+    return wire_opt, spacer_opt, wire, searches()
 
 
 def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) -> DesignReport:
@@ -354,10 +355,12 @@ def run_design_flow(spec: DesignSpec, registry: MaterialRegistry | None = None) 
     registry = _registry(registry)
     cavity = _TABLE[spec.cavity]
     ctx = build_context(spec, registry)
-    wire_opt, (wire_oracle_nm, absorptance_oracle), spacer_opt, spacer_oracle_nm, wire = _optima(
-        spec, registry, ctx
+    wire_opt, spacer_opt, wire, searches = _optima(spec, registry, ctx)
+    (wire_oracle_nm, absorptance_oracle), *spacer = tmm.argmax_absorptance(
+        searches, spec.wavelength_nm
     )
     spacer_nm = None if spacer_opt is None else spacer_opt.d_opt_nm
+    spacer_oracle_nm = spacer[0][0] if spacer else None
 
     absorptance_analytic = cavity.wire_family(wire_opt.d_opt_nm, ctx)
     checks = [analytic.wire_strain(wire_opt.d_opt_nm, ctx.wavelength_nm)]
@@ -523,17 +526,27 @@ def reproduce_table2(registry: MaterialRegistry | None = None) -> Table2Report:
     forms within 2% (wire) and 6% (dielectric).
     """
     registry = _registry(registry)
+    optima = []  # (cavity, slit, wire optimum, spacer optimum) per spec
+
+    def searches():
+        for slit in (80.0, 120.0, 160.0):
+            for name in CAVITIES:
+                spec = DesignSpec(cavity=name, slit_nm=slit)
+                wire_opt, spacer_opt, _, spec_searches = _optima(
+                    spec, registry, build_context(spec, registry), _TABLE2_WINDOWS
+                )
+                optima.append((name, slit, wire_opt, spacer_opt))
+                yield from spec_searches
+
+    # every spec is at the default wavelength
+    oracles = iter(tmm.argmax_absorptance(searches(), _SPEC_DEFAULTS["wavelength_nm"]))
     cells: list[Table2Cell] = []
-    for slit in (80.0, 120.0, 160.0):
-        for name in CAVITIES:
-            spec = DesignSpec(cavity=name, slit_nm=slit)
-            ctx = build_context(spec, registry)
-            wire_opt, (wire_nm, _), spacer_opt, spacer_nm, _ = _optima(
-                spec, registry, ctx, _TABLE2_WINDOWS
+    for name, slit, wire_opt, spacer_opt in optima:
+        cells.append(_make_cell(name, "wire", slit, wire_opt.d_opt_nm, next(oracles)[0]))
+        if spacer_opt is not None:
+            cells.append(
+                _make_cell(name, "dielectric", slit, spacer_opt.d_opt_nm, next(oracles)[0])
             )
-            cells.append(_make_cell(name, "wire", slit, wire_opt.d_opt_nm, wire_nm))
-            if spacer_opt is not None:
-                cells.append(_make_cell(name, "dielectric", slit, spacer_opt.d_opt_nm, spacer_nm))
     cells.sort(key=lambda c: (CAVITIES.index(c.cavity), c.quantity, c.slit_nm))
     return Table2Report(tuple(cells))
 

@@ -27,10 +27,11 @@ evaluates blocks of at most ``_BLOCK_ROWS`` thicknesses in the thread's
 block arena, so a curve's only whole-grid arrays are the ones its caller
 keeps. `sweep` is its blocks copied into columns of its own.
 
-`argmax_absorptance`, behind every design search, scans numpy's 256-point
-linspace grid of one layer's thickness in one array evaluation and refines
-the best point with Python floats; its fixed set-up per call is the chain
-on either side of that layer.
+`argmax_absorptance`, behind every design search, takes a command's
+searches as one batch. Each search's set-up is the chain on either side of
+its layer; then every search's 256-point linspace grid of that layer's
+thickness goes through one array evaluation, one row per search, and each
+search refines its best point with Python floats.
 """
 
 from __future__ import annotations
@@ -161,20 +162,10 @@ def _prepare(stack: Stack, wavelength_nm: float, layer_index: int | None = None)
     return n, d, codes, 2.0 * math.pi / wavelength_nm, 1.0 / n_i, eta_o, stack.output.is_short
 
 
-def _fraction(f11, f12, f21, f22, eta_i: float, eta_o: float):
-    """The numerator and denominator of r from chain entries.
-
-    eta_i is real, its own conjugate. The denominator is also t's. A sweep
-    block forms the same two expressions into the thread's block arena.
-    """
-    num = f11 * eta_o + f12 - f21 * eta_i * eta_o - f22 * eta_i
-    den = f11 * eta_o + f12 + f21 * eta_i * eta_o + f22 * eta_i
-    return num, den
-
-
 def _coefficients(num, den, eta_i: float, eta_o: float, short: bool):
-    """Reflection/transmission from a `_fraction`: numpy divides an array
-    denominator, and Python a Python complex one."""
+    """Reflection/transmission from the numerator and denominator of r, the
+    denominator t's too: numpy divides an array denominator, and Python a
+    Python complex one."""
     r = num / den
     return r, np.zeros_like(r) if short else 2.0 * math.sqrt(eta_i * eta_o) / den
 
@@ -192,10 +183,11 @@ def scatter_truncations(stack: Stack, layer_counts, wavelength_nm: float) -> Sca
 
     Every truncation keeps the input and output media. One running product
     over the prepared chain serves them all, a repeated layer costing its
-    cosh and sinh once. Each count's numerator and denominator are formed in
-    Python complex, and one numpy division per column divides them all:
-    numpy's array and scalar division round alike. A count of 0 (the
-    identity) divides as Python does, keeping a bare interface's bits.
+    cosh and sinh once. Each count's numerator and denominator of r are
+    formed in Python complex, as a sweep block forms them into its arena,
+    and one numpy division per column divides them all: numpy's array and
+    scalar division round alike. A count of 0 (the identity) divides as
+    Python does, keeping a bare interface's bits.
     Entry k of each field is bit-identical to `scatter` of the stack cut
     after ``layer_counts[k]`` layers, which is this with one count.
     """
@@ -205,12 +197,17 @@ def scatter_truncations(stack: Stack, layer_counts, wavelength_nm: float) -> Sca
     # caller to reject, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         prefixes = _kernels.chain_prefixes(n, d, codes, k0)
-        fractions = [_fraction(*prefixes[count], eta_i, eta_o) for count in counts]
+        fractions = []  # num, den of each count in turn; eta_i is real, its own conjugate
+        for count in counts:
+            f11, f12, f21, f22 = prefixes[count]
+            p, q, s = f11 * eta_o + f12, f21 * eta_i * eta_o, f22 * eta_i
+            fractions += (p - q - s, p + q + s)
         num, den = np.array(fractions, np.complex128).reshape(len(counts), 2).T
         r, t = _coefficients(num, den, eta_i, eta_o, short)
         if 0 in counts:
             empty = np.equal(counts, 0)
-            r[empty], t[empty] = _coefficients(*fractions[counts.index(0)], eta_i, eta_o, short)
+            at = 2 * counts.index(0)
+            r[empty], t[empty] = _coefficients(*fractions[at : at + 2], eta_i, eta_o, short)
         return ScatterResult.from_coefficients(r, t)
 
 
@@ -280,7 +277,7 @@ def sweep_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
             np.add(np.multiply(f11, eta_o, out=p), f12, out=p)  # f11 * eta_o + f12
             np.multiply(np.multiply(f21, eta_i, out=q), eta_o, out=q)
             np.multiply(f22, eta_i, out=s)
-            np.subtract(np.subtract(p, q, out=r), s, out=r)  # _fraction's numerator
+            np.subtract(np.subtract(p, q, out=r), s, out=r)  # the numerator of r
             np.add(np.add(p, q, out=t), s, out=t)  # and its denominator
             np.divide(r, t, out=r)
             if short:
@@ -334,8 +331,10 @@ def _golden_max(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
-    """Absorptance as a function of one layer's thickness, float or array.
+def _absorptance_constants(stack: Stack, layer_index: int, wavelength_nm: float):
+    """The nine constants of one layer's absorptance, (g, n, w1, w2, xd1, xd2,
+    xn1, xn2, t_num), made from the prepared chain once: Python complex, and
+    ``t_num`` a float.
 
     The reflection numerator and denominator are bilinear forms of the chain
     P · L(d) · Q, where P multiplies the layers before the swept one and Q
@@ -344,14 +343,11 @@ def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
         num = (1, -conj(eta_i)) · P · L(d) · Q · (eta_o, 1)^T
         den = (1,       eta_i)  · P · L(d) · Q · (eta_o, 1)^T
 
-    So P and the input medium fold into two row vectors, and Q and the
-    output medium into one column vector w, once, here, from the prepared
-    chain and two running products in Python complex. Each call then costs
-    one layer L(d) applied to w and two dot products: a float goes through
-    cmath and Python complex, an array of float64 thicknesses through
-    `_absorptance_columns`, whose operands are the same constants made 0-d
-    arrays once, here. The result agrees with `sweep` to rounding (the
-    product is grouped differently).
+    So P and the input medium fold into the row vectors (xn1, xn2) and
+    (xd1, xd2), and Q and the output medium into the column vector (w1, w2),
+    from two running products in Python complex; ``g`` is the swept layer's
+    propagation constant and ``n`` its index. An evaluation then costs one
+    layer L(d) applied to w and two dot products.
     """
     ns, ds, codes, k0, eta_i, eta_o, short = _prepare(stack, wavelength_nm, layer_index)
     i = layer_index
@@ -364,13 +360,14 @@ def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
     xd1, xd2 = p11 + eta_i * p21, p12 + eta_i * p22
     w1, w2 = q11 * eta_o + q12, q21 * eta_o + q22
     t_num = 0.0 if short else 2.0 * math.sqrt(eta_i * eta_o)
-    g = 1j * k0 * n
-    operands = tuple(map(np.asarray, (g, n, w1, w2, xd1, xd2, xn1, xn2, t_num)))
+    return 1j * k0 * n, n, w1, w2, xd1, xd2, xn1, xn2, t_num
+
+
+def _float_absorptance(g, n, w1, w2, xd1, xd2, xn1, xn2, t_num):
+    """Absorptance of a float thickness from `_absorptance_constants`, in
+    cmath and Python complex."""
 
     def absorptance(thickness_nm):
-        # a 0-d array multiplies by g to a numpy scalar and goes the float way
-        if isinstance(thickness_nm, np.ndarray) and thickness_nm.ndim:
-            return _absorptance_columns(thickness_nm, *operands)
         gd = g * thickness_nm
         c, s = cmath.cosh(gd), cmath.sinh(gd)
         y1 = c * w1 + (s / n) * w2
@@ -385,11 +382,38 @@ def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
     return absorptance
 
 
+def absorptance_of_layer(stack: Stack, layer_index: int, wavelength_nm: float):
+    """Absorptance as a function of one layer's thickness, float or array.
+
+    The layer is factored out of the chain once, here, into
+    `_absorptance_constants`. A float then goes through cmath and Python
+    complex, an array of float64 thicknesses through `_absorptance_columns`,
+    whose operands are the same constants made 0-d arrays once, here. The
+    result agrees with `sweep` to rounding (the product is grouped
+    differently).
+    """
+    constants = _absorptance_constants(stack, layer_index, wavelength_nm)
+    at_float = _float_absorptance(*constants)
+    operands = tuple(map(np.asarray, constants))
+
+    def absorptance(thickness_nm):
+        # a 0-d array multiplies by g to a numpy scalar and goes the float way
+        if isinstance(thickness_nm, np.ndarray) and thickness_nm.ndim:
+            return _absorptance_columns(thickness_nm, *operands)
+        return at_float(thickness_nm)
+
+    return absorptance
+
+
 def _absorptance_columns(x, g, n, w1, w2, xd1, xd2, xn1, xn2, t_num):
     """`absorptance_of_layer` over an array ``x`` of thicknesses: the float
     evaluation's operations in its order, each into one of four reused
-    columns. numpy's complex multiply by a 0-d operand rounds ``a * s`` and
-    ``s * a`` apart, so each product keeps its operand order too."""
+    columns. The constants are 0-d arrays for one layer, or ``(k, 1)``
+    columns for a ``(k, m)`` ``x`` of k layers' rows, which reach numpy's
+    inner loop with stride 0 as a 0-d operand does, so each row has the bits
+    of its layer alone. numpy's complex multiply by such an operand rounds
+    ``a * s`` and ``s * a`` apart, so each product keeps its operand order
+    too."""
     cols = np.empty((4, *x.shape), np.complex128)
     gd, c, y1, y2 = cols
     np.multiply(g, x, out=gd)
@@ -443,38 +467,66 @@ def _grid(lo_nm: float, hi_nm: float) -> np.ndarray:
     return grid
 
 
-def argmax_absorptance(
-    stack: Stack,
-    layer_index: int,
-    lo_nm: float,
-    hi_nm: float,
-    wavelength_nm: float,
-) -> tuple[float, float]:
-    """Thickness of one layer that maximises absorptance, plus that absorptance.
+def argmax_absorptance(searches, wavelength_nm: float) -> list[tuple[float, float]]:
+    """For each search ``(stack, layer_index, lo_nm, hi_nm)``, the thickness of
+    that layer in [lo_nm, hi_nm] that maximises absorptance, and that
+    absorptance.
 
-    A coarse grid scan brackets the peak and golden-section refinement pins it
-    to 0.01 nm. Candidates within 1e-12 in absorptance count as tied and the
-    lowest thickness wins, so a flat (degenerate) family returns ``lo_nm``.
-    Every point goes through one `absorptance_of_layer`: the grid as one
-    array, the refinement as Python floats. Raises ValueError when the grid
-    absorptance is not finite (a chain that overflows).
+    A coarse grid scan brackets each peak and golden-section refinement pins
+    it to 0.01 nm. Candidates within 1e-12 in absorptance count as tied and
+    the lowest thickness wins, so a flat (degenerate) family returns
+    ``lo_nm``. It runs in three steps: each search's set-up in turn (its
+    window check, grid and `_absorptance_constants`), then every grid in one
+    `_absorptance_columns` evaluation, one row per search, then each
+    search's refinement in turn, in Python floats. Raises ValueError when a
+    grid absorptance is not finite (a chain that overflows).
+
+    The searches are drawn one at a time, so a caller may build each one's
+    stack as it is drawn. An error in drawing or setting up a search is held
+    until the searches before it have finished, so the first error raised is
+    the one the searches run one by one would raise.
     """
-    if not lo_nm < hi_nm:
-        raise InputError(f"need lo < hi, got [{lo_nm}, {hi_nm}]")
-    grid = _grid(lo_nm, hi_nm)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        absorptance = absorptance_of_layer(stack, layer_index, wavelength_nm)
-        grid_A = absorptance(grid)
-    if not np.isfinite(grid_A).all():
-        raise InputError(
-            f"absorptance is not finite over [{lo_nm}, {hi_nm}] nm of layer {layer_index}; "
-            "the chain overflows"
-        )
-    best = int(grid_A.argmax())
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, _GRID_POINTS - 1)])
-    # a float thickness gives a Python float absorptance
-    refined = _golden_max(absorptance, a, b, _REFINE_TOL_NM)
-    refined_A = absorptance(refined)
-    d_best = _select_thickness(grid, grid_A, refined, refined_A)
-    return d_best, refined_A if d_best == refined else absorptance(d_best)
+    windows, grids, constants, held = [], [], [], None
+    try:
+        for stack, layer_index, lo_nm, hi_nm in searches:
+            if not lo_nm < hi_nm:
+                raise InputError(f"need lo < hi, got [{lo_nm}, {hi_nm}]")
+            grid = _grid(lo_nm, hi_nm)
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+                constants.append(_absorptance_constants(stack, layer_index, wavelength_nm))
+            grids.append(grid)
+            windows.append((layer_index, lo_nm, hi_nm))
+    except Exception as error:  # raised below, after the searches before it
+        held = error
+    # each constant a (k, 1) column, t_num a float one. A batch of one keeps
+    # 0-d constants and a 1-d grid, which spares each of its 24 ufunc calls
+    # numpy's broadcast iterator.
+    k = len(grids)
+    shape = () if k == 1 else (k, 1)
+    *columns, t_num = np.array(constants, np.complex128).reshape(k, 9).T.reshape(9, *shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid_A = _absorptance_columns(
+            np.array(grids).reshape(*shape[:1], _GRID_POINTS), *columns, t_num.real
+        ).reshape(k, _GRID_POINTS)
+    finite = np.isfinite(grid_A).all(axis=1).tolist()
+    bests = grid_A.argmax(axis=1).tolist()
+    results = []
+    for (layer_index, lo_nm, hi_nm), grid, row_A, best, terms, ok in zip(
+        windows, grids, grid_A, bests, constants, finite
+    ):
+        if not ok:
+            raise InputError(
+                f"absorptance is not finite over [{lo_nm}, {hi_nm}] nm of layer {layer_index}; "
+                "the chain overflows"
+            )
+        absorptance = _float_absorptance(*terms)
+        a = float(grid[max(best - 1, 0)])
+        b = float(grid[min(best + 1, _GRID_POINTS - 1)])
+        # a float thickness gives a Python float absorptance
+        refined = _golden_max(absorptance, a, b, _REFINE_TOL_NM)
+        refined_A = absorptance(refined)
+        d_best = _select_thickness(grid, row_A, refined, refined_A)
+        results.append((d_best, refined_A if d_best == refined else absorptance(d_best)))
+    if held is not None:
+        raise held
+    return results

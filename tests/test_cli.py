@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stripcavity import cli
+from stripcavity import cli, tmm
 from stripcavity.cli import main
 from stripcavity.design import MAX_PERIODS, DesignSpec
 from stripcavity.materials import InputError
@@ -718,6 +718,20 @@ class TestTable2:
         wire_flags = [row[6] for row in rows[1:] if row[1] == "wire"]
         assert all(flag == "false" for flag in wire_flags)
 
+    @pytest.mark.parametrize("overrides, message", [
+        # the mlc specs' reflector is refused after the ssc and dsc searches ran
+        (["{name: Ta2O5, n_re: 1.0, n_im: 0.0, kind: dielectric, override: true}"],
+         "error: the reflector layer adjacent to the wire must have the smaller refractive index"),
+        # and the first wire search's overflow comes before that refusal
+        (["{name: NbN, n_re: 0.01, n_im: 9000, kind: metal, override: true}",
+          "{name: Ta2O5, n_re: 1.0, n_im: 0.0, kind: dielectric, override: true}"],
+         "error: absorptance is not finite over [1.0, 30.0] nm of layer 0; the chain overflows"),
+    ], ids=["refusal", "search-first"])
+    def test_first_error_in_search_order(self, tmp_path, capsys, overrides, message):
+        materials = tmp_path / "materials.yaml"
+        materials.write_text("materials:\n" + "".join(f"  - {line}\n" for line in overrides))
+        assert one_error_line(capsys, ["table2", "--materials", str(materials)]).startswith(message)
+
     @pytest.mark.parametrize("flags", [
         ["--wavelength-nm", "1310", "--slit-nm", "5", "--mirror", "bogus"],
         ["--cavity", "dsc"],
@@ -726,6 +740,27 @@ class TestTable2:
     def test_spec_flags_refused(self, capsys, flags):
         # the reference table has fixed geometries, so a spec flag would be ignored
         assert "unrecognized arguments" in one_error_line(capsys, ["table2", *flags])
+
+
+@pytest.mark.parametrize("argv, batches", [
+    (["table2"], [15]),
+    (["design", "--cavity", "ssc"], [2]),
+    (["design", "--cavity", "dsc"], [2]),
+    (["design", "--cavity", "mlc"], [1]),
+])
+def test_one_search_batch_per_command(monkeypatch, capsys, argv, batches):
+    # a command runs every exact-engine search it makes in one call
+    sizes, search = [], tmm.argmax_absorptance
+
+    def recording(searches, wavelength_nm):
+        searches = list(searches)
+        sizes.append(len(searches))
+        return search(searches, wavelength_nm)
+
+    monkeypatch.setattr(tmm, "argmax_absorptance", recording)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sizes == batches
 
 
 class TestMlcConvergence:

@@ -46,6 +46,12 @@ def make_wire_layer():
     return build_ssc(make_wire()).layers[0]
 
 
+def one_search(stack, layer_index, lo_nm, hi_nm):
+    """`argmax_absorptance` of one search: a batch of one."""
+    [result] = argmax_absorptance([(stack, layer_index, lo_nm, hi_nm)], LAMBDA)
+    return result
+
+
 def random_lossy_stack(rng, n_layers, output):
     layers = tuple(
         Layer(
@@ -288,45 +294,45 @@ class TestSweep:
 class TestArgmax:
     def test_single_side_wire_optimum(self):
         stack = build_ssc(make_wire())
-        d_best, a_best = argmax_absorptance(stack, 0, 1.0, 30.0, LAMBDA)
+        d_best, a_best = one_search(stack, 0, 1.0, 30.0)
         assert d_best == pytest.approx(11.6, abs=0.3)
         assert a_best == pytest.approx(0.9949, abs=1e-3)
 
     def test_degenerate_family_returns_lo(self):
         stack = Stack(VACUUM, (lossless_layer(1.0, 10.0),), VACUUM)
-        d_best, a_best = argmax_absorptance(stack, 0, 3.0, 40.0, LAMBDA)
+        d_best, a_best = one_search(stack, 0, 3.0, 40.0)
         assert d_best == 3.0
         assert abs(a_best) < 1e-10
 
     def test_double_side_dielectric_optimum(self):
         wire = make_wire(thickness_nm=6.6139, slit_material="SiO")
         stack = build_dsc(wire, mirror=REG.get("Ag"))
-        d_best, _ = argmax_absorptance(stack, 2, 150.0, 280.0, LAMBDA)
+        d_best, _ = one_search(stack, 2, 150.0, 280.0)
         assert d_best == pytest.approx(218.0, abs=2.0)
 
     def test_range_narrower_than_the_tolerance(self):
         # a bracket under 0.01 nm skips the golden-section steps: its midpoint
         # is the refined point
         stack = build_ssc(make_wire())
-        d_best, a_best = argmax_absorptance(stack, 0, 11.6, 11.601, LAMBDA)
+        d_best, a_best = one_search(stack, 0, 11.6, 11.601)
         assert 11.6 <= d_best <= 11.601
         assert a_best == absorptance_of_layer(stack, 0, LAMBDA)(d_best)
 
     def test_inverted_range_rejected(self):
         with pytest.raises(ValueError):
-            argmax_absorptance(build_ssc(make_wire()), 0, 30.0, 1.0, LAMBDA)
+            one_search(build_ssc(make_wire()), 0, 30.0, 1.0)
 
     def test_overflowing_chain_rejected(self):
         reflector = [lossless_layer(n, LAMBDA / (4 * n)) for n in (1.45, 2.1) * 3000]
         stack = Stack(VACUUM, (make_wire_layer(),) + tuple(reflector), VACUUM)
         with pytest.raises(ValueError, match="not finite"):
-            argmax_absorptance(stack, 0, 1.0, 30.0, LAMBDA)
+            one_search(stack, 0, 1.0, 30.0)
 
     def test_resolution(self):
         # two runs over shifted ranges land on the same optimum within 0.02 nm
         stack = build_ssc(make_wire())
-        d1, _ = argmax_absorptance(stack, 0, 1.0, 30.0, LAMBDA)
-        d2, _ = argmax_absorptance(stack, 0, 2.0, 28.0, LAMBDA)
+        d1, _ = one_search(stack, 0, 1.0, 30.0)
+        d2, _ = one_search(stack, 0, 2.0, 28.0)
         assert abs(d1 - d2) < 0.02
 
 
@@ -675,7 +681,7 @@ class TestSearchAgainstReference:
         rng = np.random.default_rng(19)
         for _ in range(400):
             stack, i, lo, hi = random_search(rng)
-            got = argmax_absorptance(stack, i, lo, hi, LAMBDA)
+            got = one_search(stack, i, lo, hi)
             assert np.array_equal(search_bits(got), search_bits(reference_argmax(stack, i, lo, hi))), (
                 stack, i, lo, hi)
 
@@ -689,10 +695,10 @@ class TestSearchAgainstReference:
         stack = Stack(VACUUM, (make_wire_layer(), lossless_layer(n, 100.0), make_wire_layer()),
                       Medium(REG.get("Si")))
         period = LAMBDA / (2 * n)
-        peak, _ = argmax_absorptance(stack, 1, 3.0, 3.0 + period, LAMBDA)
+        peak, _ = one_search(stack, 1, 3.0, 3.0 + period)
         for lo in (3.0, peak):
             hi = lo + periods * period
-            got = argmax_absorptance(stack, 1, lo, hi, LAMBDA)
+            got = one_search(stack, 1, lo, hi)
             assert np.array_equal(search_bits(got), search_bits(reference_argmax(stack, 1, lo, hi)))
         assert got[0] == peak
 
@@ -701,10 +707,11 @@ class TestSearchAgainstReference:
         calls = []
         search = tmm.argmax_absorptance
 
-        def recording(*args):
-            result = search(*args)
-            calls.append((args, result))
-            return result
+        def recording(searches, wavelength):
+            searches = list(searches)
+            results = search(searches, wavelength)
+            calls.extend(((*args, wavelength), result) for args, result in zip(searches, results))
+            return results
 
         monkeypatch.setattr(tmm, "argmax_absorptance", recording)
         reproduce_table2()
@@ -714,6 +721,178 @@ class TestSearchAgainstReference:
         for (stack, i, lo, hi, wavelength), result in calls:
             assert wavelength == LAMBDA
             assert np.array_equal(search_bits(result), search_bits(reference_argmax(stack, i, lo, hi)))
+
+
+class TestBatches:
+    """Searches run as one batch: each one's bits and each error as if run alone."""
+
+    @pytest.mark.parametrize("size, batches", [(1, 24), (2, 12), (15, 3), (20, 3)])
+    def test_each_search_of_a_batch_matches_the_reference(self, size, batches):
+        rng = np.random.default_rng(40 + size)
+        drawn = []
+        for _ in range(batches):
+            batch = [random_search(rng) for _ in range(size)]
+            results = argmax_absorptance(batch, LAMBDA)
+            assert len(results) == size
+            for (stack, i, lo, hi), got in zip(batch, results):
+                want = reference_argmax(stack, i, lo, hi)
+                assert np.array_equal(search_bits(got), search_bits(want)), (stack, i, lo, hi)
+            drawn += batch
+        # the draws cover both terminals, lossless and lossy stacks, and
+        # windows ulps wide, narrower than the refinement, and wide
+        outputs = {stack.output for stack, *_ in drawn}
+        assert VACUUM in outputs and EXACT_SHORT in outputs
+        lossy = {any(layer.material.optical_constant.n_im for layer in stack.layers)
+                 for stack, *_ in drawn}
+        assert lossy == {False, True}
+        spans = [hi - lo for _, _, lo, hi in drawn]
+        assert min(spans) <= 5 * math.ulp(200.0)
+        assert any(5 * math.ulp(200.0) < span < 0.01 for span in spans)
+        assert max(spans) > 1.0
+
+    def test_a_generator_and_an_empty_batch(self):
+        stack = build_ssc(make_wire())
+        searches = ((stack, 0, lo, lo + 20.0) for lo in (1.0, 2.0, 3.0))
+        assert argmax_absorptance(searches, LAMBDA) == [
+            one_search(stack, 0, lo, lo + 20.0) for lo in (1.0, 2.0, 3.0)]
+        assert argmax_absorptance([], LAMBDA) == []
+
+
+# Every ufunc call of `_absorptance_columns`, by the kinds of its operands: "c"
+# a complex constant and "t" a float one, each a (k, 1) column of a batch or a
+# 0-d array of one search; "a" a complex and "x" a float (k, m) array of a
+# batch or one of its rows; "r" the real part of an "a"; "1" the float 1.0.
+COLUMN_CALLS = [
+    (np.multiply, "cx"),  # g * x
+    (np.cosh, "a"),
+    (np.sinh, "a"),
+    (np.multiply, "ac"),  # c * w1, y2 * w2, s * n, y2 * w1, c * w2
+    (np.divide, "ac"),  # s / n
+    (np.add, "aa"),
+    (np.multiply, "ca"),  # xd1 * y1, xd2 * y2, xn1 * y1, xn2 * y2
+    (np.divide, "aa"),  # r / den
+    (np.divide, "ta"),  # t_num / den
+    (np.conjugate, "a"),
+    (np.multiply, "aa"),
+    (np.subtract, "1r"),
+    (np.subtract, "xr"),
+]
+
+
+@pytest.mark.parametrize("ufunc, kinds", COLUMN_CALLS,
+                         ids=[f"{ufunc.__name__}-{kinds}" for ufunc, kinds in COLUMN_CALLS])
+def test_column_operand_rounds_as_the_zero_d_operand(ufunc, kinds):
+    """`argmax_absorptance` evaluates k searches' grids as one (k, 256)
+    array, each search's constants a (k, 1) column. That keeps each row on
+    the bits of its search alone only while every ufunc of
+    `_absorptance_columns` computes a row of the batch, against a column,
+    as it computes that row by itself against a 0-d array: into a fresh
+    array, or in place as the engine writes."""
+    rng = np.random.default_rng(34)
+    k, m = 20, 256
+
+    def spread(*shape):  # ten decades and signed zeros
+        parts = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5, shape)
+        parts.flat[::11] = 0.0
+        parts.flat[1::13] = -0.0
+        return parts
+
+    batch = {
+        "c": (spread(k, 1) + 1j * spread(k, 1)),
+        "t": np.abs(spread(k, 1)),
+        "a": spread(k, m) + 1j * spread(k, m),
+        "x": spread(k, m),
+    }
+    operands = [batch.get(kind, batch["a"]) for kind in kinds]
+    operands = [1.0 if kind == "1" else op.real if kind == "r" else op
+                for kind, op in zip(kinds, operands)]
+
+    def row_of(op, i):
+        if not isinstance(op, np.ndarray):
+            return op
+        return np.asarray(op[i, 0]) if op.shape[1] == 1 else op[i]
+
+    with np.errstate(all="ignore"):
+        got = ufunc(*operands)
+        in_place = [op.copy() if isinstance(op, np.ndarray) else op for op in operands]
+        target = next((op for op in in_place if isinstance(op, np.ndarray)
+                       and op.shape == got.shape and op.dtype == got.dtype), np.empty_like(got))
+        ufunc(*in_place, out=target)
+        for i in range(k):
+            row = [row_of(op, i) for op in operands]
+            want = ufunc(*row)
+            assert want.shape == (m,)
+            assert same_bits(np.atleast_1d(got[i]), want), i
+            assert same_bits(np.atleast_1d(target[i]), want), i
+
+
+def test_batch_evaluation_is_each_search_alone():
+    """The (k, 256) grid evaluation of a batch, row by row, against each
+    search's grid evaluated alone with 0-d constants."""
+    rng = np.random.default_rng(35)
+    searches = [random_search(rng) for _ in range(20)]
+    constants = [tmm._absorptance_constants(stack, i, LAMBDA) for stack, i, _, _ in searches]
+    grids = np.array([tmm._grid(lo, hi) for _, _, lo, hi in searches])
+    *columns, t_num = np.array(constants).T[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = tmm._absorptance_columns(grids, *columns, t_num.real)
+        for row, grid, terms in zip(batch, grids, constants):
+            alone = tmm._absorptance_columns(grid, *map(np.asarray, terms))
+            assert same_bits(row, alone)
+
+
+def overflowing_search():
+    """A search whose grid absorptance is not finite: the chain overflows."""
+    reflector = [lossless_layer(n, LAMBDA / (4 * n)) for n in (1.45, 2.1) * 3000]
+    return Stack(VACUUM, (make_wire_layer(),) + tuple(reflector), VACUUM), 0, 1.0, 30.0
+
+
+def refused(message):
+    """Raises InputError: a stack a caller's draw refuses."""
+    raise tmm.InputError(message)
+
+
+# A search whose set-up fails, and how: the window check, the layer index,
+# a chain that overflows at once, and the caller's draw.
+FAILING_SET_UPS = {
+    "window": (lambda: (build_ssc(make_wire()), 0, 30.0, 1.0), "need lo < hi"),
+    "layer": (lambda: (build_ssc(make_wire()), 5, 1.0, 30.0), "layer index 5 outside"),
+    "chain": (lambda: (Stack(VACUUM, (make_wire_layer(), Layer(REG.get("PEC"), 200.0)), VACUUM),
+                       0, 1.0, 30.0), "overflows the transfer matrix"),
+    "draw": (lambda: refused("the caller refused this stack"), "the caller refused"),
+}
+
+
+class TestBatchErrors:
+    """The first error a batch raises is the one its searches run one by one
+    would raise: a set-up error waits for the searches before it."""
+
+    @pytest.mark.parametrize("failure", FAILING_SET_UPS)
+    def test_an_earlier_grid_error_comes_first(self, failure):
+        make, _ = FAILING_SET_UPS[failure]
+
+        def searches():
+            yield overflowing_search()
+            yield make()
+
+        with pytest.raises(ValueError, match="absorptance is not finite over"):
+            argmax_absorptance(searches(), LAMBDA)
+
+    @pytest.mark.parametrize("failure", FAILING_SET_UPS)
+    @pytest.mark.parametrize("before", [0, 1], ids=["first", "after-a-search"])
+    def test_a_set_up_error_comes_before_later_grids(self, failure, before):
+        make, message = FAILING_SET_UPS[failure]
+        later = []
+
+        def searches():
+            yield from [(build_ssc(make_wire()), 0, 1.0, 30.0)] * before
+            yield make()
+            later.append(True)  # never reached: the batch stops drawing
+            yield overflowing_search()
+
+        with pytest.raises(ValueError, match=message):
+            argmax_absorptance(searches(), LAMBDA)
+        assert not later
 
 
 def test_grid_is_linspace():
